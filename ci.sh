@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate, offline: build, tests, formatting, lints, a registry guard, a
-# parallel-sweep determinism and speedup check, and end-to-end smokes of
-# the `cdt` binary (strict flags, observability, journal).
+# parallel-sweep determinism and speedup check, the paper-scale figures
+# against their committed outputs, and end-to-end smokes of the `cdt`
+# binary (strict flags, observability, journal).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -85,6 +86,21 @@ PY
 else
     echo "sweep speedup check skipped: 1 core"
 fi
+
+echo "==> paper-scale repro (27 CSVs against results/, stdout against repro_paper.txt)"
+# The whole Sec. V evaluation at paper scale: every CSV must equal the
+# committed one byte for byte, and stdout must equal repro_paper.txt once
+# both are masked alike (the CLI goldens' mask: a header `=== id (N
+# tables, T) ===` loses its timing, a `[csv written to PATH]` line keeps
+# only the file name).
+rm -rf /tmp/cdt_paper
+cdt repro --paper --csv /tmp/cdt_paper > /tmp/cdt_paper.txt
+diff <(cd results && ls -- *.csv) <(ls /tmp/cdt_paper)
+for csv in results/*.csv; do
+    cmp "$csv" "/tmp/cdt_paper/$(basename "$csv")"
+done
+mask=tests/fixtures/cli/mask.sed
+diff <(sed -f "$mask" repro_paper.txt) <(sed -f "$mask" /tmp/cdt_paper.txt)
 
 echo "==> strict flag smoke (unknown flags exit 2 naming the flag, never panic)"
 # Each subcommand reads a fixed flag list; a removed knob or a typo must

@@ -165,29 +165,13 @@ impl CmabHs {
         mode: LedgerMode,
         obs: &mut O,
     ) -> Result<TradingLedger> {
+        // One scratch for the run: rounds after the first allocate nothing,
+        // and only a full ledger clones the outcomes it keeps.
         let mut ledger = TradingLedger::new(mode);
-        match mode {
-            // Full mode keeps every outcome: step through scratch and clone
-            // the outcome out (with the NullObserver this is the historical
-            // ownership path in all but name — one clone per kept round
-            // either way).
-            LedgerMode::Full => {
-                let mut scratch = RoundScratch::new();
-                while !self.is_finished() {
-                    let outcome = self.step_observed_into(observer, rng, &mut scratch, obs)?;
-                    ledger.record(outcome.clone());
-                }
-                scratch.publish_eq_cache_metrics();
-            }
-            // Summary mode discards outcomes: run allocation-free.
-            LedgerMode::Summary => {
-                let mut scratch = RoundScratch::new();
-                while !self.is_finished() {
-                    let outcome = self.step_observed_into(observer, rng, &mut scratch, obs)?;
-                    ledger.record_ref(outcome);
-                }
-                scratch.publish_eq_cache_metrics();
-            }
+        let mut scratch = RoundScratch::new();
+        while !self.is_finished() {
+            let outcome = self.step_observed_into(observer, rng, &mut scratch, obs)?;
+            ledger.record_ref(outcome);
         }
         Ok(ledger)
     }

@@ -9,7 +9,8 @@
 
 use cdt_bandit::SelectionPolicy;
 use cdt_game::{
-    initial_round_strategy, EquilibriumCache, GameContext, SelectedSeller, StackelbergSolution,
+    initial_round_strategy, solve_equilibrium_into, GameContext, SelectedSeller,
+    StackelbergSolution,
 };
 use cdt_obs::{
     EquilibriumEvent, NullObserver, ObservationEvent, PhaseTimer, RoundEndEvent, RoundObserver,
@@ -18,7 +19,7 @@ use cdt_obs::{
 use cdt_quality::{ObservationMatrix, QualityObserver};
 use cdt_types::{Result, Round, SellerId, SimRng, SystemConfig};
 
-/// Whether a cached context's economic parameters still match the config —
+/// Whether a reused context's economic parameters still match the config —
 /// the precondition for refilling the seller columns in place instead of
 /// reconstructing (and revalidating) the context.
 fn context_params_match(ctx: &GameContext, config: &SystemConfig) -> bool {
@@ -58,24 +59,15 @@ impl RoundOutcome {
 /// solution's sensing-time/profit vectors. A `RoundScratch` owns all of
 /// them so that [`execute_round_into`] runs allocation-free after the first
 /// round — essential when the evaluation loop executes `N = 10⁵` rounds per
-/// (policy × replication) cell.
-///
-/// The scratch also carries the equilibrium fast path
-/// ([`EquilibriumCache`]): the Stage-1/2/3 solve is a pure function of the
-/// game context (no RNG), so when the selected set and the `q̄` snapshot
-/// are unchanged from the previous round the previous solution — still
-/// sitting in the outcome's strategy buffer — is bit-identical and the
-/// solve is skipped entirely. This hits on every round for
-/// oracle/frozen-mean policies and during ε-first exploitation.
+/// (policy × replication) cell. Every non-initial round solves the game
+/// afresh into the strategy buffer (Alg. 1 step 11); the closed forms of
+/// Thms 14–16 cost well under a microsecond at Table II.
 #[derive(Debug)]
 pub struct RoundScratch {
     outcome: RoundOutcome,
     /// The reusable game context: economic parameters validated once, the
     /// seller columns refilled in place each round.
     ctx: Option<GameContext>,
-    /// The equilibrium fast path: previous solved context + hit/miss
-    /// counters.
-    cache: EquilibriumCache,
     observations: ObservationMatrix,
     /// Selection-score buffer, filled only when an enabled observer asks
     /// for the per-seller indices (never touched on the null path).
@@ -94,20 +86,9 @@ impl RoundScratch {
                 observed_revenue: 0.0,
             },
             ctx: None,
-            cache: EquilibriumCache::new(),
             observations: ObservationMatrix::empty(),
             scores: Vec::new(),
         }
-    }
-
-    /// Prepares an already-used scratch for a fresh run: invalidates the
-    /// equilibrium cache and zeroes its counters while keeping every
-    /// allocated buffer. A reset scratch behaves exactly like
-    /// [`RoundScratch::new`] (all buffer contents are overwritten before
-    /// being read), which is what lets worker arenas recycle it across
-    /// jobs.
-    pub fn reset(&mut self) {
-        self.cache.reset();
     }
 
     /// The outcome written by the most recent [`execute_round_into`] call.
@@ -120,31 +101,6 @@ impl RoundScratch {
     #[must_use]
     pub fn into_outcome(self) -> RoundOutcome {
         self.outcome
-    }
-
-    /// Rounds whose equilibrium solve was skipped because the game context
-    /// was identical to the previous round's.
-    #[must_use]
-    pub fn eq_cache_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Rounds that ran the full Stage-1/2/3 solve.
-    #[must_use]
-    pub fn eq_cache_misses(&self) -> u64 {
-        self.cache.misses()
-    }
-
-    /// Publishes the equilibrium-cache counters to the global metrics
-    /// registry (`cdt_obs_eq_cache_{hits,misses}_total`). Call once per
-    /// run loop; a no-op while no observability pipeline is installed.
-    pub fn publish_eq_cache_metrics(&self) {
-        if !cdt_obs::is_enabled() {
-            return;
-        }
-        let registry = cdt_obs::global();
-        registry.add_counter("cdt_obs_eq_cache_hits_total", &[], self.cache.hits());
-        registry.add_counter("cdt_obs_eq_cache_misses_total", &[], self.cache.misses());
     }
 }
 
@@ -237,7 +193,6 @@ pub fn execute_round_observed_into<'a, O: RoundObserver>(
     let RoundScratch {
         outcome,
         ctx: ctx_slot,
-        cache,
         observations,
         scores,
     } = scratch;
@@ -290,19 +245,11 @@ pub fn execute_round_observed_into<'a, O: RoundObserver>(
     }
     let ctx = ctx_slot.as_ref().expect("context was just built");
 
-    let cached = if round.is_initial() {
+    if round.is_initial() {
         outcome.strategy = initial_round_strategy(ctx, config.initial_sensing_time);
-        // The strategy buffer no longer holds an equilibrium solve.
-        cache.invalidate();
-        false
     } else {
-        // Fast path inside: same selection, same q̄ snapshot, same
-        // parameters ⇒ the previous round's solution (still in the
-        // strategy buffer) is bit-identical and the solve is skipped.
-        let hits_before = cache.hits();
-        cache.solve_into(ctx, &mut outcome.strategy);
-        cache.hits() != hits_before
-    };
+        solve_equilibrium_into(ctx, &mut outcome.strategy);
+    }
     let solve_ns = timer.lap();
     if O::ENABLED {
         let strategy = &outcome.strategy;
@@ -315,7 +262,6 @@ pub fn execute_round_observed_into<'a, O: RoundObserver>(
                 consumer_profit: strategy.profits.consumer,
                 platform_profit: strategy.profits.platform,
                 seller_profit: strategy.profits.total_seller(),
-                cached,
             },
         );
         timer.skip();
@@ -503,53 +449,29 @@ mod tests {
     }
 
     #[test]
-    fn frozen_mean_policy_solves_once_per_distinct_selection() {
+    fn refilled_context_is_bit_identical_to_a_fresh_one() {
         use cdt_bandit::OraclePolicy;
         let (config, observer) = setup(6, 2, 4);
-        let mut policy = OraclePolicy::new(observer.population().expected_qualities(), 2);
-        let mut rng = SimRng::new(7);
-        let mut scratch = RoundScratch::new();
-        let n = 20;
-        for t in 0..n {
-            execute_round_into(
-                &mut policy,
-                &config,
-                &observer,
-                Round(t),
-                &mut rng,
-                &mut scratch,
-            )
-            .unwrap();
-        }
-        // Round 0 plays the initial strategy (no solve); round 1 solves;
-        // every later round reuses it — the oracle's selection and game
-        // qualities never change.
-        assert_eq!(scratch.eq_cache_misses(), 1);
-        assert_eq!(scratch.eq_cache_hits(), (n - 2) as u64);
-    }
-
-    #[test]
-    fn cached_equilibrium_is_bit_identical_to_fresh_solve() {
-        use cdt_bandit::OraclePolicy;
-        let (config, observer) = setup(6, 2, 4);
-        let mut cached_policy = OraclePolicy::new(observer.population().expected_qualities(), 2);
-        let mut cached_rng = SimRng::new(13);
+        let mut reused_policy = OraclePolicy::new(observer.population().expected_qualities(), 2);
+        let mut reused_rng = SimRng::new(13);
         let mut scratch = RoundScratch::new();
         let mut fresh_policy = OraclePolicy::new(observer.population().expected_qualities(), 2);
         let mut fresh_rng = SimRng::new(13);
         for t in 0..8 {
-            let cached = execute_round_into(
-                &mut cached_policy,
+            // The reused scratch refills its game context in place every
+            // round after the first.
+            let reused = execute_round_into(
+                &mut reused_policy,
                 &config,
                 &observer,
                 Round(t),
-                &mut cached_rng,
+                &mut reused_rng,
                 &mut scratch,
             )
             .unwrap()
             .clone();
-            // execute_round uses a one-shot scratch, so it can never hit
-            // the cache — every round is a fresh solve.
+            // execute_round builds a one-shot scratch, so its context is
+            // constructed (and validated) from scratch every round.
             let fresh = execute_round(
                 &mut fresh_policy,
                 &config,
@@ -558,32 +480,8 @@ mod tests {
                 &mut fresh_rng,
             )
             .unwrap();
-            assert_eq!(cached, fresh, "round {t} diverged under caching");
+            assert_eq!(reused, fresh, "round {t} diverged with a reused scratch");
         }
-        assert!(scratch.eq_cache_hits() > 0, "fast path never engaged");
-    }
-
-    #[test]
-    fn learning_policy_misses_cache_when_means_move() {
-        let (config, observer) = setup(6, 2, 4);
-        let mut policy = CmabUcbPolicy::new(6, 2);
-        let mut rng = SimRng::new(5);
-        let mut scratch = RoundScratch::new();
-        for t in 0..6 {
-            execute_round_into(
-                &mut policy,
-                &config,
-                &observer,
-                Round(t),
-                &mut rng,
-                &mut scratch,
-            )
-            .unwrap();
-        }
-        // UCB updates its means every round, so the q̄ snapshot (and often
-        // the selection) changes and the cache must not serve stale solves.
-        assert_eq!(scratch.eq_cache_hits() + scratch.eq_cache_misses(), 5);
-        assert!(scratch.eq_cache_misses() >= 1);
     }
 
     #[test]

@@ -45,7 +45,6 @@
 #![warn(clippy::all)]
 
 pub mod best_response;
-pub mod cache;
 pub mod context;
 pub mod equilibrium;
 pub mod initial;
@@ -58,7 +57,6 @@ pub mod welfare;
 pub use best_response::{
     consumer_best_response, platform_best_response, seller_best_response, Aggregates,
 };
-pub use cache::EquilibriumCache;
 pub use context::{GameContext, SelectedSeller};
 pub use equilibrium::{solve_equilibrium, solve_equilibrium_into, Profits, StackelbergSolution};
 pub use initial::initial_round_strategy;

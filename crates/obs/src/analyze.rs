@@ -58,7 +58,7 @@ impl TraceStats {
 
 /// Parses the JSONL trace at `path` into a fresh [`MetricsRegistry`] with
 /// the same metric families a live run publishes (round/event counters,
-/// per-phase latency histograms, eq-cache counters), plus [`TraceStats`].
+/// per-phase latency histograms), plus [`TraceStats`].
 ///
 /// Malformed lines are counted and skipped so a truncated trace (e.g. from
 /// a killed run) still summarizes.
@@ -72,8 +72,6 @@ pub fn registry_from_trace(path: &Path) -> io::Result<(MetricsRegistry, TraceSta
     let mut events = 0u64;
     let mut malformed = 0u64;
     let mut rounds = 0u64;
-    let mut eq_hits = 0u64;
-    let mut eq_misses = 0u64;
     let mut protocol_events = 0u64;
     let mut settled_rounds = 0u64;
     let mut spans = 0u64;
@@ -129,16 +127,6 @@ pub fn registry_from_trace(path: &Path) -> io::Result<(MetricsRegistry, TraceSta
             EventRecord::Regret { account_ns, .. } => {
                 phase_hists[Phase::Account as usize].record_ns(*account_ns);
             }
-            EventRecord::Equilibrium { round, cached, .. } => {
-                // Mirror the engine's counters: the initial round assigns a
-                // strategy without consulting the cache, so it is neither a
-                // hit nor a miss.
-                if *cached {
-                    eq_hits += 1;
-                } else if *round != 0 {
-                    eq_misses += 1;
-                }
-            }
             _ => {}
         }
     }
@@ -146,10 +134,6 @@ pub fn registry_from_trace(path: &Path) -> io::Result<(MetricsRegistry, TraceSta
     let registry = MetricsRegistry::new();
     registry.add_counter("cdt_obs_rounds_total", &[], rounds);
     registry.add_counter("cdt_obs_events_total", &[], events);
-    if eq_hits + eq_misses > 0 {
-        registry.add_counter("cdt_obs_eq_cache_hits_total", &[], eq_hits);
-        registry.add_counter("cdt_obs_eq_cache_misses_total", &[], eq_misses);
-    }
     if protocol_events > 0 {
         registry.add_counter("cdt_obs_protocol_events_total", &[], protocol_events);
         registry.add_counter("cdt_obs_protocol_settled_rounds", &[], settled_rounds);
@@ -255,7 +239,7 @@ mod tests {
         })
     }
 
-    fn equilibrium(run: &str, round: usize, cached: bool) -> String {
+    fn equilibrium(run: &str, round: usize) -> String {
         to_string(&EventRecord::Equilibrium {
             run: run.into(),
             round,
@@ -265,7 +249,6 @@ mod tests {
             consumer_profit: 0.4,
             platform_profit: 0.3,
             seller_profit: 0.3,
-            cached,
         })
     }
 
@@ -274,13 +257,13 @@ mod tests {
         let path = write_trace(
             "full",
             &[
-                equilibrium("a/seed1", 0, false),
+                equilibrium("a/seed1", 0),
                 round_end("a/seed1", 0),
-                equilibrium("a/seed1", 1, false),
+                equilibrium("a/seed1", 1),
                 round_end("a/seed1", 1),
-                equilibrium("a/seed1", 2, true),
+                equilibrium("a/seed1", 2),
                 round_end("a/seed1", 2),
-                equilibrium("b/seed2", 0, false),
+                equilibrium("b/seed2", 0),
                 round_end("b/seed2", 0),
             ],
         );
@@ -296,15 +279,6 @@ mod tests {
         assert!(stats.rounds_per_sec() > 0.0);
 
         assert_eq!(registry.counter_value("cdt_obs_rounds_total", &[]), 4);
-        // Initial rounds are neither hits nor misses: 1 hit, 1 miss.
-        assert_eq!(
-            registry.counter_value("cdt_obs_eq_cache_hits_total", &[]),
-            1
-        );
-        assert_eq!(
-            registry.counter_value("cdt_obs_eq_cache_misses_total", &[]),
-            1
-        );
     }
 
     #[test]

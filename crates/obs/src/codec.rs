@@ -8,19 +8,20 @@
 //! `null`.
 //!
 //! Reading follows the codec's rules: any field order (the tag's too),
-//! unknown keys skipped, missing and repeated keys rejected. Two defaults
-//! keep older traces readable: an absent `Option` field reads as `None`,
-//! and an absent `cached` as `false`. A `null` selection score reads as
-//! `+∞`, the UCB index of a never-sampled seller and the only non-finite
-//! score a policy emits; every other float field rejects `null`. A
-//! protocol journal line (`{"PaymentsSettled":{…}}`: one key, a
-//! `MarketEvent` kind) is recognised by its shape alone.
+//! unknown keys skipped, missing and repeated keys rejected. So older
+//! traces stay readable: an absent `Option` field reads as `None`, and the
+//! `cached` and `chunk` members that older lines carry are skipped. A
+//! `null` selection score reads as `+∞`, the UCB index of a never-sampled
+//! seller and the only non-finite score a policy emits; every other float
+//! field rejects `null`. A protocol journal line
+//! (`{"PaymentsSettled":{…}}`: one key, a `MarketEvent` kind) is
+//! recognised by its shape alone.
 
 use crate::health::{HealthKind, HealthRecord};
 use crate::record::EventRecord;
 use crate::span::SpanRecord;
 use cdt_types::json::{
-    push_bool, push_f64, push_f64s, push_str, push_u64, push_usize, Codec, DecodeError, Reader,
+    push_f64, push_f64s, push_str, push_u64, push_usize, Codec, DecodeError, Reader,
 };
 use std::borrow::Cow;
 
@@ -50,7 +51,6 @@ const EVENT_FIELDS: [(&str, &[&str]); 6] = [
             "consumer_profit",
             "platform_profit",
             "seller_profit",
-            "cached",
         ],
     ),
     (
@@ -183,7 +183,6 @@ impl Codec for EventRecord {
                 consumer_profit,
                 platform_profit,
                 seller_profit,
-                cached,
                 ..
             } => {
                 floats(
@@ -203,8 +202,6 @@ impl Codec for EventRecord {
                         ("seller_profit", *seller_profit),
                     ],
                 );
-                key(out, "cached");
-                push_bool(out, *cached);
             }
             EventRecord::Observation {
                 observed_revenue,
@@ -276,7 +273,6 @@ struct EventSlots {
     consumer_profit: Option<f64>,
     platform_profit: Option<f64>,
     seller_profit: Option<f64>,
-    cached: Option<bool>,
     observed_revenue: Option<f64>,
     samples: Option<usize>,
     selection_ns: Option<u64>,
@@ -310,7 +306,6 @@ fn decode_event(r: &mut Reader<'_>, tag: &str) -> Result<EventRecord, DecodeErro
             "consumer_profit" => r.field(&mut s.consumer_profit, key, Reader::f64),
             "platform_profit" => r.field(&mut s.platform_profit, key, Reader::f64),
             "seller_profit" => r.field(&mut s.seller_profit, key, Reader::f64),
-            "cached" => r.field(&mut s.cached, key, Reader::bool),
             "observed_revenue" => r.field(&mut s.observed_revenue, key, Reader::f64),
             "samples" => r.field(&mut s.samples, key, Reader::usize),
             "selection_ns" => r.field(&mut s.selection_ns, key, Reader::u64),
@@ -340,7 +335,6 @@ fn decode_event(r: &mut Reader<'_>, tag: &str) -> Result<EventRecord, DecodeErro
             consumer_profit: r.required(s.consumer_profit, "consumer_profit")?,
             platform_profit: r.required(s.platform_profit, "platform_profit")?,
             seller_profit: r.required(s.seller_profit, "seller_profit")?,
-            cached: s.cached.unwrap_or(false),
         },
         "observation" => EventRecord::Observation {
             run,
@@ -382,7 +376,7 @@ impl Codec for SpanRecord {
         }
         optional_integers(out, &[("round", self.round)]);
         integers(out, &[("start_ns", self.start_ns), ("dur_ns", self.dur_ns)]);
-        optional_integers(out, &[("worker", self.worker), ("chunk", self.chunk)]);
+        optional_integers(out, &[("worker", self.worker)]);
         out.push(b'}');
     }
 
@@ -395,8 +389,7 @@ impl Codec for SpanRecord {
 /// Reads the fields of a span line (the tag already checked).
 fn decode_span(r: &mut Reader<'_>) -> Result<SpanRecord, DecodeError> {
     let (mut trace, mut span, mut parent, mut name, mut run) = (None, None, None, None, None);
-    let (mut round, mut start_ns, mut dur_ns, mut worker, mut chunk) =
-        (None, None, None, None, None);
+    let (mut round, mut start_ns, mut dur_ns, mut worker) = (None, None, None, None);
     r.object(&mut |r, key| match key {
         "trace" => r.field(&mut trace, key, Reader::u64),
         "span" => r.field(&mut span, key, Reader::u64),
@@ -407,7 +400,6 @@ fn decode_span(r: &mut Reader<'_>) -> Result<SpanRecord, DecodeError> {
         "start_ns" => r.field(&mut start_ns, key, Reader::u64),
         "dur_ns" => r.field(&mut dur_ns, key, Reader::u64),
         "worker" => r.field(&mut worker, key, read_opt_u64),
-        "chunk" => r.field(&mut chunk, key, read_opt_u64),
         _ => r.skip(),
     })?;
     Ok(SpanRecord {
@@ -420,7 +412,6 @@ fn decode_span(r: &mut Reader<'_>) -> Result<SpanRecord, DecodeError> {
         start_ns: r.required(start_ns, "start_ns")?,
         dur_ns: r.required(dur_ns, "dur_ns")?,
         worker: worker.flatten(),
-        chunk: chunk.flatten(),
     })
 }
 
@@ -624,7 +615,6 @@ pub(crate) mod tests {
                 consumer_profit: finite(rng),
                 platform_profit: finite(rng),
                 seller_profit: finite(rng),
-                cached: rng.bernoulli(0.5),
             },
             3 => EventRecord::Observation {
                 run,
@@ -667,7 +657,6 @@ pub(crate) mod tests {
             start_ns: rng.next_u64(),
             dur_ns: rng.next_u64(),
             worker: maybe(rng),
-            chunk: maybe(rng),
         }
     }
 
@@ -712,12 +701,11 @@ pub(crate) mod tests {
         let full = SpanRecord::new(TraceId(1), SpanId(2), Some(SpanId(1)), "chunk", 3, 4)
             .with_run("cmab-hs/seed1")
             .with_round(5)
-            .with_worker(6)
-            .with_chunk(7);
+            .with_worker(6);
         round_trips(&full, TraceLine::Span);
         assert_eq!(
             to_string(&bare),
-            r#"{"event":"span","trace":1,"span":2,"parent":null,"name":"chunk","run":null,"round":null,"start_ns":3,"dur_ns":4,"worker":null,"chunk":null}"#
+            r#"{"event":"span","trace":1,"span":2,"parent":null,"name":"chunk","run":null,"round":null,"start_ns":3,"dur_ns":4,"worker":null}"#
         );
         for kind in HealthKind::ALL {
             let mut rec = HealthRecord {
@@ -808,18 +796,18 @@ pub(crate) mod tests {
 
     #[test]
     fn the_tag_may_sit_anywhere_and_defaults_apply() {
+        // `cached` and `chunk` are members of older lines: skipped.
         let rec = from_str::<EventRecord>(
             r#"{"run":"a","round":2,"service_price":1,"collection_price":0.5,"sensing_times":[],
-                "consumer_profit":1,"platform_profit":2,"seller_profit":3,"event":"equilibrium"}"#,
+                "consumer_profit":1,"platform_profit":2,"seller_profit":3,"cached":true,
+                "event":"equilibrium"}"#,
         )
         .unwrap();
-        assert!(matches!(
-            rec,
-            EventRecord::Equilibrium { cached: false, .. }
-        ));
-        let span: SpanRecord =
-            from_str(r#"{"trace":1,"span":2,"name":"run","start_ns":0,"dur_ns":1,"event":"span"}"#)
-                .unwrap();
+        assert!(matches!(rec, EventRecord::Equilibrium { round: 2, .. }));
+        let span: SpanRecord = from_str(
+            r#"{"trace":1,"span":2,"name":"run","start_ns":0,"dur_ns":1,"chunk":3,"event":"span"}"#,
+        )
+        .unwrap();
         assert_eq!(
             span,
             SpanRecord::new(TraceId(1), SpanId(2), None, "run", 0, 1)

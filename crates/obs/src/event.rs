@@ -72,11 +72,6 @@ pub struct EquilibriumEvent<'a> {
     pub platform_profit: f64,
     /// Total seller profit at the equilibrium.
     pub seller_profit: f64,
-    /// Whether the strategy was served from the equilibrium cache (the
-    /// game context repeated verbatim, so the Stage-1/2/3 solve was
-    /// skipped). Always `false` for initial rounds, whose strategy is the
-    /// fixed exploration profile rather than a solve.
-    pub cached: bool,
 }
 
 /// Payload of the [`RoundObserver::observation`] hook.

@@ -1,16 +1,18 @@
 //! Pool health and liveness: shared progress counters, latency trackers,
 //! and the opt-in watchdog thread that turns them into [`HealthRecord`]s.
 //!
-//! The engine's workers already count their own progress (jobs, chunks);
-//! this module gives those counters a process-wide home the watchdog can
+//! Pool workers register a progress slot here that the watchdog can
 //! sample from outside the pool (`cdt-obs` sits *below* `cdt-sim` in the
-//! dependency graph, so the slots live here and the pool bumps them). The
-//! watchdog — started by the pipeline when `--watchdog-ms N` is set —
-//! samples every `N` ms and emits a [`HealthRecord`] into the same JSONL
-//! sink family when it sees:
+//! dependency graph, so the slots live here and the pool registers them).
+//! A pool job is a whole policy run, so the heartbeat is the round, not
+//! the claim: the pipeline's round-end hook feeds [`record_round_ns`] on
+//! the job's own thread, which ticks that thread's slot. The watchdog —
+//! started by the pipeline when `--watchdog-ms N` is set — samples every
+//! `N` ms and emits a [`HealthRecord`] into the same JSONL sink family when
+//! it sees:
 //!
-//! - **`stalled_worker`** — a registered worker whose progress counter did
-//!   not advance across a full sampling interval;
+//! - **`stalled_worker`** — a registered worker that completed no round
+//!   across a full sampling interval;
 //! - **`slow_round`** — a completed round slower than the configured
 //!   threshold (an explicit `--watchdog-slow-round-ns` floor, or
 //!   p99 × [`SLOW_FACTOR`] over the rounds seen so far);
@@ -25,6 +27,7 @@
 
 use crate::latency::LatencyHistogram;
 use crate::metrics;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -57,6 +60,12 @@ const EMPTY_SLOT: WorkerSlot = WorkerSlot {
 };
 static WORKERS: [WorkerSlot; MAX_WORKERS] = [EMPTY_SLOT; MAX_WORKERS];
 
+thread_local! {
+    /// The slot of the pool worker running on this thread, between its
+    /// [`worker_begin`] and [`worker_end`].
+    static WORKER: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
 /// Fast gate the producers check before feeding the trackers.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
@@ -86,32 +95,40 @@ pub fn watchdog_active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
-/// Marks pool worker `w` live (its progress is now expected to advance).
+/// Marks pool worker `w` live on the calling thread: from now on every
+/// round the thread completes ticks `w`'s progress.
 pub fn worker_begin(w: usize) {
     if let Some(slot) = WORKERS.get(w) {
         slot.active.store(true, Ordering::Relaxed);
+        WORKER.with(|worker| worker.set(Some(w)));
     }
 }
 
-/// Marks pool worker `w` done (no more progress expected).
+/// Marks pool worker `w` done (no more progress expected) and detaches it
+/// from the calling thread.
 pub fn worker_end(w: usize) {
     if let Some(slot) = WORKERS.get(w) {
         slot.active.store(false, Ordering::Relaxed);
     }
+    WORKER.with(|worker| worker.set(None));
 }
 
-/// Bumps worker `w`'s progress counter (one tick per cursor claim).
-pub fn worker_progress(w: usize) {
+/// Bumps worker `w`'s progress counter.
+fn worker_progress(w: usize) {
     if let Some(slot) = WORKERS.get(w) {
         slot.progress.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// Feeds one completed round's duration to the slow-round tracker.
+/// Feeds one completed round's duration to the slow-round tracker, and
+/// ticks the progress of the pool worker running on this thread, if any.
 /// Producers gate on [`watchdog_active`] so idle runs pay nothing.
 pub fn record_round_ns(ns: u64) {
     MAX_ROUND_NS.fetch_max(ns, Ordering::Relaxed);
     record_into(&ROUND_HIST, ns);
+    if let Some(w) = WORKER.with(Cell::get) {
+        worker_progress(w);
+    }
 }
 
 /// Feeds one journal write/flush duration to the flush-spike tracker.
@@ -415,6 +432,30 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         worker_end(1);
+        stop_watchdog();
+        assert_eq!(health_count("stalled_worker"), before);
+    }
+
+    #[test]
+    fn worker_completing_rounds_never_reports_stalled() {
+        let _guard = lock();
+        let before = health_count("stalled_worker");
+        start_watchdog(WatchdogConfig {
+            interval_ms: 10,
+            slow_round_ns: None,
+        });
+        // A pool worker's thread: its rounds, not its claims, are the
+        // heartbeat, over at least 4 sampling intervals.
+        std::thread::spawn(|| {
+            worker_begin(2);
+            for _ in 0..12 {
+                record_round_ns(1_000);
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            worker_end(2);
+        })
+        .join()
+        .unwrap();
         stop_watchdog();
         assert_eq!(health_count("stalled_worker"), before);
     }

@@ -41,9 +41,8 @@ pub struct ObsConfig {
     pub summary: bool,
     /// Record only every k-th round's events (`--obs-events-sample`);
     /// `0` and `1` both mean "record every round". Sampling thins the
-    /// JSONL trace only — metrics (round counts, phase histograms,
-    /// eq-cache counters) still cover every round, and the summary
-    /// reports the factor.
+    /// JSONL trace only — metrics (round counts, phase histograms) still
+    /// cover every round, and the summary reports the factor.
     pub events_sample: usize,
     /// Emit causal spans (`--obs-spans`) into the events sink: run/round/
     /// phase spans from the observer, pool and journal spans from the
@@ -410,19 +409,6 @@ impl RoundObserver for PipelineObserver {
 impl Drop for PipelineObserver {
     fn drop(&mut self) {
         self.close_round_span(None);
-        if let Some(ctx) = &self.run_span {
-            let end_ns = span::now_ns();
-            let record = SpanRecord::new(
-                ctx.trace,
-                ctx.span,
-                ctx.parent,
-                "run",
-                ctx.start_ns,
-                end_ns.saturating_sub(ctx.start_ns),
-            )
-            .with_run(&self.recorder.run);
-            self.spans.push(record);
-        }
         let registry = metrics::global();
         registry.add_counter("cdt_obs_rounds_total", &[], self.rounds);
         registry.add_counter(
@@ -430,8 +416,9 @@ impl Drop for PipelineObserver {
             &[],
             self.recorder.records.len() as u64,
         );
-        if !self.spans.is_empty() {
-            registry.add_counter("cdt_obs_spans_total", &[], self.spans.len() as u64);
+        let spans = self.spans.len() + usize::from(self.run_span.is_some());
+        if spans > 0 {
+            registry.add_counter("cdt_obs_spans_total", &[], spans as u64);
         }
         for phase in Phase::ALL {
             if let Some(hist) = &self.phase_ns[phase as usize] {
@@ -442,15 +429,30 @@ impl Drop for PipelineObserver {
                 );
             }
         }
-        if let Some(sink) = &self.pipeline.sink {
-            let records_ok = sink.write_batch(&self.recorder.records).is_ok();
-            let spans_ok = sink.write_batch(&self.spans).is_ok();
-            if !(records_ok && spans_ok) {
-                crate::warn::warn_once(
-                    "obs-sink-write",
-                    "failed to write observability events; trace is incomplete",
-                );
-            }
+        let Some(sink) = &self.pipeline.sink else {
+            return;
+        };
+        let mut written = sink.write_batch(&self.recorder.records).is_ok();
+        written &= sink.write_batch(&self.spans).is_ok();
+        // The run span closes last, so it covers writing the run's own
+        // trace: a pool job's time outside its run is only the claim.
+        if let Some(ctx) = &self.run_span {
+            let record = SpanRecord::new(
+                ctx.trace,
+                ctx.span,
+                ctx.parent,
+                "run",
+                ctx.start_ns,
+                span::now_ns().saturating_sub(ctx.start_ns),
+            )
+            .with_run(&self.recorder.run);
+            written &= sink.write_batch(&[record]).is_ok();
+        }
+        if !written {
+            crate::warn::warn_once(
+                "obs-sink-write",
+                "failed to write observability events; trace is incomplete",
+            );
         }
     }
 }

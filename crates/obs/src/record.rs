@@ -49,10 +49,6 @@ pub enum EventRecord {
         consumer_profit: f64,
         platform_profit: f64,
         seller_profit: f64,
-        /// Whether the strategy came from the equilibrium cache (the solve
-        /// was skipped). Absent reads as `false`, so traces written before
-        /// this field existed still decode.
-        cached: bool,
     },
     /// Qualities were observed.
     Observation {
@@ -174,7 +170,6 @@ impl RoundObserver for RecordingObserver {
             consumer_profit: event.consumer_profit,
             platform_profit: event.platform_profit,
             seller_profit: event.seller_profit,
-            cached: event.cached,
         });
     }
 

@@ -20,8 +20,9 @@
 //! fan-out) pushes its id with [`enter_scope`]; spans opened
 //! below it on the same thread parent to [`current_scope`]. Worker threads
 //! do not inherit the spawner's stack — the pool passes its call-span id
-//! into each worker, which re-enters it, so run spans created inside jobs
-//! still chain back to the fan-out that scheduled them.
+//! into each worker, and each claim opens a `chunk` span under it that the
+//! worker enters while the job runs, so the run span a job creates is the
+//! child of its claim, which chains back to the fan-out that scheduled it.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,8 +91,6 @@ pub struct SpanRecord {
     pub dur_ns: u64,
     /// Pool worker index, for pool-side spans.
     pub worker: Option<u64>,
-    /// Cursor chunk size (jobs), for pool chunk spans.
-    pub chunk: Option<u64>,
 }
 
 impl SpanRecord {
@@ -115,7 +114,6 @@ impl SpanRecord {
             start_ns,
             dur_ns,
             worker: None,
-            chunk: None,
         }
     }
 
@@ -137,13 +135,6 @@ impl SpanRecord {
     #[must_use]
     pub fn with_worker(mut self, worker: u64) -> Self {
         self.worker = Some(worker);
-        self
-    }
-
-    /// Sets the chunk-size attribute.
-    #[must_use]
-    pub fn with_chunk(mut self, chunk: u64) -> Self {
-        self.chunk = Some(chunk);
         self
     }
 }
@@ -289,7 +280,7 @@ mod tests {
             keys_of(&json),
             [
                 "event", "trace", "span", "parent", "name", "run", "round", "start_ns", "dur_ns",
-                "worker", "chunk"
+                "worker"
             ]
         );
         let back: SpanRecord = from_str(&json).unwrap();
@@ -299,18 +290,21 @@ mod tests {
     #[test]
     fn fourteen_key_trace_lines_still_deserialize() {
         // Traces written while spans still carried the `lane`, `batch` and
-        // `cell` attributes have 14 keys; the analyzers must keep reading
-        // them, ignoring the three retired keys.
-        let old = r#"{"event":"span","trace":1,"span":2,"parent":null,"name":"chunk",
+        // `cell` attributes have 14 keys, and those written while chunk
+        // spans carried their size have 11; the analyzers must keep reading
+        // both, ignoring the retired keys.
+        let fourteen = r#"{"event":"span","trace":1,"span":2,"parent":null,"name":"chunk",
             "run":null,"round":null,"start_ns":0,"dur_ns":1,"worker":3,
             "lane":2,"batch":4,"chunk":5,"cell":7}"#;
-        let rec: SpanRecord = from_str(old).unwrap();
-        assert_eq!(
-            rec,
-            SpanRecord::new(TraceId(1), SpanId(2), None, "chunk", 0, 1)
-                .with_worker(3)
-                .with_chunk(5)
-        );
+        let eleven = r#"{"event":"span","trace":1,"span":2,"parent":null,"name":"chunk",
+            "run":null,"round":null,"start_ns":0,"dur_ns":1,"worker":3,"chunk":5}"#;
+        for old in [fourteen, eleven] {
+            let rec: SpanRecord = from_str(old).unwrap();
+            assert_eq!(
+                rec,
+                SpanRecord::new(TraceId(1), SpanId(2), None, "chunk", 0, 1).with_worker(3)
+            );
+        }
     }
 
     #[test]

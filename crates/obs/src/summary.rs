@@ -75,33 +75,6 @@ pub fn render_summary(registry: &MetricsRegistry) -> String {
         let _ = writeln!(out, "health events: {}", parts.join(", "));
     }
 
-    // Equilibrium-cache effectiveness (the round hot path's solve-skip).
-    let eq_hits = counter("cdt_obs_eq_cache_hits_total");
-    let eq_misses = counter("cdt_obs_eq_cache_misses_total");
-    if eq_hits + eq_misses > 0 {
-        let _ = writeln!(
-            out,
-            "eq-cache: {} hits / {} misses ({:.1}% hit rate)",
-            eq_hits,
-            eq_misses,
-            100.0 * eq_hits as f64 / (eq_hits + eq_misses) as f64
-        );
-    }
-
-    // Per-worker scratch-arena effectiveness (round scratch reuse across
-    // consecutive jobs on a thread).
-    let arena_hits = counter("cdt_obs_pool_arena_hits_total");
-    let arena_misses = counter("cdt_obs_pool_arena_misses_total");
-    if arena_hits + arena_misses > 0 {
-        let _ = writeln!(
-            out,
-            "scratch arena: {} reused / {} fresh ({:.1}% reuse)",
-            arena_hits,
-            arena_misses,
-            100.0 * arena_hits as f64 / (arena_hits + arena_misses) as f64
-        );
-    }
-
     // Protocol journal (the JournalSink member of the sink family).
     let protocol_events = counter("cdt_obs_protocol_events_total");
     let settled = counter("cdt_obs_protocol_settled_rounds");
@@ -182,7 +155,7 @@ pub fn render_summary(registry: &MetricsRegistry) -> String {
     }
 
     // Per-worker pool table.
-    let mut workers: Vec<(String, u64, u64, u64, u64, u64)> = Vec::new();
+    let mut workers: Vec<(String, u64, u64, u64)> = Vec::new();
     for (key, metric) in &snapshot {
         if key.family != "cdt_obs_pool_worker_jobs_total" {
             continue;
@@ -209,8 +182,6 @@ pub fn render_summary(registry: &MetricsRegistry) -> String {
         workers.push((
             worker.to_owned(),
             *jobs,
-            lookup("cdt_obs_pool_worker_chunks_total"),
-            lookup("cdt_obs_pool_worker_steals_total"),
             lookup("cdt_obs_pool_worker_busy_ns_total"),
             lookup("cdt_obs_pool_worker_idle_ns_total"),
         ));
@@ -219,17 +190,15 @@ pub fn render_summary(registry: &MetricsRegistry) -> String {
         workers.sort_by_key(|(w, ..)| w.parse::<usize>().unwrap_or(usize::MAX));
         let _ = writeln!(
             out,
-            "{:<8} {:>8} {:>8} {:>8} {:>10} {:>10}",
-            "worker", "jobs", "chunks", "steals", "busy", "idle"
+            "{:<8} {:>8} {:>10} {:>10}",
+            "worker", "jobs", "busy", "idle"
         );
-        for (worker, jobs, chunks, steals, busy, idle) in workers {
+        for (worker, jobs, busy, idle) in workers {
             let _ = writeln!(
                 out,
-                "{:<8} {:>8} {:>8} {:>8} {:>10} {:>10}",
+                "{:<8} {:>8} {:>10} {:>10}",
                 worker,
                 jobs,
-                chunks,
-                steals,
                 fmt_ns(busy as f64),
                 fmt_ns(idle as f64)
             );
@@ -281,20 +250,6 @@ mod tests {
         let text = render_summary(&MetricsRegistry::new());
         assert!(text.starts_with("== observability summary =="));
         assert!(text.contains("rounds: 0"));
-        // The eq-cache line only appears once the counters have ticked.
-        assert!(!text.contains("eq-cache"));
-    }
-
-    #[test]
-    fn eq_cache_line_renders_hit_rate() {
-        let r = MetricsRegistry::new();
-        r.add_counter("cdt_obs_eq_cache_hits_total", &[], 18);
-        r.add_counter("cdt_obs_eq_cache_misses_total", &[], 2);
-        let text = render_summary(&r);
-        assert!(
-            text.contains("eq-cache: 18 hits / 2 misses (90.0% hit rate)"),
-            "got:\n{text}"
-        );
     }
 
     #[test]
@@ -331,18 +286,6 @@ mod tests {
         let text = render_summary(&r);
         assert!(
             text.contains("journal segments: 5 sealed, 1 compaction (12 rounds folded)"),
-            "got:\n{text}"
-        );
-    }
-
-    #[test]
-    fn arena_line_renders_reuse_rate() {
-        let r = MetricsRegistry::new();
-        r.add_counter("cdt_obs_pool_arena_hits_total", &[], 3);
-        r.add_counter("cdt_obs_pool_arena_misses_total", &[], 1);
-        let text = render_summary(&r);
-        assert!(
-            text.contains("scratch arena: 3 reused / 1 fresh (75.0% reuse)"),
             "got:\n{text}"
         );
     }

@@ -945,7 +945,6 @@ mod tests {
                 consumer_profit: 1.0,
                 platform_profit: 1.0,
                 seller_profit: 1.0,
-                cached: false,
             },
         );
         obs.observation(

@@ -9,9 +9,9 @@
 //! return in job order — so the output is bit-for-bit the serial path at
 //! any thread count.
 //!
-//! Single-round equilibrium solves (the ω/θ parameter sweeps) have no
-//! round loop at all, so they fan out as point cells ([`run_point_cells`])
-//! on the same pool.
+//! Only whole runs go to the pool. The single-round equilibrium solves of
+//! the game-curve figures (13–18) take microseconds each, less than a
+//! pool fan-out costs, so those figures are plain loops.
 
 use crate::policy_spec::PolicySpec;
 use crate::runner::{run_policy, RunResult};
@@ -31,8 +31,7 @@ pub struct CellJob<'a> {
 
 /// Runs a job stream over the deterministic pool at
 /// [`crate::parallel::configured_threads`]; results return in job order,
-/// bit-for-bit identical to running each job serially (`run_policy`
-/// recycles its round scratch through the worker arena).
+/// bit-for-bit identical to running each job serially.
 ///
 /// # Errors
 /// Propagates the first job error in job order.
@@ -41,24 +40,6 @@ pub fn run_cells(jobs: &[CellJob<'_>], checkpoints: &[usize]) -> Result<Vec<RunR
     crate::parallel::try_parallel_map(jobs, threads, |_, job| {
         run_policy(job.scenario, job.spec, job.seed, checkpoints)
     })
-}
-
-/// Fans point cells — jobs with no round loop, e.g. the single-round
-/// equilibrium solves of the ω/θ parameter sweeps — over the
-/// deterministic pool at [`crate::parallel::configured_threads`].
-///
-/// Results return in item order (bit-identical at any thread count).
-///
-/// # Errors
-/// Propagates the first cell error in item order.
-pub fn run_point_cells<T, R, F>(items: &[T], f: F) -> Result<Vec<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> Result<R> + Sync,
-{
-    let threads = crate::parallel::configured_threads();
-    crate::parallel::try_parallel_map(items, threads, f)
 }
 
 #[cfg(test)]

@@ -80,24 +80,24 @@ pub fn figure13(scale: Scale) -> Result<Vec<Table>> {
     };
     let grid = pj_grid(points, 40.0);
     let x = grid.clone();
-    let threads = crate::parallel::configured_threads();
 
-    // (a) one PoC curve per omega — one pure job per omega, so the fan-out
-    // is trivially bit-identical to the serial loop.
+    // (a) one PoC curve per omega.
     let omegas = [600.0, 800.0, 1000.0, 1200.0, 1400.0];
-    let poc_curves = crate::parallel::try_parallel_map(&omegas, threads, |_, &omega| {
-        let ctx = round_context(scale, omega, 0.1)?;
-        let y: Vec<f64> = grid
-            .iter()
-            .map(|&pj| profits_at_pj(&ctx, pj).consumer)
-            .collect();
-        Ok(Series::new(format!("omega={omega}"), x.clone(), y))
-    })?;
+    let poc_curves = omegas
+        .iter()
+        .map(|&omega| {
+            let ctx = round_context(scale, omega, 0.1)?;
+            let y: Vec<f64> = grid
+                .iter()
+                .map(|&pj| profits_at_pj(&ctx, pj).consumer)
+                .collect();
+            Ok(Series::new(format!("omega={omega}"), x.clone(), y))
+        })
+        .collect::<Result<Vec<_>>>()?;
 
-    // (b) all parties at omega = 1000, one pure job per grid point.
+    // (b) all parties at omega = 1000.
     let ctx = round_context(scale, 1000.0, 0.1)?;
-    let profiles: Vec<cdt_game::Profits> =
-        crate::parallel::parallel_map(&grid, threads, |_, &pj| profits_at_pj(&ctx, pj));
+    let profiles: Vec<cdt_game::Profits> = grid.iter().map(|&pj| profits_at_pj(&ctx, pj)).collect();
     let mut party_curves = vec![
         Series::new(
             "PoC",
@@ -152,13 +152,14 @@ pub fn figure14(scale: Scale) -> Result<Vec<Table>> {
         .map(|i| 3.0 * tau6_star * i as f64 / points as f64)
         .collect();
 
-    // Pure per-point deviation profits; fanned out over the grid.
-    let threads = crate::parallel::configured_threads();
-    let profiles = crate::parallel::parallel_map(&grid, threads, |_, &tau6| {
-        let mut taus = eq.sensing_times.clone();
-        taus[tracked] = tau6;
-        profits_at(&ctx, eq.service_price, eq.collection_price, &taus)
-    });
+    let profiles: Vec<cdt_game::Profits> = grid
+        .iter()
+        .map(|&tau6| {
+            let mut taus = eq.sensing_times.clone();
+            taus[tracked] = tau6;
+            profits_at(&ctx, eq.service_price, eq.collection_price, &taus)
+        })
+        .collect();
     let mut poc = Vec::with_capacity(grid.len());
     let mut pop = Vec::with_capacity(grid.len());
     let mut pos: Vec<Vec<f64>> = vec![Vec::with_capacity(grid.len()); TRACKED_SELLERS.len()];

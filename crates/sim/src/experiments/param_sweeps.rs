@@ -5,7 +5,7 @@ use super::game_curves::{round_context, TRACKED_SELLERS};
 use super::Scale;
 use crate::report::{Series, Table};
 use cdt_game::{solve_equilibrium, GameContext, SelectedSeller, StackelbergSolution};
-use cdt_types::{Result, SellerCostParams};
+use cdt_types::{PlatformCostParams, Result, SellerCostParams};
 
 fn grid(lo: f64, hi: f64, points: usize) -> Vec<f64> {
     (0..points)
@@ -48,24 +48,35 @@ fn solve_with_a6(base: &GameContext, a6: f64) -> StackelbergSolution {
 }
 
 /// The `a_6` sweep used by Figs. 15 & 16 (the paper plots `a_6` from ~0
-/// to 5; we start slightly above 0 to respect `a > 0`).
-///
-/// These are *point cells*: a single-round equilibrium solve has no round
-/// loop, so the sweep fans out one solve per cell
-/// ([`crate::cells::run_point_cells`]) on the pool.
+/// to 5; we start slightly above 0 to respect `a > 0`): one single-round
+/// equilibrium solve per point.
 fn a6_solutions(scale: Scale) -> Result<(Vec<f64>, Vec<StackelbergSolution>)> {
     let base = round_context(scale, 1000.0, 0.1)?;
     let xs = grid(0.05, 5.0, points(scale));
-    let sols = crate::cells::run_point_cells(&xs, |_, &a| Ok(solve_with_a6(&base, a)))?;
+    let sols = xs.iter().map(|&a| solve_with_a6(&base, a)).collect();
     Ok((xs, sols))
 }
 
-/// The `θ` sweep used by Figs. 17 & 18 (point cells, as [`a6_solutions`]).
+/// The `θ` sweep used by Figs. 17 & 18, one solve per point as in
+/// [`a6_solutions`]: the round's sellers are built once, and each point
+/// swaps in the platform cost `θ`.
 fn theta_solutions(scale: Scale) -> Result<(Vec<f64>, Vec<StackelbergSolution>)> {
+    let base = round_context(scale, 1000.0, 0.1)?;
     let xs = grid(0.05, 1.0, points(scale));
-    let sols = crate::cells::run_point_cells(&xs, |_, &theta| {
-        Ok(solve_equilibrium(&round_context(scale, 1000.0, theta)?))
-    })?;
+    let sols = xs
+        .iter()
+        .map(|&theta| {
+            let ctx = GameContext::new(
+                base.sellers().collect(),
+                PlatformCostParams::new(theta, base.platform_cost.lambda)?,
+                base.valuation,
+                base.collection_price_bounds,
+                base.service_price_bounds,
+                base.max_sensing_time,
+            )?;
+            Ok(solve_equilibrium(&ctx))
+        })
+        .collect::<Result<_>>()?;
     Ok((xs, sols))
 }
 

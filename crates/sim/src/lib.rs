@@ -15,8 +15,6 @@
 //!   (`--threads` / `CDT_THREADS`, the one execution knob; results
 //!   gathered by job index, so output is bit-for-bit identical to the
 //!   serial path);
-//! - [`arena`]: per-worker scratch arenas recycling round scratch buffers
-//!   across consecutive jobs on a thread;
 //! - [`cells`]: a whole sweep grid flattened into one stream of
 //!   [`cells::CellJob`]s on the pool, one [`run_policy`] per job;
 //! - [`compare`]: many policies on a common scenario;
@@ -32,7 +30,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod arena;
 pub mod cells;
 pub mod compare;
 pub mod experiments;
@@ -43,8 +40,7 @@ pub mod report;
 pub mod runner;
 pub mod settings;
 
-pub use arena::{arena_counters, with_round_scratch};
-pub use cells::{run_cells, run_point_cells, CellJob};
+pub use cells::{run_cells, CellJob};
 pub use compare::{compare_policies, compare_policies_grid, ComparisonResult};
 pub use parallel::{configured_threads, parallel_map, set_thread_override, try_parallel_map};
 pub use policy_spec::PolicySpec;

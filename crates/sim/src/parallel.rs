@@ -13,13 +13,10 @@
 //! distributed by an atomic cursor (work stealing), so a slow cell (e.g.
 //! the largest `M` of a sweep) does not stall the other workers.
 //!
-//! The cursor hands out *adaptive chunks* rather than single jobs
-//! (guided self-scheduling): each claim takes
-//! `max(1, remaining / (workers × 4))` consecutive jobs, so sweeps with
-//! many tiny points (per-point game solves) pay one atomic RMW per chunk
-//! instead of per job, while the claims shrink toward single jobs near the
-//! tail to keep the load balanced. Results are still gathered **by job
-//! index**, so the chunking never shows in the output.
+//! A claim is one `fetch_add(1)` on the cursor: one job. Every job is a
+//! whole policy run of 10³–2·10⁵ rounds, so one atomic RMW per job is
+//! noise, and handing out one job at a time keeps the tail balanced with
+//! no sizing rule (EXPERIMENTS.md, "One dispatcher").
 //!
 //! Thread-count resolution, from most to least specific:
 //!
@@ -100,15 +97,8 @@ fn threads_from_env(raw: Option<&str>) -> usize {
 #[derive(Default)]
 struct PoolWorkerStats {
     jobs: u64,
-    /// Cursor claims made by this worker (one per chunk).
-    chunks: u64,
-    /// Non-contiguous cursor claims: how often another worker raced this
-    /// one on the shared cursor between two of its own claims.
-    steals: u64,
     busy_ns: u64,
     job_ns: LatencyHistogram,
-    /// Distribution of claimed chunk sizes (log₂ buckets, unit = jobs).
-    chunk_size: LatencyHistogram,
 }
 
 impl PoolWorkerStats {
@@ -117,8 +107,6 @@ impl PoolWorkerStats {
         let label = worker.to_string();
         let labels: [(&str, &str); 1] = [("worker", &label)];
         registry.add_counter("cdt_obs_pool_worker_jobs_total", &labels, self.jobs);
-        registry.add_counter("cdt_obs_pool_worker_chunks_total", &labels, self.chunks);
-        registry.add_counter("cdt_obs_pool_worker_steals_total", &labels, self.steals);
         registry.add_counter("cdt_obs_pool_worker_busy_ns_total", &labels, self.busy_ns);
         registry.add_counter(
             "cdt_obs_pool_worker_idle_ns_total",
@@ -126,7 +114,6 @@ impl PoolWorkerStats {
             wall_ns.saturating_sub(self.busy_ns),
         );
         registry.merge_histogram("cdt_obs_pool_job_ns", &[], &self.job_ns);
-        registry.merge_histogram("cdt_obs_pool_chunk_size", &[], &self.chunk_size);
     }
 }
 
@@ -162,9 +149,9 @@ where
         cdt_obs::global().set_gauge("cdt_obs_pool_threads", &[], workers as f64);
     }
     // With span tracing on, the whole fan-out gets one `pool` span
-    // (parented to the caller's scope); workers re-enter it so run spans
-    // created inside jobs chain back to the fan-out that scheduled them,
-    // and each cursor claim becomes a `chunk` child span.
+    // (parented to the caller's scope), and each claim a `chunk` span under
+    // it. A worker enters its claim's span while the job runs, so the run
+    // span a job creates is the child of its chunk.
     let pool_span = cdt_obs::active_trace().map(|trace| {
         (
             trace,
@@ -173,8 +160,9 @@ where
             cdt_obs::span::now_ns(),
         )
     });
-    // Watchdog liveness: workers register their slot and tick progress
-    // once per cursor claim; passive (atomics only), results unchanged.
+    // Watchdog liveness: workers register their slot, and every round a
+    // job completes on the worker's thread ticks it (passive, atomics
+    // only; results unchanged).
     let watch = cdt_obs::health::watchdog_active();
     let mut gathered: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
@@ -187,72 +175,48 @@ where
                     let mut local = Vec::new();
                     let worker_start = instrument.then(Instant::now);
                     let mut stats = PoolWorkerStats::default();
-                    let mut last_end: Option<usize> = None;
-                    let _pool_scope = pool_span
-                        .as_ref()
-                        .map(|&(_, id, _, _)| cdt_obs::span::enter_scope(id));
                     let mut chunk_spans: Vec<cdt_obs::SpanRecord> = Vec::new();
                     if watch {
                         cdt_obs::health::worker_begin(w);
                     }
                     loop {
-                        // Guided self-scheduling: claim a chunk sized to the
-                        // *remaining* work so early claims amortize the atomic
-                        // RMW and late claims shrink toward single jobs. The
-                        // probe load is advisory only — fetch_add decides.
-                        let probe = cursor.load(Ordering::Relaxed);
-                        if probe >= n {
+                        // The claim's `chunk` span (id, start) opens before
+                        // the claim, so it covers the claim and the gather.
+                        let chunk = pool_span
+                            .as_ref()
+                            .map(|_| (cdt_obs::span::next_span_id(), cdt_obs::span::now_ns()));
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
                             break;
+                        };
+                        if !instrument {
+                            local.push((i, f(i, item)));
+                            continue;
                         }
-                        let want = ((n - probe) / (workers * 4)).max(1);
-                        let start = cursor.fetch_add(want, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + want).min(n);
-                        if watch {
-                            cdt_obs::health::worker_progress(w);
-                        }
-                        if instrument {
-                            // A worker's claims are contiguous unless another
-                            // worker raced the cursor in between — the
-                            // work-stealing/contention signal.
-                            if last_end.is_some_and(|prev| start != prev) {
-                                stats.steals += 1;
-                            }
-                            last_end = Some(end);
-                            stats.chunks += 1;
-                            stats.chunk_size.record_ns((end - start) as u64);
-                            let chunk_start = pool_span.as_ref().map(|_| cdt_obs::span::now_ns());
-                            for (i, item) in (start..end).zip(&items[start..end]) {
-                                let job_start = Instant::now();
-                                local.push((i, f(i, item)));
-                                let ns = u64::try_from(job_start.elapsed().as_nanos())
-                                    .unwrap_or(u64::MAX);
-                                stats.jobs += 1;
-                                stats.busy_ns = stats.busy_ns.saturating_add(ns);
-                                stats.job_ns.record_ns(ns);
-                            }
-                            if let (Some(&(trace, pool_id, _, _)), Some(c0)) =
-                                (pool_span.as_ref(), chunk_start)
-                            {
-                                chunk_spans.push(
-                                    cdt_obs::SpanRecord::new(
-                                        trace,
-                                        cdt_obs::span::next_span_id(),
-                                        Some(pool_id),
-                                        "chunk",
-                                        c0,
-                                        cdt_obs::span::now_ns().saturating_sub(c0),
-                                    )
-                                    .with_worker(w as u64)
-                                    .with_chunk((end - start) as u64),
-                                );
-                            }
-                        } else {
-                            for (i, item) in (start..end).zip(&items[start..end]) {
-                                local.push((i, f(i, item)));
-                            }
+                        let job_start = Instant::now();
+                        let result = {
+                            let _chunk_scope = chunk.map(|(id, _)| cdt_obs::span::enter_scope(id));
+                            f(i, item)
+                        };
+                        let ns = u64::try_from(job_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                        local.push((i, result));
+                        stats.jobs += 1;
+                        stats.busy_ns = stats.busy_ns.saturating_add(ns);
+                        stats.job_ns.record_ns(ns);
+                        if let (Some(&(trace, pool_id, _, _)), Some((id, c0))) =
+                            (pool_span.as_ref(), chunk)
+                        {
+                            chunk_spans.push(
+                                cdt_obs::SpanRecord::new(
+                                    trace,
+                                    id,
+                                    Some(pool_id),
+                                    "chunk",
+                                    c0,
+                                    cdt_obs::span::now_ns().saturating_sub(c0),
+                                )
+                                .with_worker(w as u64),
+                            );
                         }
                     }
                     if watch {
@@ -404,32 +368,6 @@ mod tests {
         // ≥, not ==: other tests in this binary may drive the pool (and the
         // global registry) concurrently.
         assert!(after - before >= items.len() as u64, "{before} -> {after}");
-    }
-
-    #[test]
-    fn adaptive_claims_amortize_the_cursor() {
-        let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // n ≫ workers: guided self-scheduling must claim many jobs per
-        // cursor RMW (≈ 45 claims for 1000 jobs on 4 workers), and the
-        // gathered output must still be the serial map.
-        let items: Vec<usize> = (0..1000).collect();
-        let serial: Vec<usize> = items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| i * 7 + x * x)
-            .collect();
-        cdt_obs::install(cdt_obs::ObsConfig::default()).unwrap();
-        let jobs_before = pool_counter("cdt_obs_pool_worker_jobs_total");
-        let chunks_before = pool_counter("cdt_obs_pool_worker_chunks_total");
-        let par = parallel_map(&items, 4, |i, &x| i * 7 + x * x);
-        let jobs = pool_counter("cdt_obs_pool_worker_jobs_total") - jobs_before;
-        let chunks = pool_counter("cdt_obs_pool_worker_chunks_total") - chunks_before;
-        cdt_obs::uninstall();
-        assert_eq!(par, serial);
-        // Concurrent pool users elsewhere in this binary also claim at most
-        // one job per chunk, so they cannot mask a regression here.
-        assert!(jobs >= items.len() as u64, "{jobs} jobs");
-        assert!(chunks < jobs, "{chunks} claims for {jobs} jobs");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::policy_spec::PolicySpec;
 use cdt_bandit::RegretAccountant;
-use cdt_core::{execute_round_observed_into, NullObserver, RoundObserver, Scenario};
+use cdt_core::{execute_round_observed_into, NullObserver, RoundObserver, RoundScratch, Scenario};
 use cdt_obs::PhaseTimer;
 use cdt_types::{Result, Round, SimRng};
 
@@ -121,50 +121,45 @@ pub fn run_policy_observed<O: RoundObserver>(
     let mut snapshots = Vec::with_capacity(checkpoints.len() + 1);
     let mut next_checkpoint = 0usize;
 
-    // The round scratch comes from the per-worker arena: consecutive runs
-    // on the same thread recycle one scratch's buffers instead of
-    // re-growing them per run. A recycled scratch is reset, so results are
-    // bit-identical to a fresh `RoundScratch::new()`.
-    crate::arena::with_round_scratch(|scratch| -> Result<()> {
-        for t in 0..n {
-            let outcome = execute_round_observed_into(
-                policy.as_mut(),
-                config,
-                &observer,
-                Round(t),
-                &mut rng,
-                scratch,
-                obs,
-            )?;
-            let mut timer = PhaseTimer::start(O::ENABLED);
-            accountant.record(&outcome.selected);
-            consumer_profit += outcome.strategy.profits.consumer;
-            platform_profit += outcome.strategy.profits.platform;
-            seller_profit += outcome.strategy.profits.total_seller();
-            observed_revenue += outcome.observed_revenue;
+    // One scratch per run: its buffers reach their working size in the
+    // first rounds, and every later round runs allocation-free.
+    let mut scratch = RoundScratch::new();
+    for t in 0..n {
+        let outcome = execute_round_observed_into(
+            policy.as_mut(),
+            config,
+            &observer,
+            Round(t),
+            &mut rng,
+            &mut scratch,
+            obs,
+        )?;
+        let mut timer = PhaseTimer::start(O::ENABLED);
+        accountant.record(&outcome.selected);
+        consumer_profit += outcome.strategy.profits.consumer;
+        platform_profit += outcome.strategy.profits.platform;
+        seller_profit += outcome.strategy.profits.total_seller();
+        observed_revenue += outcome.observed_revenue;
 
-            let done = t + 1;
-            let due = next_checkpoint < checkpoints.len() && checkpoints[next_checkpoint] == done;
-            if due || done == n {
-                snapshots.push(Checkpoint {
-                    rounds: done,
-                    expected_revenue: accountant.expected_revenue(),
-                    regret: accountant.regret(),
-                    consumer_profit,
-                    platform_profit,
-                    seller_profit,
-                });
-                while next_checkpoint < checkpoints.len() && checkpoints[next_checkpoint] <= done {
-                    next_checkpoint += 1;
-                }
-            }
-            if O::ENABLED {
-                obs.regret(Round(t), accountant.regret(), timer.lap());
+        let done = t + 1;
+        let due = next_checkpoint < checkpoints.len() && checkpoints[next_checkpoint] == done;
+        if due || done == n {
+            snapshots.push(Checkpoint {
+                rounds: done,
+                expected_revenue: accountant.expected_revenue(),
+                regret: accountant.regret(),
+                consumer_profit,
+                platform_profit,
+                seller_profit,
+            });
+            while next_checkpoint < checkpoints.len() && checkpoints[next_checkpoint] <= done {
+                next_checkpoint += 1;
             }
         }
-        scratch.publish_eq_cache_metrics();
-        Ok(())
-    })?;
+        if O::ENABLED {
+            obs.regret(Round(t), accountant.regret(), timer.lap());
+        }
+    }
 
     Ok(RunResult {
         name: spec.label(),

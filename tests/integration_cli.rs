@@ -2,7 +2,7 @@
 //! process, so exit codes, stdout and stderr are checked as a user sees
 //! them, and no test shares the process-wide observability pipeline.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
@@ -127,4 +127,88 @@ fn repro_prints_the_table_header_and_csv_paths() {
         .unwrap()
         .starts_with("parameter,"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Blanks what differs between two runs of one command: a repro header
+/// `=== id (N tables, T) ===` loses its timing, and a `[csv written to
+/// PATH]` line keeps only the file name, as `mask.sed` does for
+/// `regen.sh` and `ci.sh`.
+fn mask(stdout: &str) -> String {
+    stdout
+        .split_inclusive('\n')
+        .map(|line| {
+            let (body, newline) = line.strip_suffix('\n').map_or((line, ""), |b| (b, "\n"));
+            if let Some(path) = body
+                .strip_prefix("[csv written to ")
+                .and_then(|rest| rest.strip_suffix(']'))
+            {
+                let name = Path::new(path).file_name().unwrap().to_string_lossy();
+                return format!("[csv written to {name}]{newline}");
+            }
+            if body.starts_with("=== ") && body.ends_with(") ===") {
+                if let Some(comma) = body.rfind(", ").filter(|&i| body[..i].contains(" table")) {
+                    return format!("{}) ==={newline}", &body[..comma]);
+                }
+            }
+            line.to_string()
+        })
+        .collect()
+}
+
+/// The byte-identity check of every output-preserving change: each line
+/// of `tests/fixtures/cli/commands.txt` runs the binary, and its masked
+/// stdout (plus every CSV a `--csv DIR` run writes) must equal the golden
+/// files that `regen.sh` wrote beside it.
+#[test]
+fn cli_outputs_match_their_goldens() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/cli");
+    let list = std::fs::read_to_string(fixtures.join("commands.txt")).unwrap();
+    let commands: Vec<(&str, Vec<&str>)> = list
+        .lines()
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .map(|line| {
+            let mut words = line.split_whitespace();
+            (words.next().unwrap(), words.collect())
+        })
+        .collect();
+    assert!(commands.len() >= 6, "{list}");
+    for (i, (golden, args)) in commands.iter().enumerate() {
+        let shown = format!("cdt {}", args.join(" "));
+        let dir = temp_path(&format!("golden_{i}"));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_cdt"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("cdt runs");
+        assert!(out.status.success(), "{shown}: {}", stderr(&out));
+        let expected = std::fs::read_to_string(fixtures.join(golden)).unwrap();
+        assert_eq!(
+            mask(&stdout(&out)),
+            expected,
+            "{shown} differs from {golden}"
+        );
+        if let Some(csv) = args.windows(2).find(|w| w[0] == "--csv").map(|w| w[1]) {
+            let names = |root: &Path| {
+                let mut names: Vec<_> = std::fs::read_dir(root)
+                    .unwrap()
+                    .map(|entry| entry.unwrap().file_name())
+                    .collect();
+                names.sort();
+                names
+            };
+            let (written, pinned) = (dir.join(csv), fixtures.join(csv));
+            assert_eq!(names(&written), names(&pinned), "{shown}: csv files");
+            for name in names(&pinned) {
+                assert!(
+                    std::fs::read(written.join(&name)).unwrap()
+                        == std::fs::read(pinned.join(&name)).unwrap(),
+                    "{shown}: {} differs from its golden",
+                    name.to_string_lossy()
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

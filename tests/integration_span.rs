@@ -3,12 +3,13 @@
 //! Four guarantees are pinned here:
 //!
 //! 1. **Golden span schema** — every `"event":"span"` line carries exactly
-//!    the documented 11-key set, with `null` for absent attributes, across
+//!    the documented 10-key set, with `null` for absent attributes, across
 //!    every producer (pipeline run/round/phase spans, pool and chunk
 //!    spans).
 //! 2. **Parent-link integrity** — every non-null parent id resolves to a
 //!    span written in the same trace: the causal tree has no dangling
-//!    edges.
+//!    edges, and each pool claim's `chunk` span parents the `run` span of
+//!    its one job.
 //! 3. **Flame reconciliation** — the root `run` span's inclusive time sits
 //!    within 5% of the measured wall clock of the traced call, and the
 //!    signed exclusive self-times telescope exactly to the root inclusive
@@ -93,8 +94,10 @@ fn span_jsonl_matches_golden_schema_with_intact_parent_links() {
     })
     .unwrap();
     set_thread_override(Some(2));
-    replicate(12, 3, 3, 30, &PolicySpec::paper_set(), 2, 2024).unwrap();
+    let reps = 2;
+    replicate(12, 3, 3, 30, &PolicySpec::paper_set(), reps, 2024).unwrap();
     set_thread_override(None);
+    let jobs = reps * PolicySpec::paper_set().len();
     cdt_obs::flush().unwrap();
     cdt_obs::uninstall();
 
@@ -106,7 +109,6 @@ fn span_jsonl_matches_golden_schema_with_intact_parent_links() {
     // are null, never omitted).
     let wanted: BTreeSet<String> = [
         "event", "trace", "span", "parent", "name", "run", "round", "start_ns", "dur_ns", "worker",
-        "chunk",
     ]
     .into_iter()
     .map(str::to_owned)
@@ -144,6 +146,29 @@ fn span_jsonl_matches_golden_schema_with_intact_parent_links() {
             );
         }
     }
+
+    // One claim per job: every `run` is the child of a `chunk`, and every
+    // `chunk` holds exactly one `run`, so `cdt obs flame` charges a job's
+    // time to its run, not to the claim.
+    let name_of: HashMap<u64, &str> = spans
+        .iter()
+        .map(|(_, s)| (s.span, s.name.as_str()))
+        .collect();
+    let mut runs_per_chunk: HashMap<u64, usize> = spans
+        .iter()
+        .filter(|(_, s)| s.name == "chunk")
+        .map(|(_, s)| (s.span, 0))
+        .collect();
+    assert_eq!(runs_per_chunk.len(), jobs, "one chunk span per job");
+    for (line, span) in spans.iter().filter(|(_, s)| s.name == "run") {
+        let parent = span.parent.expect("a pooled run has a parent");
+        assert_eq!(name_of[&parent], "chunk", "run not under a chunk: {line}");
+        *runs_per_chunk.get_mut(&parent).unwrap() += 1;
+    }
+    assert!(
+        runs_per_chunk.values().all(|&runs| runs == 1),
+        "{runs_per_chunk:?}"
+    );
     std::fs::remove_file(&events).ok();
 }
 
@@ -153,11 +178,10 @@ fn flame_root_matches_wall_clock_and_exclusive_sum_is_exact() {
     cdt_obs::uninstall();
     let events = temp_path("flame");
     cdt_obs::global().reset();
-    // Sample the trace sparsely: the drop-time publication of the buffered
-    // JSONL lines happens after the `run` span closes but inside the wall
-    // clock, so keeping the trace small (about 20 sampled rounds) and the
-    // run long pins the 5% reconciliation bound on tracing itself, not on
-    // serialization volume.
+    // Sample the trace sparsely: the `run` span closes just after the
+    // drop-time publication of the buffered JSONL lines, and a small trace
+    // (about 20 sampled rounds) of a long run pins the 5% reconciliation
+    // bound on tracing itself, not on serialization volume.
     cdt_obs::install(ObsConfig {
         events_path: Some(events.clone()),
         spans: true,
