@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI gate, offline: build, tests, formatting, lints, a registry guard, a
-# parallel-sweep determinism and speedup check, the paper-scale figures
-# against their committed outputs, and end-to-end smokes of the `cdt`
-# binary (strict flags, observability, journal).
+# CI gate, offline: build, tests, the benchmark's own build and run of
+# `cdt`, formatting, lints, a registry guard, a process-global-state
+# guard, a parallel-sweep determinism and speedup check, the paper-scale
+# figures against their committed outputs, and end-to-end smokes of the
+# `cdt` binary (strict flags, observability, journal).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -13,6 +14,23 @@ cdt() { "$CDT" "$@"; }
 echo "==> build + tests (tier 1; --locked: Cargo.lock must be current)"
 cargo build --release --offline --locked
 cargo test -q --offline --locked
+
+echo "==> benchmark leg (cdt built and driven as the benchmark does)"
+# The benchmark compiles crates/cli/src/main.rs through its own manifest,
+# against cdt-cli alone, and runs all four workloads with both metric
+# sets; a tree that builds here but not there fails this leg. What it
+# writes lands under benchmark/target and benchmark/out (gitignored).
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    run --seconds 1 > /tmp/cdt_bench.txt
+last="$(tail -n 1 /tmp/cdt_bench.txt)"
+case "$last" in
+    *'"correct":true'*'"failed":0,'*) echo "benchmark: ${last:0:60}..." ;;
+    *)
+        echo "ERROR: the benchmark run did not end correct with 0 failures:" >&2
+        echo "${last:0:400}" >&2
+        exit 1
+        ;;
+esac
 
 echo "==> debug cdt: count-bucketed UCB selection against the threshold kernel"
 # A debug CmabUcbPolicy re-selects every count-bucketed round with the
@@ -38,6 +56,21 @@ for dep in rand proptest criterion serde serde_json; do
 done
 if grep -n '^source = ' Cargo.lock; then
     echo "ERROR: Cargo.lock lists a crate from outside the workspace" >&2
+    exit 1
+fi
+
+echo "==> no process-global state (the only statics: tables, span ids, clock, scopes)"
+# Each command's thread count and observability session live in the one
+# RunConfig it builds, so no test needs a lock to keep another apart. The
+# statics left are the ziggurat tables, the span id counters and clock,
+# and the thread-local scope slots (the health module's worker slot
+# among them).
+statics="$(grep -rhoE '^\s*(pub(\([a-z]+\))? )?static (mut )?[A-Za-z0-9_]+:' \
+    --include='*.rs' crates tests | sed -E 's/.*static (mut )?([A-Za-z0-9_]+):/\2/' | sort)"
+expected="$(printf '%s\n' EPOCH NEXT_SPAN NEXT_TRACE ROUND_SCOPE SCOPE TABLES WORKER | sort)"
+if [ "$statics" != "$expected" ]; then
+    echo "ERROR: the static items under crates/ and tests/ changed:" >&2
+    diff <(echo "$expected") <(echo "$statics") >&2 || true
     exit 1
 fi
 
@@ -128,6 +161,30 @@ done <<'PROBES'
 --fast-math sweep --axis k --grid 10 --fast-math
 --test repro --test
 --journal repro --journal x.jsonl
+--obs-events journal verify /tmp/cdt_strict.jsonl --obs-events /tmp/cdt_strict_t.jsonl
+--obs-summary journal audit /tmp/cdt_strict.jsonl --obs-summary
+--metrics-out journal recover /tmp/cdt_strict.jsonl --metrics-out /tmp/cdt_strict.prom
+--obs-spans journal seek /tmp/cdt_strict.jsonl --round 0 --obs-spans
+--watchdog-ms journal diff /tmp/cdt_strict.jsonl /tmp/cdt_strict.jsonl --watchdog-ms 1
+PROBES
+# An obs flag that tunes another one is refused without it, by name,
+# before anything runs: nothing is observed there to tune.
+while read -r missing cmd; do
+    set +e
+    # shellcheck disable=SC2086  # $cmd is a deliberate word-split argument list
+    cdt $cmd < /dev/null > /tmp/cdt_strict.txt 2>&1
+    status=$?
+    set -e
+    if [ "$status" -ne 2 ] || ! grep -q -- "requires $missing " /tmp/cdt_strict.txt \
+        || grep -q -e panicked -e '^CMAB-HS' /tmp/cdt_strict.txt; then
+        echo "ERROR: cdt $cmd exited $status:" >&2
+        cat /tmp/cdt_strict.txt >&2
+        exit 1
+    fi
+done <<'PROBES'
+--watchdog-ms run --m 10 --k 3 --l 4 --n 40 --watchdog-slow-round-ns 1 --obs-events /tmp/cdt_strict_t.jsonl
+--obs-events run --m 10 --k 3 --l 4 --n 40 --obs-events-sample 5 --obs-summary
+--obs-events run --m 10 --k 3 --l 4 --n 40 --obs-spans
 PROBES
 # An unknown experiment id is refused by name before anything runs.
 set +e

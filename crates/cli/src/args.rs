@@ -1,5 +1,9 @@
-//! Minimal `--flag value` parsing (no external CLI dependency).
+//! Minimal `--flag value` parsing (no external CLI dependency), and the
+//! one reader of the environment variables that back two flags
+//! (`CDT_THREADS` for `--threads`, `CDT_JOURNAL_SEGMENT_ROUNDS` for
+//! `--journal-segment-rounds`).
 
+use cdt_obs::Session;
 use std::collections::HashMap;
 
 /// Parsed `--name value` pairs.
@@ -51,6 +55,21 @@ impl FlagMap {
         }
     }
 
+    /// A positive-integer flag, if given.
+    ///
+    /// # Errors
+    /// Returns a message when the value is not an integer, or is 0.
+    pub fn positive(&self, name: &str) -> Result<Option<usize>, String> {
+        let Some(raw) = self.get(name) else {
+            return Ok(None);
+        };
+        match raw.parse() {
+            Ok(0) => Err(format!("--{name} must be at least 1")),
+            Ok(n) => Ok(Some(n)),
+            Err(_) => Err(format!("--{name} expects an integer, got `{raw}`")),
+        }
+    }
+
     /// An `f64` flag with a default.
     ///
     /// # Errors
@@ -98,6 +117,33 @@ pub fn parse_flags(command: &str, known: &[&[&str]], args: &[String]) -> Result<
         }
     }
     Ok(FlagMap { values })
+}
+
+/// The positive integer in the environment variable `name`: `None` when
+/// it is unset, and also when it holds anything else, after one warning
+/// on stderr that names the variable (counted in `obs` when enabled).
+#[must_use]
+pub fn env_positive(name: &str, obs: &Session) -> Option<usize> {
+    positive_setting(name, std::env::var(name).ok().as_deref(), obs)
+}
+
+/// [`env_positive`] on the variable's raw value (`None`: unset).
+fn positive_setting(name: &str, raw: Option<&str>, obs: &Session) -> Option<usize> {
+    let raw = raw?;
+    match raw.trim().parse() {
+        Ok(n) if n >= 1 => Some(n),
+        _ => {
+            let kind = format!("{}-invalid", name.to_lowercase().replace('_', "-"));
+            obs.warn_once(
+                &kind,
+                &format!(
+                    "ignoring invalid {name} value {raw:?} (expected a positive integer); \
+                     treating it as unset"
+                ),
+            );
+            None
+        }
+    }
 }
 
 #[cfg(test)]
@@ -160,5 +206,28 @@ mod tests {
     fn empty_args_is_empty_map() {
         let f = parse(&[]).unwrap();
         assert_eq!(f.get("anything"), None);
+    }
+
+    #[test]
+    fn cdt_threads_parses_positive_integers_and_warns_once_on_anything_else() {
+        // Unset and rejected values read as unset; a rejected value also
+        // ticks the session's warning counter, and prints only once.
+        let obs = Session::start(cdt_obs::ObsConfig::default()).unwrap();
+        let threads = |raw| positive_setting("CDT_THREADS", raw, &obs);
+        assert_eq!(threads(None), None);
+        assert_eq!(threads(Some(" 12 ")), Some(12));
+        for invalid in ["0", "wide", ""] {
+            assert_eq!(threads(Some(invalid)), None, "{invalid:?}");
+        }
+        let registry = obs.registry().unwrap();
+        let labels = [("kind", "cdt-threads-invalid")];
+        assert_eq!(registry.counter_value("cdt_obs_warnings_total", &labels), 3);
+        // A disabled session still warns.
+        let rounds = positive_setting(
+            "CDT_JOURNAL_SEGMENT_ROUNDS",
+            Some("x"),
+            &Session::disabled(),
+        );
+        assert_eq!(rounds, None);
     }
 }

@@ -1,19 +1,21 @@
 //! Implementations of the `cdt` subcommands.
 
-use crate::args::{parse_flags, FlagMap};
+use crate::args::{env_positive, parse_flags, FlagMap};
 use cdt_core::{BudgetedCmabHs, CmabHs, LedgerMode, Scenario, StopReason, TradingLedger};
 use cdt_game::{solve_equilibrium, verify_equilibrium, welfare_report};
+use cdt_obs::{ObsConfig, Session};
 use cdt_quality::SellerProfile;
 use cdt_sim::experiments::{all_experiment_ids, game_curves, run_experiment, Scale};
 use cdt_sim::{
-    compare_policies, replicate, replication_table, run_cells, CellJob, PolicySpec, RunResult,
-    Series,
+    compare_policies, replicate, replication_table, run_cells, CellJob, PolicySpec, RunConfig,
+    RunResult, Series,
 };
 use cdt_trace::{csv, generate_trace, trace_stats, TraceConfig, TripRecord};
 use cdt_types::json::{push_f64, push_str, push_usize};
 use cdt_types::{mix_seed, SimRng};
 use std::fs::File;
 use std::io::Write as _;
+use std::num::NonZeroUsize;
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -68,11 +70,12 @@ PROTOCOL JOURNAL:
   payment divergence, and exits nonzero beyond --tol (default 0, i.e.
   bit-identical or fail): two runs of one scenario and seed diff to zero.
 
-OBSERVABILITY (on `run`, `budget`, `compare`, `sweep`, `repro`, and the
-`journal` family):
+OBSERVABILITY (on `run`, `budget`, `compare`, `sweep`, `repro` and
+`journal compact`; each command's flags start one session, closed when it
+ends):
   --obs-events FILE      write one JSON object per round event (JSONL trace)
-  --obs-events-sample K  record only every K-th round's events (metrics
-                         still cover every round)
+  --obs-events-sample K  record only every K-th round's events in that trace
+                         (metrics still cover every round)
   --metrics-out FILE     dump the metrics registry in Prometheus text format
   --obs-summary          print the end-of-run phase/pool summary table
   --obs-spans            also emit causal spans (run/round/phase, pool/chunk,
@@ -80,7 +83,8 @@ OBSERVABILITY (on `run`, `budget`, `compare`, `sweep`, `repro`, and the
   --watchdog-ms N        run the health watchdog, sampling every N ms:
                          stalled workers, slow rounds (p99 x 4), journal
                          flush spikes become `health` records + counters
-  --watchdog-slow-round-ns N  explicit slow-round threshold (default: derived)
+  --watchdog-slow-round-ns N  that watchdog's slow-round threshold (default:
+                         derived)
 
 `cdt obs summarize FILE` re-renders that summary table offline from a
 JSONL trace written earlier with --obs-events. `cdt obs flame FILE`
@@ -110,8 +114,8 @@ paper's workload instead of the seconds-long CI scale, and --csv DIR also
 writes each table to DIR/<id>_<i>.csv. Its tables are bit-for-bit
 identical at any --threads.";
 
-/// The observability flags [`obs_begin`] reads, shared by every command
-/// that installs a pipeline.
+/// The observability flags [`start_session`] reads: those of every
+/// command that observes something.
 const OBS_FLAGS: &[&str] = &[
     "obs-events",
     "obs-events-sample",
@@ -131,14 +135,9 @@ const JOURNAL_FLAGS: &[&str] = &["journal", "journal-segment-rounds"];
 /// The replication and pool flags of `compare` and `sweep`.
 const POOL_FLAGS: &[&str] = &["reps", "threads"];
 
-/// Parses the flags of `cdt <command>` (e.g. `"run"`, `"journal seek"`),
-/// accepting exactly the flags that command reads.
-///
-/// # Errors
-/// Returns a message naming the first unknown flag, or any other parse
-/// failure of [`parse_flags`].
-pub fn command_flags(command: &str, args: &[String]) -> Result<FlagMap, String> {
-    let known: &[&[&str]] = match command {
+/// The flags `cdt <command>` reads, one list per flag group.
+fn known_flags(command: &str) -> &'static [&'static [&'static str]] {
+    match command {
         "trace generate" => &[&["records", "taxis", "seed", "out"]],
         "run" => &[SCENARIO_FLAGS, JOURNAL_FLAGS, OBS_FLAGS, &["json"]],
         "budget" => &[SCENARIO_FLAGS, JOURNAL_FLAGS, OBS_FLAGS, &["budget"]],
@@ -146,37 +145,163 @@ pub fn command_flags(command: &str, args: &[String]) -> Result<FlagMap, String> 
         "sweep" => &[SCENARIO_FLAGS, POOL_FLAGS, OBS_FLAGS, &["axis", "grid"]],
         "game" => &[&["omega", "theta"]],
         "repro" => &[OBS_FLAGS, &["exp", "paper", "csv", "threads"]],
-        "journal verify" | "journal audit" => &[OBS_FLAGS],
-        "journal recover" => &[OBS_FLAGS, &["out"]],
         "journal compact" => &[OBS_FLAGS, &["keep-segments"]],
-        "journal seek" => &[OBS_FLAGS, &["round"]],
-        "journal diff" => &[OBS_FLAGS, &["tol"]],
-        // `trace stats` and the `obs` family take a file and no flags.
+        "journal recover" => &[&["out"]],
+        "journal seek" => &[&["round"]],
+        "journal diff" => &[&["tol"]],
+        // `trace stats`, `journal verify|audit` and the `obs` family take
+        // a file and no flags.
         _ => &[],
-    };
-    parse_flags(command, known, args)
+    }
 }
 
-/// An installed observability pipeline plus what to do with it at the end
-/// of the command.
-pub struct ObsSession {
-    /// `--metrics-out`: its path and the file, created up front.
-    metrics_out: Option<(String, File)>,
-    active: bool,
-}
-
-/// Installs the global observability pipeline if any of `--obs-events`,
-/// `--metrics-out`, `--obs-summary` was given; otherwise a no-op session.
+/// Parses the flags of `cdt <command>` (e.g. `"run"`, `"journal seek"`),
+/// accepting exactly the flags that command reads.
 ///
 /// # Errors
-/// Returns a message when the events or metrics file cannot be created.
-pub fn obs_begin(flags: &FlagMap) -> Result<ObsSession, String> {
+/// Returns a message naming the first unknown flag, or any other parse
+/// failure of [`parse_flags`].
+pub fn command_flags(command: &str, args: &[String]) -> Result<FlagMap, String> {
+    parse_flags(command, known_flags(command), args)
+}
+
+/// Runs `cdt` on `argv` (the arguments after the program name): picks the
+/// command, then hands it to [`run_command`].
+///
+/// # Errors
+/// Returns a usage message for an unknown or incomplete command, or the
+/// command's own error.
+pub fn dispatch(argv: &[String]) -> Result<(), String> {
+    let mut words = argv.iter().map(String::as_str);
+    match (words.next(), words.next()) {
+        (Some("trace"), Some("generate")) => {
+            run_command("trace generate", &argv[2..], |flags, _| {
+                trace_generate(flags)
+            })
+        }
+        (Some("trace"), Some("stats")) => match argv.get(2) {
+            Some(p) => run_command("trace stats", &argv[3..], |_, _| trace_stats_cmd(p)),
+            None => Err("usage: cdt trace stats FILE".into()),
+        },
+        (Some("obs"), Some(sub @ ("summarize" | "flame" | "critical-path"))) => match argv.get(2) {
+            Some(p) => run_command(&format!("obs {sub}"), &argv[3..], |_, _| match sub {
+                "summarize" => obs_summarize_cmd(p),
+                "flame" => obs_flame_cmd(p),
+                _ => obs_critical_path_cmd(p),
+            }),
+            None => Err(format!("usage: cdt obs {sub} FILE")),
+        },
+        (Some("journal"), Some(sub @ ("verify" | "audit" | "recover" | "compact" | "seek"))) => {
+            match argv.get(2) {
+                Some(path) => {
+                    run_command(
+                        &format!("journal {sub}"),
+                        &argv[3..],
+                        |flags, cfg| match sub {
+                            "verify" => journal_verify_cmd(path),
+                            "audit" => journal_audit_cmd(path),
+                            "compact" => journal_compact_cmd(path, flags, cfg),
+                            "seek" => journal_seek_cmd(path, flags),
+                            _ => journal_recover_cmd(path, flags.get("out")),
+                        },
+                    )
+                }
+                None => Err(format!("usage: cdt journal {sub} FILE")),
+            }
+        }
+        (Some("journal"), Some("diff")) => match (argv.get(2), argv.get(3)) {
+            (Some(a), Some(b)) => run_command("journal diff", &argv[4..], |flags, _| {
+                journal_diff_cmd(a, b, flags)
+            }),
+            _ => Err("usage: cdt journal diff A B [--tol T]".into()),
+        },
+        (Some("journal"), _) => {
+            Err("usage: cdt journal verify|audit|recover|compact|seek|diff FILE".into())
+        }
+        (Some("run"), _) => run_command("run", &argv[1..], run_mechanism),
+        (Some("budget"), _) => run_command("budget", &argv[1..], budget),
+        (Some("compare"), _) => run_command("compare", &argv[1..], compare),
+        (Some("sweep"), _) => run_command("sweep", &argv[1..], sweep),
+        (Some("game"), _) => run_command("game", &argv[1..], |flags, _| game(flags)),
+        (Some("repro"), _) => run_command("repro", &argv[1..], repro),
+        (Some("--help" | "-h"), _) | (None, _) => {
+            println!("{USAGE}");
+            Ok(())
+        }
+        (Some(other), _) => Err(format!("unknown command `{other}`\n{USAGE}")),
+    }
+}
+
+/// Runs `cdt <command>` on the flags in `args`: parses them, builds the
+/// command's one [`RunConfig`], runs `body`, and then closes the session
+/// (flushes the trace, writes `--metrics-out`, prints `--obs-summary`),
+/// also when `body` fails.
+///
+/// The configuration holds exactly the two knobs:
+/// - `threads`: `--threads`, then `CDT_THREADS`, then the available
+///   parallelism, for the commands that read `--threads`; every other
+///   command gets 1 and never reads the environment;
+/// - `obs`: a session started from the `--obs-*` flags, for the commands
+///   that read them; disabled otherwise.
+///
+/// # Errors
+/// Returns the first flag, set-up, command or output failure.
+pub fn run_command<F>(command: &str, args: &[String], body: F) -> Result<(), String>
+where
+    F: FnOnce(&FlagMap, &RunConfig) -> Result<(), String>,
+{
+    let flags = command_flags(command, args)?;
+    let reads = |flag: &str| {
+        known_flags(command)
+            .iter()
+            .any(|group| group.contains(&flag))
+    };
+    // `--threads 1` forces the exact serial path.
+    let threads = if reads("threads") {
+        flags.positive("threads")?
+    } else {
+        Some(1)
+    };
+    let (obs, metrics_out) = if reads("obs-events") {
+        start_session(&flags)?
+    } else {
+        (Session::disabled(), None)
+    };
+    let threads = threads.unwrap_or_else(|| {
+        env_positive("CDT_THREADS", &obs).unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1)
+        })
+    });
+    let cfg = RunConfig { threads, obs };
+    let result = body(&flags, &cfg);
+    let finish = finish_session(&cfg.obs, metrics_out, flags.is_set("obs-summary"));
+    result?;
+    finish
+}
+
+/// Starts the command's observability session if any of `--obs-events`,
+/// `--metrics-out`, `--obs-summary`, `--watchdog-ms` was given (a disabled
+/// one otherwise), with the `--metrics-out` file it will be dumped to.
+///
+/// # Errors
+/// Returns a message on a bad or orphaned obs flag, or when the events or
+/// metrics file cannot be created.
+fn start_session(flags: &FlagMap) -> Result<(Session, Option<(String, File)>), String> {
     let events_path = flags.get("obs-events").map(std::path::PathBuf::from);
     let summary = flags.is_set("obs-summary");
     let events_sample = flags.usize_or("obs-events-sample", 0)?;
     let spans = flags.is_set("obs-spans");
-    if spans && events_path.is_none() {
-        return Err("--obs-spans requires --obs-events FILE (spans are written there)".into());
+    if events_path.is_none() {
+        if spans {
+            return Err("--obs-spans requires --obs-events FILE (spans are written there)".into());
+        }
+        if flags.get("obs-events-sample").is_some() {
+            return Err(
+                "--obs-events-sample requires --obs-events FILE (it thins that trace)".into(),
+            );
+        }
     }
     let watchdog_ms = match flags.get("watchdog-ms") {
         None => None,
@@ -190,48 +315,53 @@ pub fn obs_begin(flags: &FlagMap) -> Result<ObsSession, String> {
     };
     let slow_round_ns = match flags.get("watchdog-slow-round-ns") {
         None => None,
+        Some(_) if watchdog_ms.is_none() => {
+            return Err(
+                "--watchdog-slow-round-ns requires --watchdog-ms N (it tunes that watchdog)".into(),
+            )
+        }
         Some(_) => Some(flags.u64_or("watchdog-slow-round-ns", 0)?),
     };
     // Created before the command runs, so a bad path fails before any work.
     let metrics_out = flags.get("metrics-out").map(create_output).transpose()?;
-    let active = events_path.is_some() || metrics_out.is_some() || summary || watchdog_ms.is_some();
-    if active {
-        cdt_obs::global().reset();
-        cdt_obs::install(cdt_obs::ObsConfig {
-            events_path,
-            summary,
-            events_sample,
-            spans,
-            watchdog_ms,
-            slow_round_ns,
-        })
-        .map_err(|e| format!("cannot set up observability: {e}"))?;
+    if events_path.is_none() && metrics_out.is_none() && !summary && watchdog_ms.is_none() {
+        return Ok((Session::disabled(), None));
     }
-    Ok(ObsSession {
-        metrics_out,
-        active,
+    let obs = Session::start(ObsConfig {
+        events_path,
+        events_sample,
+        spans,
+        watchdog_ms,
+        slow_round_ns,
     })
+    .map_err(|e| format!("cannot set up observability: {e}"))?;
+    Ok((obs, metrics_out))
 }
 
-/// Flushes the event sink, dumps the metrics registry, prints the summary
-/// table, and uninstalls the pipeline.
+/// Ends the session: stops its watchdog, flushes the event sink, dumps
+/// the registry to `--metrics-out` and prints the summary table when
+/// `summary` is set.
 ///
 /// # Errors
 /// Returns a message on sink-flush or metrics-write failure.
-pub fn obs_finish(session: ObsSession) -> Result<(), String> {
-    if !session.active {
+fn finish_session(
+    obs: &Session,
+    metrics_out: Option<(String, File)>,
+    summary: bool,
+) -> Result<(), String> {
+    let Some(registry) = obs.registry() else {
         return Ok(());
-    }
-    cdt_obs::flush().map_err(|e| format!("cannot flush observability events: {e}"))?;
-    if let Some((path, mut file)) = session.metrics_out {
-        file.write_all(cdt_obs::render(cdt_obs::global()).as_bytes())
+    };
+    obs.finish()
+        .map_err(|e| format!("cannot flush observability events: {e}"))?;
+    if let Some((path, mut file)) = metrics_out {
+        file.write_all(cdt_obs::render(registry).as_bytes())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("metrics written to {path}");
     }
-    if cdt_obs::summary_requested() {
-        print!("{}", cdt_obs::render_summary(cdt_obs::global()));
+    if summary {
+        print!("{}", cdt_obs::render_summary(registry));
     }
-    cdt_obs::uninstall();
     Ok(())
 }
 
@@ -240,21 +370,6 @@ fn create_output(path: &str) -> Result<(String, File), String> {
     File::create(path)
         .map(|file| (path.to_owned(), file))
         .map_err(|e| format!("cannot write {path}: {e}"))
-}
-
-/// Applies the `--threads` flag (if present) to the parallel-engine
-/// override; `--threads 1` forces the exact serial path.
-fn apply_threads(flags: &FlagMap) -> Result<(), String> {
-    if let Some(raw) = flags.get("threads") {
-        let t: usize = raw
-            .parse()
-            .map_err(|_| format!("--threads expects an integer, got `{raw}`"))?;
-        if t == 0 {
-            return Err("--threads must be at least 1".into());
-        }
-        cdt_sim::set_thread_override(Some(t));
-    }
-    Ok(())
 }
 
 /// `cdt obs summarize FILE` — offline summary of a JSONL event trace.
@@ -309,15 +424,7 @@ pub fn obs_critical_path_cmd(path: &str) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns a message on I/O failure or the first replay violation.
-pub fn journal_verify_cmd(path: &str, flags: &FlagMap) -> Result<(), String> {
-    let obs = obs_begin(flags)?;
-    let result = journal_verify_inner(path);
-    let finish = obs_finish(obs);
-    result?;
-    finish
-}
-
-fn journal_verify_inner(path: &str) -> Result<(), String> {
+pub fn journal_verify_cmd(path: &str) -> Result<(), String> {
     let view = cdt_protocol::load_journal(std::path::Path::new(path)).map_err(|e| e.to_string())?;
     println!(
         "{path}: valid journal — {} events, {} settled rounds, {}",
@@ -343,15 +450,7 @@ fn journal_verify_inner(path: &str) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns a message on I/O failure or replay violation.
-pub fn journal_audit_cmd(path: &str, flags: &FlagMap) -> Result<(), String> {
-    let obs = obs_begin(flags)?;
-    let result = journal_audit_inner(path);
-    let finish = obs_finish(obs);
-    result?;
-    finish
-}
-
-fn journal_audit_inner(path: &str) -> Result<(), String> {
+pub fn journal_audit_cmd(path: &str) -> Result<(), String> {
     let view = cdt_protocol::load_journal(std::path::Path::new(path)).map_err(|e| e.to_string())?;
     // Row-order sums: bit-identical to the pre-segmentation full-replay
     // totals, and to the checkpoint's digested totals after compaction.
@@ -402,15 +501,7 @@ fn journal_audit_inner(path: &str) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns a message on I/O failure (recovery itself never fails).
-pub fn journal_recover_cmd(path: &str, out: Option<&str>, flags: &FlagMap) -> Result<(), String> {
-    let obs = obs_begin(flags)?;
-    let result = journal_recover_inner(path, out);
-    let finish = obs_finish(obs);
-    result?;
-    finish
-}
-
-fn journal_recover_inner(path: &str, out: Option<&str>) -> Result<(), String> {
+pub fn journal_recover_cmd(path: &str, out: Option<&str>) -> Result<(), String> {
     let rec =
         cdt_protocol::recover_journal(std::path::Path::new(path)).map_err(|e| e.to_string())?;
     println!(
@@ -479,14 +570,6 @@ fn journal_recover_inner(path: &str, out: Option<&str>) -> Result<(), String> {
 /// Returns a message on I/O failure, an invalid journal, a structural
 /// mismatch, or divergence beyond `--tol`.
 pub fn journal_diff_cmd(path_a: &str, path_b: &str, flags: &FlagMap) -> Result<(), String> {
-    let obs = obs_begin(flags)?;
-    let result = journal_diff_inner(path_a, path_b, flags);
-    let finish = obs_finish(obs);
-    result?;
-    finish
-}
-
-fn journal_diff_inner(path_a: &str, path_b: &str, flags: &FlagMap) -> Result<(), String> {
     let tol = flags.f64_or("tol", 0.0)?;
     if !tol.is_finite() || tol < 0.0 {
         return Err(format!(
@@ -535,17 +618,9 @@ fn journal_diff_inner(path_a: &str, path_b: &str, flags: &FlagMap) -> Result<(),
 /// # Errors
 /// Returns a message on I/O failure, a single-file (unsegmented) journal,
 /// or a replay/digest violation in the segments being folded.
-pub fn journal_compact_cmd(path: &str, flags: &FlagMap) -> Result<(), String> {
-    let obs = obs_begin(flags)?;
-    let result = journal_compact_inner(path, flags);
-    let finish = obs_finish(obs);
-    result?;
-    finish
-}
-
-fn journal_compact_inner(path: &str, flags: &FlagMap) -> Result<(), String> {
+pub fn journal_compact_cmd(path: &str, flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
     let keep = flags.usize_or("keep-segments", 0)?;
-    let report = cdt_protocol::compact_journal(std::path::Path::new(path), keep)
+    let report = cdt_protocol::compact_journal(std::path::Path::new(path), keep, &cfg.obs)
         .map_err(|e| e.to_string())?;
     if report.folded_segments == 0 {
         println!(
@@ -582,14 +657,6 @@ fn journal_compact_inner(path: &str, flags: &FlagMap) -> Result<(), String> {
 /// Returns a message on I/O failure, a missing/invalid `--round`, an
 /// unsettled round, or a digest violation in the segment scanned.
 pub fn journal_seek_cmd(path: &str, flags: &FlagMap) -> Result<(), String> {
-    let obs = obs_begin(flags)?;
-    let result = journal_seek_inner(path, flags);
-    let finish = obs_finish(obs);
-    result?;
-    finish
-}
-
-fn journal_seek_inner(path: &str, flags: &FlagMap) -> Result<(), String> {
     let raw = flags
         .get("round")
         .ok_or("journal seek requires --round R")?;
@@ -628,33 +695,15 @@ fn journal_seek_inner(path: &str, flags: &FlagMap) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns a message when the flag value is not a positive integer (a
-/// malformed env var warns and is treated as off).
-pub fn journal_rotation(flags: &FlagMap) -> Result<Option<cdt_protocol::RotationConfig>, String> {
-    if let Some(raw) = flags.get("journal-segment-rounds") {
-        let rounds: usize = raw
-            .parse()
-            .map_err(|_| format!("--journal-segment-rounds expects an integer, got `{raw}`"))?;
-        if rounds == 0 {
-            return Err("--journal-segment-rounds must be at least 1".into());
-        }
-        return Ok(Some(cdt_protocol::RotationConfig {
-            segment_rounds: rounds,
-        }));
-    }
-    if let Ok(raw) = std::env::var("CDT_JOURNAL_SEGMENT_ROUNDS") {
-        match raw.parse::<usize>() {
-            Ok(rounds) if rounds > 0 => {
-                return Ok(Some(cdt_protocol::RotationConfig {
-                    segment_rounds: rounds,
-                }))
-            }
-            _ => eprintln!(
-                "warning: ignoring CDT_JOURNAL_SEGMENT_ROUNDS=`{raw}` (expected a positive \
-                 integer); journal rotation is off"
-            ),
-        }
-    }
-    Ok(None)
+/// malformed env var warns through `obs` and reads as unset).
+pub fn journal_rotation(
+    flags: &FlagMap,
+    obs: &Session,
+) -> Result<Option<cdt_protocol::RotationConfig>, String> {
+    let segment_rounds = flags
+        .positive("journal-segment-rounds")?
+        .or_else(|| env_positive("CDT_JOURNAL_SEGMENT_ROUNDS", obs));
+    Ok(segment_rounds.map(|segment_rounds| cdt_protocol::RotationConfig { segment_rounds }))
 }
 
 /// `cdt trace generate`.
@@ -798,15 +847,7 @@ fn scenario_from_flags(flags: &FlagMap) -> Result<(Scenario, SimRng, u64), Strin
 ///
 /// # Errors
 /// Returns a message on flag, run, or I/O failure.
-pub fn run_mechanism(flags: &FlagMap) -> Result<(), String> {
-    let obs = obs_begin(flags)?;
-    let result = run_mechanism_inner(flags);
-    let finish = obs_finish(obs);
-    result?;
-    finish
-}
-
-fn run_mechanism_inner(flags: &FlagMap) -> Result<(), String> {
+pub fn run_mechanism(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
     let (scenario, mut rng, _) = scenario_from_flags(flags)?;
     let mut mech = CmabHs::new(scenario.config.clone()).map_err(|e| e.to_string())?;
     let observer = scenario.observer();
@@ -816,14 +857,18 @@ fn run_mechanism_inner(flags: &FlagMap) -> Result<(), String> {
     // With --journal, attach a streaming JournalObserver: each Fig. 2
     // event is validated, written, and flushed as its round settles, so a
     // killed run still leaves a recoverable `<path>.partial` behind. When
-    // the obs pipeline is installed the journal rides alongside it via the
-    // pair observer.
+    // the session observes the run, the journal rides alongside its
+    // observer via the pair observer.
     let ledger = if let Some(path) = flags.get("journal") {
-        let rotation = journal_rotation(flags)?;
-        let mut journal =
-            cdt_protocol::JournalObserver::create_with(path, scenario.config.job.clone(), rotation)
-                .map_err(|e| e.to_string())?;
-        let ledger = match cdt_obs::observer_for_run("cmab-hs") {
+        let rotation = journal_rotation(flags, &cfg.obs)?;
+        let mut journal = cdt_protocol::JournalObserver::create_with(
+            path,
+            scenario.config.job.clone(),
+            rotation,
+            &cfg.obs,
+        )
+        .map_err(|e| e.to_string())?;
+        let ledger = match cfg.obs.observer_for_run("cmab-hs") {
             Some(pipeline) => {
                 let mut pair = (journal, pipeline);
                 let ledger = mech
@@ -846,7 +891,7 @@ fn run_mechanism_inner(flags: &FlagMap) -> Result<(), String> {
         }
         ledger
     } else {
-        match cdt_obs::observer_for_run("cmab-hs") {
+        match cfg.obs.observer_for_run("cmab-hs") {
             Some(mut round_obs) => mech
                 .run_with_mode_observed(&observer, &mut rng, LedgerMode::Summary, &mut round_obs)
                 .map_err(|e| e.to_string())?,
@@ -900,15 +945,7 @@ fn ledger_json(ledger: &TradingLedger) -> Vec<u8> {
 ///
 /// # Errors
 /// Returns a message on flag or run failure.
-pub fn budget(flags: &FlagMap) -> Result<(), String> {
-    let obs = obs_begin(flags)?;
-    let result = budget_inner(flags);
-    let finish = obs_finish(obs);
-    result?;
-    finish
-}
-
-fn budget_inner(flags: &FlagMap) -> Result<(), String> {
+pub fn budget(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
     let cap = flags
         .get("budget")
         .ok_or("--budget is required")?
@@ -921,9 +958,9 @@ fn budget_inner(flags: &FlagMap) -> Result<(), String> {
     // sink; the budget-rejected final round never reaches the callback,
     // so the journal records exactly what the consumer paid for.
     let run = if let Some(path) = flags.get("journal") {
-        let rotation = journal_rotation(flags)?;
-        let mut sink =
-            cdt_protocol::JournalSink::create_with(path, rotation).map_err(|e| e.to_string())?;
+        let rotation = journal_rotation(flags, &cfg.obs)?;
+        let mut sink = cdt_protocol::JournalSink::create_with(path, rotation, &cfg.obs)
+            .map_err(|e| e.to_string())?;
         sink.append(&cdt_protocol::MarketEvent::JobPublished {
             job: scenario.config.job.clone(),
         })
@@ -983,22 +1020,11 @@ fn budget_inner(flags: &FlagMap) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns a message on flag or run failure.
-pub fn compare(flags: &FlagMap) -> Result<(), String> {
-    apply_threads(flags)?;
-    let obs = obs_begin(flags)?;
-    // Comparison runs funnel through `run_policy`, which picks up the
-    // installed pipeline on its own — no further wiring needed here.
-    let result = compare_inner(flags);
-    let finish = obs_finish(obs);
-    result?;
-    finish
-}
-
-fn compare_inner(flags: &FlagMap) -> Result<(), String> {
+pub fn compare(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
     let reps = reps_from_flags(flags, 1)?;
     if reps > 1 {
         let (m, k, l, n, seed) = shape_from_flags(flags)?;
-        let runs = replicate(m, k, l, n, &PolicySpec::paper_set(), reps, seed)
+        let runs = replicate((m, k, l, n), &PolicySpec::paper_set(), reps, seed, cfg)
             .map_err(|e| e.to_string())?;
         println!(
             "{}",
@@ -1007,7 +1033,7 @@ fn compare_inner(flags: &FlagMap) -> Result<(), String> {
         return Ok(());
     }
     let (scenario, _, seed) = scenario_from_flags(flags)?;
-    let cmp = compare_policies(&scenario, &PolicySpec::paper_set(), seed, &[])
+    let cmp = compare_policies(&scenario, &PolicySpec::paper_set(), seed, &[], cfg)
         .map_err(|e| e.to_string())?;
     println!("{}", cmp.summary_table("policy comparison"));
     Ok(())
@@ -1023,16 +1049,7 @@ fn compare_inner(flags: &FlagMap) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns a message on flag or run failure.
-pub fn sweep(flags: &FlagMap) -> Result<(), String> {
-    apply_threads(flags)?;
-    let obs = obs_begin(flags)?;
-    let result = sweep_inner(flags);
-    let finish = obs_finish(obs);
-    result?;
-    finish
-}
-
-fn sweep_inner(flags: &FlagMap) -> Result<(), String> {
+pub fn sweep(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
     let axis = flags.get("axis").ok_or("--axis k|m|n is required")?;
     if !matches!(axis, "k" | "m" | "n") {
         return Err(format!("--axis must be k, m, or n, got `{axis}`"));
@@ -1083,7 +1100,7 @@ fn sweep_inner(flags: &FlagMap) -> Result<(), String> {
             });
         }
     }
-    let results = run_cells(&jobs, &[]).map_err(|e| e.to_string())?;
+    let results = run_cells(&jobs, &[], cfg).map_err(|e| e.to_string())?;
 
     let axis_label = axis.to_uppercase();
     let x: Vec<f64> = grid.iter().map(|&g| g as f64).collect();
@@ -1166,23 +1183,6 @@ pub fn game(flags: &FlagMap) -> Result<(), String> {
     Ok(())
 }
 
-/// `cdt repro` — regenerates the data series behind every table and
-/// figure of the paper's evaluation (Sec. V) and prints them as aligned
-/// text tables; `--csv DIR` also writes each table to `DIR/<id>_<i>.csv`.
-///
-/// # Errors
-/// Returns a message naming an unknown `--exp` id (before any experiment
-/// runs), or on a flag, experiment or write failure.
-pub fn repro(flags: &FlagMap) -> Result<(), String> {
-    let ids = experiment_ids(flags)?;
-    apply_threads(flags)?;
-    let obs = obs_begin(flags)?;
-    let result = repro_inner(flags, &ids);
-    let finish = obs_finish(obs);
-    result?;
-    finish
-}
-
 /// The `--exp ID[,ID…]` list, every id known; all experiments without it.
 fn experiment_ids(flags: &FlagMap) -> Result<Vec<&'static str>, String> {
     let known = all_experiment_ids();
@@ -1202,7 +1202,15 @@ fn experiment_ids(flags: &FlagMap) -> Result<Vec<&'static str>, String> {
         .collect()
 }
 
-fn repro_inner(flags: &FlagMap, ids: &[&str]) -> Result<(), String> {
+/// `cdt repro` — regenerates the data series behind every table and
+/// figure of the paper's evaluation (Sec. V) and prints them as aligned
+/// text tables; `--csv DIR` also writes each table to `DIR/<id>_<i>.csv`.
+///
+/// # Errors
+/// Returns a message naming an unknown `--exp` id (before any experiment
+/// runs), or on a flag, experiment or write failure.
+pub fn repro(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
+    let ids = experiment_ids(flags)?;
     let (scale, scale_name) = if flags.is_set("paper") {
         (Scale::Paper, "paper")
     } else {
@@ -1213,10 +1221,10 @@ fn repro_inner(flags: &FlagMap, ids: &[&str]) -> Result<(), String> {
     if let Some(dir) = csv_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
     }
-    for id in ids {
+    for id in &ids {
         let started = std::time::Instant::now();
         let tables =
-            run_experiment(id, scale).map_err(|e| format!("experiment {id} failed: {e}"))?;
+            run_experiment(id, scale, cfg).map_err(|e| format!("experiment {id} failed: {e}"))?;
         println!(
             "=== {id} ({} table{}, {:.1?}) ===\n",
             tables.len(),
@@ -1245,17 +1253,22 @@ mod tests {
         command_flags(command, &args).unwrap()
     }
 
-    // The observability pipeline is process-wide; serialize the tests that
-    // install one so neither tears the other's sink down mid-run.
-    static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// `cdt ARGV...`, as the binary runs it, minus the exit code.
+    fn cdt(argv: &[&str]) -> Result<(), String> {
+        let argv: Vec<String> = argv.iter().map(|s| (*s).to_owned()).collect();
+        dispatch(&argv)
+    }
+
+    /// `argv` with `extra` appended.
+    fn with<'a>(argv: &[&'a str], extra: &[&'a str]) -> Vec<&'a str> {
+        let mut all = argv.to_vec();
+        all.extend_from_slice(extra);
+        all
+    }
 
     #[test]
     fn run_small_mechanism() {
-        run_mechanism(&flags(
-            "run",
-            &["--m", "10", "--k", "3", "--l", "4", "--n", "20"],
-        ))
-        .unwrap();
+        cdt(&["run", "--m", "10", "--k", "3", "--l", "4", "--n", "20"]).unwrap();
     }
 
     #[test]
@@ -1264,22 +1277,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("journal.jsonl");
         let path_str = path.to_str().unwrap();
-        run_mechanism(&flags(
-            "run",
-            &[
-                "--m",
-                "6",
-                "--k",
-                "2",
-                "--l",
-                "3",
-                "--n",
-                "8",
-                "--journal",
-                path_str,
-            ],
-        ))
-        .unwrap();
+        let shape = ["run", "--m", "6", "--k", "2", "--l", "3", "--n", "8"];
+        cdt(&with(&shape, &["--journal", path_str])).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let log = cdt_protocol::EventLog::from_json_lines(&text).unwrap();
         assert!(log.state().is_completed());
@@ -1303,9 +1302,8 @@ mod tests {
             .unwrap();
         assert_eq!(uncapped.stop_reason, StopReason::HorizonReached);
         let cap = (uncapped.spent / 2.0).to_string();
-        let mut args = shape.to_vec();
-        args.extend(["--budget", &cap, "--journal", path_str]);
-        budget(&flags("budget", &args)).unwrap();
+        let args = with(&with(&["budget"], &shape), &["--budget", &cap]);
+        cdt(&with(&args, &["--journal", path_str])).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let log = cdt_protocol::EventLog::from_json_lines(&text).unwrap();
         assert!(log.state().is_completed());
@@ -1322,24 +1320,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("journal.jsonl");
         let path_str = path.to_str().unwrap();
-        run_mechanism(&flags(
-            "run",
-            &[
-                "--m",
-                "6",
-                "--k",
-                "2",
-                "--l",
-                "3",
-                "--n",
-                "4",
-                "--journal",
-                path_str,
-            ],
-        ))
-        .unwrap();
-        journal_verify_cmd(path_str, &flags("journal verify", &[])).unwrap();
-        journal_audit_cmd(path_str, &flags("journal audit", &[])).unwrap();
+        let shape = ["run", "--m", "6", "--k", "2", "--l", "3", "--n", "4"];
+        cdt(&with(&shape, &["--journal", path_str])).unwrap();
+        cdt(&["journal", "verify", path_str]).unwrap();
+        cdt(&["journal", "audit", path_str]).unwrap();
 
         // Simulate a crash: keep two settled rounds, two in-flight events,
         // and a torn half-written line.
@@ -1353,29 +1337,20 @@ mod tests {
         let partial = dir.join("journal.jsonl.partial");
         std::fs::write(&partial, cut).unwrap();
         let partial_str = partial.to_str().unwrap();
-        assert!(journal_verify_cmd(partial_str, &flags("journal verify", &[])).is_err());
+        assert!(journal_verify_cmd(partial_str).is_err());
         let out = dir.join("recovered.jsonl");
         // A crashed previous test run may have left the out file behind;
         // recover refuses to overwrite, so clear it first.
         std::fs::remove_file(&out).ok();
-        journal_recover_cmd(
-            partial_str,
-            Some(out.to_str().unwrap()),
-            &flags("journal recover", &[]),
-        )
-        .unwrap();
+        let out_str = out.to_str().unwrap();
+        cdt(&["journal", "recover", partial_str, "--out", out_str]).unwrap();
         let recovered = std::fs::read_to_string(&out).unwrap();
         let log = cdt_protocol::EventLog::from_json_lines(&recovered).unwrap();
         assert_eq!(log.state().settled_rounds(), 2);
 
         // Satellite regression: a second recover to the same --out must
         // refuse rather than clobber the file just written.
-        let err = journal_recover_cmd(
-            partial_str,
-            Some(out.to_str().unwrap()),
-            &flags("journal recover", &[]),
-        )
-        .unwrap_err();
+        let err = journal_recover_cmd(partial_str, Some(out_str)).unwrap_err();
         assert!(err.contains("refusing to overwrite"), "{err}");
         assert_eq!(std::fs::read_to_string(&out).unwrap(), recovered);
         std::fs::remove_file(path).unwrap();
@@ -1430,12 +1405,8 @@ mod tests {
         std::fs::write(&src, text).unwrap();
         let out = dir.join("recovered.jsonl");
         std::fs::remove_file(&out).ok();
-        let err = journal_recover_cmd(
-            src.to_str().unwrap(),
-            Some(out.to_str().unwrap()),
-            &flags("journal recover", &[]),
-        )
-        .unwrap_err();
+        let err =
+            journal_recover_cmd(src.to_str().unwrap(), Some(out.to_str().unwrap())).unwrap_err();
         assert!(err.contains("truncation race"), "{err}");
         assert!(!out.exists(), "refused output must not be written");
         std::fs::remove_file(src).unwrap();
@@ -1448,74 +1419,63 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let seg = dir.join("seg.jsonl");
         let flat = dir.join("flat.jsonl");
-        let scenario = ["--m", "6", "--k", "2", "--l", "3", "--n", "6"];
-        let with = |extra: &[&str]| {
-            let mut args: Vec<&str> = scenario.to_vec();
-            args.extend_from_slice(extra);
-            flags("run", &args)
-        };
-        run_mechanism(&with(&["--journal", flat.to_str().unwrap()])).unwrap();
-        run_mechanism(&with(&[
-            "--journal",
-            seg.to_str().unwrap(),
-            "--journal-segment-rounds",
-            "2",
-        ]))
-        .unwrap();
+        let (seg_str, flat_str) = (seg.to_str().unwrap(), flat.to_str().unwrap());
+        let shape = ["run", "--m", "6", "--k", "2", "--l", "3", "--n", "6"];
+        cdt(&with(&shape, &["--journal", flat_str])).unwrap();
+        let rotated = ["--journal", seg_str, "--journal-segment-rounds", "2"];
+        cdt(&with(&shape, &rotated)).unwrap();
         // Rotation writes segments + index, never the base file.
         assert!(!seg.exists());
         assert!(dir.join("seg.jsonl.idx").exists());
-        let seg_str = seg.to_str().unwrap();
-        journal_verify_cmd(seg_str, &flags("journal verify", &[])).unwrap();
-        journal_audit_cmd(seg_str, &flags("journal audit", &[])).unwrap();
-        journal_seek_cmd(seg_str, &flags("journal seek", &["--round", "3"])).unwrap();
+        cdt(&["journal", "verify", seg_str]).unwrap();
+        cdt(&["journal", "audit", seg_str]).unwrap();
+        cdt(&["journal", "seek", seg_str, "--round", "3"]).unwrap();
         // Same scenario, same seed: segmented vs single-file must diff to
         // exactly zero — and still after compaction folds the prefix.
-        journal_diff_cmd(seg_str, flat.to_str().unwrap(), &flags("journal diff", &[])).unwrap();
-        journal_compact_cmd(
-            seg_str,
-            &flags("journal compact", &["--keep-segments", "1"]),
-        )
-        .unwrap();
-        journal_verify_cmd(seg_str, &flags("journal verify", &[])).unwrap();
-        journal_diff_cmd(seg_str, flat.to_str().unwrap(), &flags("journal diff", &[])).unwrap();
-        journal_seek_cmd(seg_str, &flags("journal seek", &["--round", "1"])).unwrap();
+        cdt(&["journal", "diff", seg_str, flat_str]).unwrap();
+        cdt(&["journal", "compact", seg_str, "--keep-segments", "1"]).unwrap();
+        cdt(&["journal", "verify", seg_str]).unwrap();
+        cdt(&["journal", "diff", seg_str, flat_str]).unwrap();
+        cdt(&["journal", "seek", seg_str, "--round", "1"]).unwrap();
         // The recovered prefix of a compacted history has no flat-journal
         // serialization; --out must refuse.
         let out = dir.join("out.jsonl");
-        let err = journal_recover_cmd(
-            seg_str,
-            Some(out.to_str().unwrap()),
-            &flags("journal recover", &[]),
-        )
-        .unwrap_err();
+        let err = journal_recover_cmd(seg_str, Some(out.to_str().unwrap())).unwrap_err();
         assert!(err.contains("compacted journal"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn journal_rotation_flag_rejects_bad_values() {
-        assert!(journal_rotation(&flags("run", &[])).unwrap().is_none());
+        let obs = Session::disabled();
+        assert!(journal_rotation(&flags("run", &[]), &obs)
+            .unwrap()
+            .is_none());
+        let three = flags("run", &["--journal-segment-rounds", "3"]);
         assert_eq!(
-            journal_rotation(&flags("run", &["--journal-segment-rounds", "3"]))
+            journal_rotation(&three, &obs)
                 .unwrap()
                 .unwrap()
                 .segment_rounds,
             3
         );
-        assert!(journal_rotation(&flags("run", &["--journal-segment-rounds", "0"])).is_err());
-        assert!(journal_rotation(&flags("run", &["--journal-segment-rounds", "lots"])).is_err());
+        for bad in ["0", "lots"] {
+            let f = flags("run", &["--journal-segment-rounds", bad]);
+            assert!(journal_rotation(&f, &obs).is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn journal_seek_requires_round() {
-        let err = journal_seek_cmd("/nonexistent/missing.jsonl", &flags("journal seek", &[]))
-            .unwrap_err();
+        let err = cdt(&["journal", "seek", "/nonexistent/missing.jsonl"]).unwrap_err();
         assert!(err.contains("--round"), "{err}");
-        assert!(journal_seek_cmd(
+        assert!(cdt(&[
+            "journal",
+            "seek",
             "/nonexistent/missing.jsonl",
-            &flags("journal seek", &["--round", "0"])
-        )
+            "--round",
+            "0"
+        ])
         .is_err());
     }
 
@@ -1525,66 +1485,103 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("flat.jsonl");
         std::fs::write(&p, "").unwrap();
-        let err =
-            journal_compact_cmd(p.to_str().unwrap(), &flags("journal compact", &[])).unwrap_err();
+        let err = cdt(&["journal", "compact", p.to_str().unwrap()]).unwrap_err();
         assert!(err.contains("nothing to compact"), "{err}");
         std::fs::remove_file(p).unwrap();
     }
 
     #[test]
     fn journal_commands_missing_file_errors() {
-        let f = flags("journal verify", &[]);
-        assert!(journal_verify_cmd("/nonexistent/definitely/missing.jsonl", &f).is_err());
-        assert!(journal_audit_cmd("/nonexistent/definitely/missing.jsonl", &f).is_err());
-        assert!(journal_recover_cmd("/nonexistent/definitely/missing.jsonl", None, &f).is_err());
+        let missing = "/nonexistent/definitely/missing.jsonl";
+        assert!(journal_verify_cmd(missing).is_err());
+        assert!(journal_audit_cmd(missing).is_err());
+        assert!(journal_recover_cmd(missing, None).is_err());
+    }
+
+    #[test]
+    fn journal_readers_take_no_obs_flags() {
+        // Only `journal compact` publishes anything to a session; the five
+        // readers refuse the obs flags by name.
+        let path = "/nonexistent/j.jsonl";
+        for (sub, extra) in [
+            ("verify", &[][..]),
+            ("audit", &[]),
+            ("recover", &[]),
+            ("seek", &["--round", "0"]),
+            ("diff", &[path]),
+        ] {
+            let argv = with(&with(&["journal", sub, path], extra), &["--obs-summary"]);
+            let err = cdt(&argv).unwrap_err();
+            assert_eq!(
+                err,
+                format!("unknown flag --obs-summary for cdt journal {sub}")
+            );
+        }
+    }
+
+    #[test]
+    fn orphaned_obs_flags_are_refused_by_name() {
+        let run = ["run", "--m", "6", "--k", "2", "--l", "3", "--n", "2"];
+        for (extra, missing) in [
+            (&["--obs-spans"][..], "--obs-events"),
+            (
+                &["--obs-events-sample", "5", "--obs-summary"],
+                "--obs-events",
+            ),
+            (&["--watchdog-slow-round-ns", "1"], "--watchdog-ms"),
+        ] {
+            let err = cdt(&with(&run, extra)).unwrap_err();
+            assert!(
+                err.contains(&format!("requires {missing}")),
+                "{extra:?}: {err}"
+            );
+        }
     }
 
     #[test]
     fn compare_small() {
-        compare(&flags(
-            "compare",
-            &["--m", "10", "--k", "3", "--l", "4", "--n", "30"],
-        ))
-        .unwrap();
+        cdt(&["compare", "--m", "10", "--k", "3", "--l", "4", "--n", "30"]).unwrap();
     }
 
     #[test]
     fn compare_with_explicit_threads() {
-        compare(&flags(
-            "compare",
-            &[
-                "--m",
-                "10",
-                "--k",
-                "3",
-                "--l",
-                "4",
-                "--n",
-                "30",
-                "--threads",
-                "2",
-            ],
-        ))
-        .unwrap();
-        // Reset the global override so other tests see the default.
-        cdt_sim::set_thread_override(None);
+        let shape = ["compare", "--m", "10", "--k", "3", "--l", "4", "--n", "30"];
+        cdt(&with(&shape, &["--threads", "2"])).unwrap();
     }
 
     #[test]
     fn compare_rejects_zero_threads() {
-        assert!(compare(&flags("compare", &["--m", "10", "--threads", "0"])).is_err());
+        assert!(cdt(&["compare", "--m", "10", "--threads", "0"]).is_err());
+    }
+
+    #[test]
+    fn the_threads_flag_sets_the_pool_and_only_pool_commands_read_it() {
+        let threads_of = |command: &str, args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+            let mut threads = 0;
+            run_command(command, &args, |_, cfg| {
+                threads = cfg.threads;
+                Ok(())
+            })
+            .unwrap();
+            threads
+        };
+        // The flag wins over `CDT_THREADS` and the machine's parallelism.
+        assert_eq!(threads_of("compare", &["--threads", "3"]), 3);
+        assert!(threads_of("sweep", &[]) >= 1);
+        // `run` never uses the pool: one thread, whatever the environment.
+        assert_eq!(threads_of("run", &[]), 1);
     }
 
     #[test]
     fn run_and_sweep_reject_zero_pois_and_rounds() {
         for [flag, zero] in [["--l", "0"], ["--n", "0"]] {
-            let run = flags("run", &["--m", "10", "--k", "3", flag, zero]);
-            assert!(run_mechanism(&run).is_err(), "run {flag} {zero}");
-            let grid = flags(
-                "sweep",
-                &["--axis", "k", "--grid", "3", "--m", "10", flag, zero],
-            );
-            assert!(sweep(&grid).is_err(), "sweep {flag} {zero}");
+            let run = ["run", "--m", "10", "--k", "3", flag, zero];
+            assert!(cdt(&run).is_err(), "run {flag} {zero}");
+            let grid = [
+                "sweep", "--axis", "k", "--grid", "3", "--m", "10", flag, zero,
+            ];
+            assert!(cdt(&grid).is_err(), "sweep {flag} {zero}");
         }
     }
 
@@ -1631,29 +1628,19 @@ mod tests {
         let a = dir.join("a.jsonl");
         let b = dir.join("b.jsonl");
         let c = dir.join("c.jsonl");
-        let scenario = ["--m", "8", "--k", "2", "--l", "3", "--n", "6"];
-        let with = |extra: &[&str]| {
-            let mut args: Vec<&str> = scenario.to_vec();
-            args.extend_from_slice(extra);
-            flags("run", &args)
-        };
-        run_mechanism(&with(&["--journal", a.to_str().unwrap()])).unwrap();
-        run_mechanism(&with(&["--journal", b.to_str().unwrap()])).unwrap();
-        run_mechanism(&with(&["--journal", c.to_str().unwrap(), "--seed", "7"])).unwrap();
-        // Same scenario, same seed: settlements must diff to exactly zero.
-        journal_diff_cmd(
+        let (a_str, b_str, c_str) = (
             a.to_str().unwrap(),
             b.to_str().unwrap(),
-            &flags("journal diff", &[]),
-        )
-        .unwrap();
-        // A different seed diverges and must fail the zero-tolerance diff.
-        let err = journal_diff_cmd(
-            a.to_str().unwrap(),
             c.to_str().unwrap(),
-            &flags("journal diff", &[]),
-        )
-        .unwrap_err();
+        );
+        let shape = ["run", "--m", "8", "--k", "2", "--l", "3", "--n", "6"];
+        cdt(&with(&shape, &["--journal", a_str])).unwrap();
+        cdt(&with(&shape, &["--journal", b_str])).unwrap();
+        cdt(&with(&shape, &["--journal", c_str, "--seed", "7"])).unwrap();
+        // Same scenario, same seed: settlements must diff to exactly zero.
+        cdt(&["journal", "diff", a_str, b_str]).unwrap();
+        // A different seed diverges and must fail the zero-tolerance diff.
+        let err = cdt(&["journal", "diff", a_str, c_str]).unwrap_err();
         assert!(
             err.contains("diverge") || err.contains("structural"),
             "{err}"
@@ -1665,49 +1652,38 @@ mod tests {
 
     #[test]
     fn journal_diff_rejects_bad_inputs() {
-        assert!(journal_diff_cmd(
+        assert!(cdt(&[
+            "journal",
+            "diff",
             "/nonexistent/a.jsonl",
-            "/nonexistent/b.jsonl",
-            &flags("journal diff", &[])
-        )
+            "/nonexistent/b.jsonl"
+        ])
         .is_err());
         let dir = std::env::temp_dir().join("cdt_cli_journal_diff_tol_test");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("x.jsonl");
         std::fs::write(&p, "").unwrap();
         let p_str = p.to_str().unwrap();
-        let err =
-            journal_diff_cmd(p_str, p_str, &flags("journal diff", &["--tol", "-1"])).unwrap_err();
+        let err = cdt(&["journal", "diff", p_str, p_str, "--tol", "-1"]).unwrap_err();
         assert!(err.contains("--tol"), "{err}");
         std::fs::remove_file(p).unwrap();
     }
 
     #[test]
     fn compare_with_observability_writes_events_and_metrics() {
-        let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join("cdt_cli_obs_test");
         std::fs::create_dir_all(&dir).unwrap();
         let events = dir.join("events.jsonl");
         let metrics = dir.join("metrics.prom");
-        compare(&flags(
-            "compare",
-            &[
-                "--m",
-                "8",
-                "--k",
-                "2",
-                "--l",
-                "3",
-                "--n",
-                "15",
-                "--obs-events",
-                events.to_str().unwrap(),
-                "--metrics-out",
-                metrics.to_str().unwrap(),
-                "--obs-summary",
-            ],
-        ))
-        .unwrap();
+        let shape = ["compare", "--m", "8", "--k", "2", "--l", "3", "--n", "15"];
+        let outputs = [
+            "--obs-events",
+            events.to_str().unwrap(),
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+            "--obs-summary",
+        ];
+        cdt(&with(&shape, &outputs)).unwrap();
         let text = std::fs::read_to_string(&events).unwrap();
         assert!(!text.is_empty(), "events file must not be empty");
         for line in text.lines() {
@@ -1725,28 +1701,17 @@ mod tests {
 
     #[test]
     fn sampled_events_thin_the_trace_and_summarize_offline() {
-        let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join("cdt_cli_obs_sample_test");
         std::fs::create_dir_all(&dir).unwrap();
         let events = dir.join("events.jsonl");
-        run_mechanism(&flags(
-            "run",
-            &[
-                "--m",
-                "8",
-                "--k",
-                "2",
-                "--l",
-                "3",
-                "--n",
-                "20",
-                "--obs-events",
-                events.to_str().unwrap(),
-                "--obs-events-sample",
-                "5",
-            ],
-        ))
-        .unwrap();
+        let shape = ["run", "--m", "8", "--k", "2", "--l", "3", "--n", "20"];
+        let sampled = [
+            "--obs-events",
+            events.to_str().unwrap(),
+            "--obs-events-sample",
+            "5",
+        ];
+        cdt(&with(&shape, &sampled)).unwrap();
         let text = std::fs::read_to_string(&events).unwrap();
         // Rounds 0, 5, 10, 15 of the 20-round run land in the trace.
         let rounds: std::collections::BTreeSet<usize> = text
@@ -1765,19 +1730,8 @@ mod tests {
     #[test]
     fn run_writes_the_golden_json_ledger() {
         let out = std::env::temp_dir().join(format!("cdt_cli_ledger_{}.json", std::process::id()));
-        let args = [
-            "--m",
-            "8",
-            "--k",
-            "2",
-            "--l",
-            "3",
-            "--n",
-            "6",
-            "--json",
-            out.to_str().unwrap(),
-        ];
-        run_mechanism(&flags("run", &args)).unwrap();
+        let shape = ["run", "--m", "8", "--k", "2", "--l", "3", "--n", "6"];
+        cdt(&with(&shape, &["--json", out.to_str().unwrap()])).unwrap();
         let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../tests/fixtures/ledger_golden.json");
         assert_eq!(std::fs::read(&out).unwrap(), std::fs::read(golden).unwrap());
@@ -1791,67 +1745,57 @@ mod tests {
 
     #[test]
     fn compare_replicated() {
-        compare(&flags(
-            "compare",
-            &[
-                "--m", "8", "--k", "2", "--l", "3", "--n", "20", "--reps", "2",
-            ],
-        ))
+        cdt(&[
+            "compare", "--m", "8", "--k", "2", "--l", "3", "--n", "20", "--reps", "2",
+        ])
         .unwrap();
     }
 
     #[test]
     fn sweep_over_k_axis() {
-        sweep(&flags(
-            "sweep",
-            &[
-                "--axis", "k", "--grid", "2,3", "--m", "8", "--l", "3", "--n", "15",
-            ],
-        ))
+        cdt(&[
+            "sweep", "--axis", "k", "--grid", "2,3", "--m", "8", "--l", "3", "--n", "15",
+        ])
         .unwrap();
     }
 
     #[test]
     fn sweep_with_reps_and_obs_summary() {
-        let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        sweep(&flags(
+        cdt(&[
             "sweep",
-            &[
-                "--axis",
-                "n",
-                "--grid",
-                "10,20",
-                "--m",
-                "8",
-                "--k",
-                "2",
-                "--l",
-                "3",
-                "--reps",
-                "2",
-                "--obs-summary",
-            ],
-        ))
+            "--axis",
+            "n",
+            "--grid",
+            "10,20",
+            "--m",
+            "8",
+            "--k",
+            "2",
+            "--l",
+            "3",
+            "--reps",
+            "2",
+            "--obs-summary",
+        ])
         .unwrap();
     }
 
     #[test]
     fn sweep_rejects_bad_flags() {
-        assert!(sweep(&flags("sweep", &["--grid", "1,2"])).is_err());
-        assert!(sweep(&flags("sweep", &["--axis", "q", "--grid", "1,2"])).is_err());
-        assert!(sweep(&flags("sweep", &["--axis", "k"])).is_err());
-        assert!(sweep(&flags("sweep", &["--axis", "k", "--grid", "2,x"])).is_err());
+        assert!(cdt(&["sweep", "--grid", "1,2"]).is_err());
+        assert!(cdt(&["sweep", "--axis", "q", "--grid", "1,2"]).is_err());
+        assert!(cdt(&["sweep", "--axis", "k"]).is_err());
+        assert!(cdt(&["sweep", "--axis", "k", "--grid", "2,x"]).is_err());
     }
 
     #[test]
     fn compare_and_sweep_reject_zero_reps_alike() {
         let want = Err("--reps must be at least 1".to_owned());
-        assert_eq!(
-            compare(&flags("compare", &["--m", "10", "--reps", "0"])),
-            want
-        );
-        let grid = ["--axis", "k", "--grid", "2,3", "--m", "10", "--reps", "0"];
-        assert_eq!(sweep(&flags("sweep", &grid)), want);
+        assert_eq!(cdt(&["compare", "--m", "10", "--reps", "0"]), want);
+        let grid = [
+            "sweep", "--axis", "k", "--grid", "2,3", "--m", "10", "--reps", "0",
+        ];
+        assert_eq!(cdt(&grid), want);
     }
 
     #[test]
@@ -1859,53 +1803,43 @@ mod tests {
         // Each size would overflow its buffer's byte count: an error, not
         // a `capacity overflow` panic (or, in release, a wrapped size).
         let max = "18446744073709551615";
-        let cases: [(&str, &str, &[&str]); 4] = [
-            ("run", "--m", &["--m", max, "--k", "1", "--n", "1"]),
+        let cases: [(&str, &[&str]); 4] = [
+            ("--m", &["run", "--m", max, "--k", "1", "--n", "1"]),
             (
-                "run",
                 "--l",
-                &["--l", max, "--m", "3", "--k", "1", "--n", "1"],
+                &["run", "--l", max, "--m", "3", "--k", "1", "--n", "1"],
             ),
             (
-                "sweep",
                 "--reps",
                 &[
-                    "--axis", "k", "--grid", "1", "--reps", max, "--m", "3", "--l", "1", "--n", "1",
+                    "sweep", "--axis", "k", "--grid", "1", "--reps", max, "--m", "3", "--l", "1",
+                    "--n", "1",
                 ],
             ),
-            ("trace generate", "--records", &["--records", max]),
+            ("--records", &["trace", "generate", "--records", max]),
         ];
-        for (command, flag, args) in cases {
-            let f = flags(command, args);
-            let err = match command {
-                "run" => run_mechanism(&f),
-                "sweep" => sweep(&f),
-                _ => trace_generate(&f),
-            }
-            .expect_err(flag);
-            assert!(err.contains(flag), "{command} {flag}: {err}");
+        for (flag, argv) in cases {
+            let err = cdt(argv).expect_err(flag);
+            assert!(err.contains(flag), "{argv:?}: {err}");
         }
     }
 
     #[test]
     fn budget_command_stops_on_cap() {
-        budget(&flags(
-            "budget",
-            &[
-                "--m", "8", "--k", "2", "--l", "3", "--n", "200", "--budget", "50",
-            ],
-        ))
+        cdt(&[
+            "budget", "--m", "8", "--k", "2", "--l", "3", "--n", "200", "--budget", "50",
+        ])
         .unwrap();
     }
 
     #[test]
     fn budget_requires_flag() {
-        assert!(budget(&flags("budget", &["--m", "8"])).is_err());
+        assert!(cdt(&["budget", "--m", "8"]).is_err());
     }
 
     #[test]
     fn game_solves() {
-        game(&flags("game", &["--omega", "800", "--theta", "0.2"])).unwrap();
+        cdt(&["game", "--omega", "800", "--theta", "0.2"]).unwrap();
     }
 
     #[test]
@@ -1914,19 +1848,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.csv");
         let path_str = path.to_str().unwrap();
-        trace_generate(&flags(
-            "trace generate",
-            &[
-                "--records",
-                "500",
-                "--taxis",
-                "20",
-                "--seed",
-                "1",
-                "--out",
-                path_str,
-            ],
-        ))
+        cdt(&[
+            "trace",
+            "generate",
+            "--records",
+            "500",
+            "--taxis",
+            "20",
+            "--seed",
+            "1",
+            "--out",
+            path_str,
+        ])
         .unwrap();
         trace_stats_cmd(path_str).unwrap();
         std::fs::remove_file(path).unwrap();
@@ -1937,8 +1870,7 @@ mod tests {
         // 0 taxis leaves the sampler an empty range, and 2^32 + 1 would
         // wrap to 1 taxi through a narrowing cast: both are flag errors.
         for taxis in ["0", "4294967297"] {
-            let err =
-                trace_generate(&flags("trace generate", &["--taxis", taxis])).expect_err(taxis);
+            let err = cdt(&["trace", "generate", "--taxis", taxis]).expect_err(taxis);
             assert!(err.contains("--taxis"), "{taxis}: {err}");
         }
     }
@@ -1950,7 +1882,7 @@ mod tests {
 
     #[test]
     fn rejects_k_above_m() {
-        let err = run_mechanism(&flags("run", &["--m", "3", "--k", "5", "--n", "5"])).unwrap_err();
+        let err = cdt(&["run", "--m", "3", "--k", "5", "--n", "5"]).unwrap_err();
         assert!(err.contains("K=5"), "{err}");
     }
 }

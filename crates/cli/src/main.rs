@@ -1,118 +1,9 @@
 //! `cdt` — command-line driver for the CMAB-HS crowdsensing data trading
-//! system.
-//!
-//! ```text
-//! cdt trace generate [--records N] [--taxis M] [--seed S] [--out FILE]
-//! cdt trace stats FILE
-//! cdt run [--m M] [--k K] [--l L] [--n N] [--seed S] [--json FILE] [--journal FILE]
-//! cdt budget [--m M] [--k K] [--l L] [--n N] [--seed S] --budget B [--journal FILE]
-//! cdt compare [--m M] [--k K] [--l L] [--n N] [--seed S] [--reps R] [--threads T]
-//! cdt sweep --axis k|m|n --grid V1,V2,... [--reps R] [--threads T] [...]
-//! cdt game [--omega W] [--theta T]
-//! cdt repro [--exp ID[,ID...]] [--paper] [--csv DIR] [--threads T]
-//! cdt obs summarize FILE
-//! cdt obs flame FILE
-//! cdt obs critical-path FILE
-//! cdt journal verify FILE
-//! cdt journal audit FILE
-//! cdt journal recover FILE [--out FILE]
-//! cdt journal compact FILE [--keep-segments N]
-//! cdt journal seek FILE --round R
-//! cdt journal diff A B [--tol T]
-//! ```
-//!
-//! `run`, `budget`, `compare`, `sweep`, `repro`, and the `journal` family
-//! additionally accept `--obs-events FILE` (JSONL round traces),
-//! `--obs-events-sample K` (record every K-th round only), `--metrics-out
-//! FILE` (Prometheus text dump), and `--obs-summary` (end-of-run
-//! phase/pool table); `cdt obs summarize` re-renders that summary offline
-//! from a trace file. `--obs-spans` adds causal spans to the trace
-//! (analyzed offline with `cdt obs flame` / `cdt obs critical-path`) and
-//! `--watchdog-ms N` runs the health watchdog. `--journal FILE` streams
-//! the Fig. 2 market protocol to FILE as rounds settle
-//! (`--journal-segment-rounds N` rotates it into indexed segments), and
-//! the `cdt journal` family verifies, audits, crash-recovers, compacts,
-//! seeks into, and diffs those journals. `repro` regenerates the paper's
-//! tables and figures. `compare`, `sweep` and `repro` take `--threads T`,
-//! the one execution knob. Every subcommand rejects a flag it does not
-//! read: the run exits 2 with `unknown flag --X for cdt <command>`.
-
-use cdt_cli::args::FlagMap;
-use cdt_cli::commands;
+//! system. `cdt --help` lists the commands and their flags; the library
+//! half, `cdt_cli`, parses them and runs each command with the one run
+//! configuration it builds.
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let code = run(&argv);
-    std::process::exit(code);
-}
-
-fn run(argv: &[String]) -> i32 {
-    let mut words = argv.iter().map(String::as_str);
-    let result = match (words.next(), words.next()) {
-        (Some("trace"), Some("generate")) => {
-            with_flags("trace generate", &argv[2..], commands::trace_generate)
-        }
-        (Some("trace"), Some("stats")) => match argv.get(2) {
-            Some(p) => with_flags("trace stats", &argv[3..], |_| commands::trace_stats_cmd(p)),
-            None => Err("usage: cdt trace stats FILE".into()),
-        },
-        (Some("obs"), Some(sub @ ("summarize" | "flame" | "critical-path"))) => match argv.get(2) {
-            Some(p) => with_flags(&format!("obs {sub}"), &argv[3..], |_| match sub {
-                "summarize" => commands::obs_summarize_cmd(p),
-                "flame" => commands::obs_flame_cmd(p),
-                _ => commands::obs_critical_path_cmd(p),
-            }),
-            None => Err(format!("usage: cdt obs {sub} FILE")),
-        },
-        (Some("journal"), Some(sub @ ("verify" | "audit" | "recover" | "compact" | "seek"))) => {
-            match argv.get(2) {
-                Some(path) => {
-                    with_flags(&format!("journal {sub}"), &argv[3..], |flags| match sub {
-                        "verify" => commands::journal_verify_cmd(path, flags),
-                        "audit" => commands::journal_audit_cmd(path, flags),
-                        "compact" => commands::journal_compact_cmd(path, flags),
-                        "seek" => commands::journal_seek_cmd(path, flags),
-                        _ => commands::journal_recover_cmd(path, flags.get("out"), flags),
-                    })
-                }
-                None => Err(format!("usage: cdt journal {sub} FILE")),
-            }
-        }
-        (Some("journal"), Some("diff")) => match (argv.get(2), argv.get(3)) {
-            (Some(a), Some(b)) => with_flags("journal diff", &argv[4..], |flags| {
-                commands::journal_diff_cmd(a, b, flags)
-            }),
-            _ => Err("usage: cdt journal diff A B [--tol T]".into()),
-        },
-        (Some("journal"), _) => {
-            Err("usage: cdt journal verify|audit|recover|compact|seek|diff FILE".into())
-        }
-        (Some("run"), _) => with_flags("run", &argv[1..], commands::run_mechanism),
-        (Some("budget"), _) => with_flags("budget", &argv[1..], commands::budget),
-        (Some("compare"), _) => with_flags("compare", &argv[1..], commands::compare),
-        (Some("sweep"), _) => with_flags("sweep", &argv[1..], commands::sweep),
-        (Some("game"), _) => with_flags("game", &argv[1..], commands::game),
-        (Some("repro"), _) => with_flags("repro", &argv[1..], commands::repro),
-        (Some("--help" | "-h"), _) | (None, _) => {
-            println!("{}", commands::USAGE);
-            return 0;
-        }
-        (Some(other), _) => Err(format!("unknown command `{other}`\n{}", commands::USAGE)),
-    };
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
-}
-
-/// Parses `rest` as the flags of `cdt <command>` and runs `f` on them.
-fn with_flags(
-    command: &str,
-    rest: &[String],
-    f: impl FnOnce(&FlagMap) -> Result<(), String>,
-) -> Result<(), String> {
-    f(&commands::command_flags(command, rest)?)
+    std::process::exit(cdt_cli::run(&argv));
 }

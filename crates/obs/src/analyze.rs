@@ -1,7 +1,7 @@
 //! Offline trace analysis: rebuild summary metrics from a JSONL event
 //! trace (`cdt obs summarize <trace.jsonl>`).
 //!
-//! A live run publishes phase histograms and cache counters to the global
+//! A live run publishes phase histograms and pool counters to its session
 //! registry as it goes; this module reconstructs the same registry shape
 //! from a trace written earlier (`--obs-events`), so the one summary
 //! renderer ([`render_summary`]) serves both the live `--obs-summary` path

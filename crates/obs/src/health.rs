@@ -1,15 +1,16 @@
-//! Pool health and liveness: shared progress counters, latency trackers,
-//! and the opt-in watchdog thread that turns them into [`HealthRecord`]s.
+//! Pool health and liveness: per-session progress counters, latency
+//! trackers, and the opt-in watchdog thread that turns them into
+//! [`HealthRecord`]s.
 //!
-//! Pool workers register a progress slot here that the watchdog can
-//! sample from outside the pool (`cdt-obs` sits *below* `cdt-sim` in the
-//! dependency graph, so the slots live here and the pool registers them).
-//! A pool job is a whole policy run, so the heartbeat is the round, not
-//! the claim: the pipeline's round-end hook feeds [`record_round_ns`] on
-//! the job's own thread, which ticks that thread's slot. The watchdog —
-//! started by the pipeline when `--watchdog-ms N` is set — samples every
-//! `N` ms and emits a [`HealthRecord`] into the same JSONL sink family when
-//! it sees:
+//! A session started with `watchdog_ms` owns one [`Health`]: pool workers
+//! register a progress slot in it that the watchdog can sample from
+//! outside the pool (`cdt-obs` sits *below* `cdt-sim` in the dependency
+//! graph, so the slots live here and the pool registers them). A pool job
+//! is a whole policy run, so the heartbeat is the round, not the claim:
+//! the pipeline's round-end hook feeds [`Health::record_round_ns`] on the
+//! job's own thread, which ticks that thread's slot. The session's
+//! watchdog samples every `N` ms and emits a [`HealthRecord`] into the
+//! session's JSONL sink when it sees:
 //!
 //! - **`stalled_worker`** — a registered worker that completed no round
 //!   across a full sampling interval;
@@ -19,14 +20,13 @@
 //! - **`flush_spike`** — a journal write/flush slower than
 //!   p99 × [`SLOW_FACTOR`] of the writes seen so far.
 //!
-//! Every event also ticks `cdt_obs_health_events_total{kind=…}`, so the
-//! Prometheus render and `--obs-summary` surface the counts with no extra
-//! wiring. Like every observer here, the watchdog is passive: it reads
-//! atomics and the clock, never engine state, so results are bit-identical
-//! with it on or off.
+//! Every event also ticks `cdt_obs_health_events_total{kind=…}` in the
+//! session's registry, so the Prometheus render and `--obs-summary`
+//! surface the counts with no extra wiring. Like every observer here, the
+//! watchdog is passive: it reads atomics and the clock, never engine
+//! state, so results are bit-identical with it on or off.
 
 use crate::latency::LatencyHistogram;
-use crate::metrics;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,94 +47,148 @@ const MIN_SAMPLES: u64 = 16;
 /// nanosecond-scale rounds do not page on scheduler noise.
 const MIN_THRESHOLD_NS: u64 = 1_000_000;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct WorkerSlot {
     active: AtomicBool,
     progress: AtomicU64,
+    /// What the watchdog saw at its previous sample (only it touches
+    /// these): whether the worker was active, and its progress.
+    was_active: AtomicBool,
+    last_progress: AtomicU64,
 }
-
-#[allow(clippy::declare_interior_mutable_const)]
-const EMPTY_SLOT: WorkerSlot = WorkerSlot {
-    active: AtomicBool::new(false),
-    progress: AtomicU64::new(0),
-};
-static WORKERS: [WorkerSlot; MAX_WORKERS] = [EMPTY_SLOT; MAX_WORKERS];
 
 thread_local! {
     /// The slot of the pool worker running on this thread, between its
-    /// [`worker_begin`] and [`worker_end`].
+    /// [`Health::worker_begin`] and [`Health::worker_end`].
     static WORKER: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Fast gate the producers check before feeding the trackers.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-/// Max observed round duration since the watchdog's last sample.
-static MAX_ROUND_NS: AtomicU64 = AtomicU64::new(0);
-/// Max observed journal write/flush duration since the last sample.
-static MAX_FLUSH_NS: AtomicU64 = AtomicU64::new(0);
-
-/// Round-duration / flush-duration distributions feeding the p99
-/// thresholds (`None` until the first observation — the constructor is
-/// not `const`). Producers batch via the max atomics above; these are
-/// only touched once per completed round / journal write while a
-/// watchdog runs.
-static ROUND_HIST: Mutex<Option<LatencyHistogram>> = Mutex::new(None);
-static FLUSH_HIST: Mutex<Option<LatencyHistogram>> = Mutex::new(None);
-
-fn record_into(hist: &Mutex<Option<LatencyHistogram>>, ns: u64) {
-    hist.lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .get_or_insert_with(LatencyHistogram::new)
-        .record_ns(ns);
+/// The trackers one session's watchdog samples: a progress slot per pool
+/// worker, and the worst round and journal-write durations since the last
+/// sample with their distributions for the p99 thresholds. Producers
+/// reach it through [`crate::Session::health`], which is `Some` only
+/// while a watchdog runs, so idle runs pay nothing.
+#[derive(Debug)]
+pub struct Health {
+    /// The sampling interval (`--watchdog-ms`).
+    interval_ms: u64,
+    /// The explicit slow-round floor (`--watchdog-slow-round-ns`); `None`
+    /// derives p99 × [`SLOW_FACTOR`] from the rounds seen so far.
+    slow_round_ns: Option<u64>,
+    workers: [WorkerSlot; MAX_WORKERS],
+    max_round_ns: AtomicU64,
+    max_flush_ns: AtomicU64,
+    round_hist: Mutex<LatencyHistogram>,
+    flush_hist: Mutex<LatencyHistogram>,
 }
 
-/// Whether a watchdog is running — the producers' single relaxed load.
-#[must_use]
-pub fn watchdog_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+fn record_into(hist: &Mutex<LatencyHistogram>, ns: u64) {
+    hist.lock().unwrap_or_else(|e| e.into_inner()).record_ns(ns);
 }
 
-/// Marks pool worker `w` live on the calling thread: from now on every
-/// round the thread completes ticks `w`'s progress.
-pub fn worker_begin(w: usize) {
-    if let Some(slot) = WORKERS.get(w) {
-        slot.active.store(true, Ordering::Relaxed);
-        WORKER.with(|worker| worker.set(Some(w)));
+impl Health {
+    pub(crate) fn new(interval_ms: u64, slow_round_ns: Option<u64>) -> Self {
+        Self {
+            interval_ms,
+            slow_round_ns,
+            workers: std::array::from_fn(|_| WorkerSlot::default()),
+            max_round_ns: AtomicU64::new(0),
+            max_flush_ns: AtomicU64::new(0),
+            round_hist: Mutex::new(LatencyHistogram::new()),
+            flush_hist: Mutex::new(LatencyHistogram::new()),
+        }
     }
-}
 
-/// Marks pool worker `w` done (no more progress expected) and detaches it
-/// from the calling thread.
-pub fn worker_end(w: usize) {
-    if let Some(slot) = WORKERS.get(w) {
-        slot.active.store(false, Ordering::Relaxed);
+    /// Marks pool worker `w` live on the calling thread: from now on every
+    /// round the thread completes ticks `w`'s progress.
+    pub fn worker_begin(&self, w: usize) {
+        if let Some(slot) = self.workers.get(w) {
+            slot.active.store(true, Ordering::Relaxed);
+            WORKER.with(|worker| worker.set(Some(w)));
+        }
     }
-    WORKER.with(|worker| worker.set(None));
-}
 
-/// Bumps worker `w`'s progress counter.
-fn worker_progress(w: usize) {
-    if let Some(slot) = WORKERS.get(w) {
-        slot.progress.fetch_add(1, Ordering::Relaxed);
+    /// Marks pool worker `w` done (no more progress expected) and detaches
+    /// it from the calling thread.
+    pub fn worker_end(&self, w: usize) {
+        if let Some(slot) = self.workers.get(w) {
+            slot.active.store(false, Ordering::Relaxed);
+        }
+        WORKER.with(|worker| worker.set(None));
     }
-}
 
-/// Feeds one completed round's duration to the slow-round tracker, and
-/// ticks the progress of the pool worker running on this thread, if any.
-/// Producers gate on [`watchdog_active`] so idle runs pay nothing.
-pub fn record_round_ns(ns: u64) {
-    MAX_ROUND_NS.fetch_max(ns, Ordering::Relaxed);
-    record_into(&ROUND_HIST, ns);
-    if let Some(w) = WORKER.with(Cell::get) {
-        worker_progress(w);
+    /// Bumps worker `w`'s progress counter.
+    fn worker_progress(&self, w: usize) {
+        if let Some(slot) = self.workers.get(w) {
+            slot.progress.fetch_add(1, Ordering::Relaxed);
+        }
     }
-}
 
-/// Feeds one journal write/flush duration to the flush-spike tracker.
-pub fn record_flush_ns(ns: u64) {
-    MAX_FLUSH_NS.fetch_max(ns, Ordering::Relaxed);
-    record_into(&FLUSH_HIST, ns);
+    /// Feeds one completed round's duration to the slow-round tracker, and
+    /// ticks the progress of the pool worker running on this thread, if
+    /// any.
+    pub fn record_round_ns(&self, ns: u64) {
+        self.max_round_ns.fetch_max(ns, Ordering::Relaxed);
+        record_into(&self.round_hist, ns);
+        if let Some(w) = WORKER.with(Cell::get) {
+            self.worker_progress(w);
+        }
+    }
+
+    /// Feeds one journal write/flush duration to the flush-spike tracker.
+    pub fn record_flush_ns(&self, ns: u64) {
+        self.max_flush_ns.fetch_max(ns, Ordering::Relaxed);
+        record_into(&self.flush_hist, ns);
+    }
+
+    /// One watchdog sample over every tracker: each finding goes to
+    /// `emit`.
+    pub(crate) fn sample(&self, emit: &mut dyn FnMut(&HealthRecord)) {
+        // Stalled workers: active across two consecutive samples with no
+        // progress in between.
+        for (w, slot) in self.workers.iter().enumerate() {
+            let active = slot.active.load(Ordering::Relaxed);
+            let progress = slot.progress.load(Ordering::Relaxed);
+            let primed = slot.was_active.swap(active, Ordering::Relaxed);
+            let last = slot.last_progress.swap(progress, Ordering::Relaxed);
+            if active && primed && progress == last {
+                let mut record = HealthRecord::new(HealthKind::StalledWorker);
+                record.worker = Some(w as u64);
+                record.observed_ns = Some(self.interval_ms.saturating_mul(1_000_000));
+                emit(&record);
+            }
+        }
+
+        // Slow rounds: the worst round since the last sample against the
+        // explicit floor, or p99 × SLOW_FACTOR once enough rounds are seen.
+        let worst_round = self.max_round_ns.swap(0, Ordering::Relaxed);
+        if worst_round > 0 {
+            let threshold = self
+                .slow_round_ns
+                .or_else(|| p99_threshold(&self.round_hist));
+            if let Some(threshold) = threshold {
+                if worst_round > threshold {
+                    let mut record = HealthRecord::new(HealthKind::SlowRound);
+                    record.observed_ns = Some(worst_round);
+                    record.threshold_ns = Some(threshold);
+                    emit(&record);
+                }
+            }
+        }
+
+        // Journal flush spikes, same shape (always p99-relative).
+        let worst_flush = self.max_flush_ns.swap(0, Ordering::Relaxed);
+        if worst_flush > 0 {
+            if let Some(threshold) = p99_threshold(&self.flush_hist) {
+                if worst_flush > threshold {
+                    let mut record = HealthRecord::new(HealthKind::FlushSpike);
+                    record.observed_ns = Some(worst_flush);
+                    record.threshold_ns = Some(threshold);
+                    emit(&record);
+                }
+            }
+        }
+    }
 }
 
 /// What went wrong, as sampled by the watchdog.
@@ -191,76 +245,59 @@ impl HealthRecord {
     }
 }
 
-/// Watchdog tuning, resolved from `--watchdog-ms` /
-/// `--watchdog-slow-round-ns` by the pipeline.
-#[derive(Debug, Clone, Copy)]
-pub struct WatchdogConfig {
-    /// Sampling interval in milliseconds (≥ 1).
-    pub interval_ms: u64,
-    /// Explicit slow-round floor in nanoseconds; `None` derives
-    /// p99 × [`SLOW_FACTOR`] from the rounds seen so far.
-    pub slow_round_ns: Option<u64>,
-}
-
-struct Watchdog {
+/// A running monitor thread.
+#[derive(Debug)]
+pub(crate) struct Watchdog {
     stop: Arc<AtomicBool>,
     thread: JoinHandle<()>,
 }
 
-static WATCHDOG: Mutex<Option<Watchdog>> = Mutex::new(None);
-
-fn watchdog_slot() -> std::sync::MutexGuard<'static, Option<Watchdog>> {
-    WATCHDOG.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Starts the monitor thread (replacing any prior one) and resets every
-/// tracker. Called by the pipeline when `--watchdog-ms` is set.
-pub fn start_watchdog(config: WatchdogConfig) {
-    stop_watchdog();
-    for slot in &WORKERS {
-        slot.active.store(false, Ordering::Relaxed);
-        slot.progress.store(0, Ordering::Relaxed);
+impl Watchdog {
+    /// Starts the monitor thread: every `interval_ms` it calls `sample`,
+    /// until [`Watchdog::stop`] or until `sample` returns `false`.
+    pub(crate) fn start(
+        interval_ms: u64,
+        mut sample: impl FnMut() -> bool + Send + 'static,
+    ) -> Self {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop_seen = Arc::clone(&stop);
+        let interval = Duration::from_millis(interval_ms.max(1));
+        let thread = std::thread::Builder::new()
+            .name("cdt-watchdog".to_owned())
+            .spawn(move || loop {
+                // Sleep the interval in small slices so a stop joins
+                // promptly even with a long interval.
+                let mut slept = Duration::ZERO;
+                let mut stopping = stop_seen.load(Ordering::Relaxed);
+                while !stopping && slept < interval {
+                    let slice = (interval - slept).min(Duration::from_millis(20));
+                    std::thread::sleep(slice);
+                    slept += slice;
+                    stopping = stop_seen.load(Ordering::Relaxed);
+                }
+                if !sample() || stopping {
+                    return;
+                }
+            })
+            .expect("spawn watchdog thread");
+        Self { stop, thread }
     }
-    MAX_ROUND_NS.store(0, Ordering::Relaxed);
-    MAX_FLUSH_NS.store(0, Ordering::Relaxed);
-    *ROUND_HIST.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    *FLUSH_HIST.lock().unwrap_or_else(|e| e.into_inner()) = None;
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_seen = Arc::clone(&stop);
-    ACTIVE.store(true, Ordering::Relaxed);
-    let thread = std::thread::Builder::new()
-        .name("cdt-watchdog".to_owned())
-        .spawn(move || monitor(&config, &stop_seen))
-        .expect("spawn watchdog thread");
-    *watchdog_slot() = Some(Watchdog { stop, thread });
-}
-
-/// Stops and joins the monitor thread (idempotent). The thread takes one
-/// final sample on the way out, so short runs still surface their events.
-pub fn stop_watchdog() {
-    let Some(watchdog) = watchdog_slot().take() else {
-        return;
-    };
-    watchdog.stop.store(true, Ordering::Relaxed);
-    let _ = watchdog.thread.join();
-    ACTIVE.store(false, Ordering::Relaxed);
-}
-
-fn emit(record: &HealthRecord) {
-    metrics::global().add_counter(
-        "cdt_obs_health_events_total",
-        &[("kind", record.kind.as_str())],
-        1,
-    );
-    crate::pipeline::publish_health(record);
+    /// Stops the monitor thread. The thread takes one final sample on the
+    /// way out, so short runs still surface their events; it is joined
+    /// unless this is the monitor thread itself.
+    pub(crate) fn stop(self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if self.thread.thread().id() != std::thread::current().id() {
+            let _ = self.thread.join();
+        }
+    }
 }
 
 /// p99 × [`SLOW_FACTOR`] over `hist`, floored; `None` below
 /// [`MIN_SAMPLES`] (not enough history to call anything an outlier).
-fn p99_threshold(hist: &Mutex<Option<LatencyHistogram>>) -> Option<u64> {
-    let slot = hist.lock().unwrap_or_else(|e| e.into_inner());
-    let hist = slot.as_ref()?;
+fn p99_threshold(hist: &Mutex<LatencyHistogram>) -> Option<u64> {
+    let hist = hist.lock().unwrap_or_else(|e| e.into_inner());
     if hist.count() < MIN_SAMPLES {
         return None;
     }
@@ -273,94 +310,28 @@ fn p99_threshold(hist: &Mutex<Option<LatencyHistogram>>) -> Option<u64> {
     Some(((p99 as f64 * SLOW_FACTOR) as u64).max(MIN_THRESHOLD_NS))
 }
 
-/// One watchdog sample over every tracker.
-fn sample(
-    config: &WatchdogConfig,
-    last_progress: &mut [u64; MAX_WORKERS],
-    primed: &mut [bool; MAX_WORKERS],
-) {
-    // Stalled workers: active across two consecutive samples with no
-    // progress in between.
-    for (w, slot) in WORKERS.iter().enumerate() {
-        let active = slot.active.load(Ordering::Relaxed);
-        let progress = slot.progress.load(Ordering::Relaxed);
-        if active && primed[w] && progress == last_progress[w] {
-            let mut record = HealthRecord::new(HealthKind::StalledWorker);
-            record.worker = Some(w as u64);
-            record.observed_ns = Some(config.interval_ms.saturating_mul(1_000_000));
-            emit(&record);
-        }
-        primed[w] = active;
-        last_progress[w] = progress;
-    }
-
-    // Slow rounds: the worst round since the last sample against the
-    // explicit floor, or p99 × SLOW_FACTOR once enough rounds are seen.
-    let worst_round = MAX_ROUND_NS.swap(0, Ordering::Relaxed);
-    if worst_round > 0 {
-        let threshold = config.slow_round_ns.or_else(|| p99_threshold(&ROUND_HIST));
-        if let Some(threshold) = threshold {
-            if worst_round > threshold {
-                let mut record = HealthRecord::new(HealthKind::SlowRound);
-                record.observed_ns = Some(worst_round);
-                record.threshold_ns = Some(threshold);
-                emit(&record);
-            }
-        }
-    }
-
-    // Journal flush spikes, same shape (always p99-relative).
-    let worst_flush = MAX_FLUSH_NS.swap(0, Ordering::Relaxed);
-    if worst_flush > 0 {
-        if let Some(threshold) = p99_threshold(&FLUSH_HIST) {
-            if worst_flush > threshold {
-                let mut record = HealthRecord::new(HealthKind::FlushSpike);
-                record.observed_ns = Some(worst_flush);
-                record.threshold_ns = Some(threshold);
-                emit(&record);
-            }
-        }
-    }
-}
-
-fn monitor(config: &WatchdogConfig, stop: &AtomicBool) {
-    let interval = Duration::from_millis(config.interval_ms.max(1));
-    let mut last_progress = [0u64; MAX_WORKERS];
-    let mut primed = [false; MAX_WORKERS];
-    loop {
-        // Sleep the interval in small slices so stop_watchdog joins
-        // promptly even with a long interval.
-        let mut slept = Duration::ZERO;
-        let mut stopping = stop.load(Ordering::Relaxed);
-        while !stopping && slept < interval {
-            let slice = (interval - slept).min(Duration::from_millis(20));
-            std::thread::sleep(slice);
-            slept += slice;
-            stopping = stop.load(Ordering::Relaxed);
-        }
-        sample(config, &mut last_progress, &mut primed);
-        if stopping {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::tests::keys_of;
+    use crate::pipeline::{ObsConfig, Session};
     use cdt_types::json::{from_str, to_string};
 
-    // Watchdog state (trackers, the global registry, the monitor slot) is
-    // process-wide; serialize the tests that exercise it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    /// A session whose watchdog samples every `interval_ms`.
+    fn watched(interval_ms: u64, slow_round_ns: Option<u64>) -> Session {
+        Session::start(ObsConfig {
+            watchdog_ms: Some(interval_ms),
+            slow_round_ns,
+            ..ObsConfig::default()
+        })
+        .unwrap()
     }
 
-    fn health_count(kind: &str) -> u64 {
-        metrics::global().counter_value("cdt_obs_health_events_total", &[("kind", kind)])
+    fn health_count(session: &Session, kind: &str) -> u64 {
+        session
+            .registry()
+            .unwrap()
+            .counter_value("cdt_obs_health_events_total", &[("kind", kind)])
     }
 
     #[test]
@@ -388,81 +359,64 @@ mod tests {
 
     #[test]
     fn explicit_slow_round_floor_fires_on_first_sample() {
-        let _guard = lock();
-        let before = health_count("slow_round");
-        start_watchdog(WatchdogConfig {
-            interval_ms: 5,
-            slow_round_ns: Some(1),
-        });
-        record_round_ns(10_000);
+        let session = watched(5, Some(1));
+        session.health().unwrap().record_round_ns(10_000);
         // The final stop-time sample sees the round even if no interval
-        // elapsed.
-        stop_watchdog();
-        assert!(health_count("slow_round") > before);
+        // elapsed; later samples see no new round.
+        session.finish().unwrap();
+        assert_eq!(health_count(&session, "slow_round"), 1);
     }
 
     #[test]
     fn stalled_worker_needs_two_quiet_samples() {
-        let _guard = lock();
-        let before = health_count("stalled_worker");
-        start_watchdog(WatchdogConfig {
-            interval_ms: 5,
-            slow_round_ns: None,
-        });
-        worker_begin(0);
+        let session = watched(5, None);
+        let health = session.health().unwrap();
+        health.worker_begin(0);
         // Two full intervals with no progress: the first sample primes,
         // a later one fires.
         std::thread::sleep(Duration::from_millis(40));
-        worker_end(0);
-        stop_watchdog();
-        assert!(health_count("stalled_worker") > before);
+        health.worker_end(0);
+        session.finish().unwrap();
+        assert!(health_count(&session, "stalled_worker") > 0);
     }
 
     #[test]
     fn advancing_worker_never_reports_stalled() {
-        let _guard = lock();
-        let before = health_count("stalled_worker");
-        start_watchdog(WatchdogConfig {
-            interval_ms: 10,
-            slow_round_ns: None,
-        });
-        worker_begin(1);
+        let session = watched(10, None);
+        let health = session.health().unwrap();
+        health.worker_begin(1);
         for _ in 0..8 {
-            worker_progress(1);
+            health.worker_progress(1);
             std::thread::sleep(Duration::from_millis(5));
         }
-        worker_end(1);
-        stop_watchdog();
-        assert_eq!(health_count("stalled_worker"), before);
+        health.worker_end(1);
+        session.finish().unwrap();
+        assert_eq!(health_count(&session, "stalled_worker"), 0);
     }
 
     #[test]
     fn worker_completing_rounds_never_reports_stalled() {
-        let _guard = lock();
-        let before = health_count("stalled_worker");
-        start_watchdog(WatchdogConfig {
-            interval_ms: 10,
-            slow_round_ns: None,
-        });
+        let session = watched(10, None);
+        let health = session.health().unwrap();
         // A pool worker's thread: its rounds, not its claims, are the
         // heartbeat, over at least 4 sampling intervals.
-        std::thread::spawn(|| {
-            worker_begin(2);
-            for _ in 0..12 {
-                record_round_ns(1_000);
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            worker_end(2);
-        })
-        .join()
-        .unwrap();
-        stop_watchdog();
-        assert_eq!(health_count("stalled_worker"), before);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                health.worker_begin(2);
+                for _ in 0..12 {
+                    health.record_round_ns(1_000);
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                health.worker_end(2);
+            });
+        });
+        session.finish().unwrap();
+        assert_eq!(health_count(&session, "stalled_worker"), 0);
     }
 
     #[test]
     fn p99_threshold_needs_history() {
-        let hist = Mutex::new(None);
+        let hist = Mutex::new(LatencyHistogram::new());
         assert_eq!(p99_threshold(&hist), None);
         for _ in 0..MIN_SAMPLES {
             record_into(&hist, 1_000);
@@ -473,16 +427,20 @@ mod tests {
 
     #[test]
     fn out_of_range_worker_indices_are_ignored() {
-        worker_begin(MAX_WORKERS + 5);
-        worker_progress(MAX_WORKERS + 5);
-        worker_end(MAX_WORKERS + 5);
+        let health = Health::new(1, None);
+        health.worker_begin(MAX_WORKERS + 5);
+        health.worker_progress(MAX_WORKERS + 5);
+        health.worker_end(MAX_WORKERS + 5);
     }
 
     #[test]
     fn stop_is_idempotent() {
-        let _guard = lock();
-        stop_watchdog();
-        stop_watchdog();
-        assert!(!watchdog_active());
+        let session = watched(5, Some(1));
+        session.finish().unwrap();
+        session.finish().unwrap();
+        // Stopped for good: a slow round after the stop is never sampled.
+        session.health().unwrap().record_round_ns(10_000);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(health_count(&session, "slow_round"), 0);
     }
 }

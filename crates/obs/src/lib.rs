@@ -12,20 +12,23 @@
 //!   engine state: results are bit-for-bit identical with sinks on or off,
 //!   at any thread count.
 //! - **Batch, then publish.** Per-run observers ([`PipelineObserver`]) and
-//!   pool workers accumulate locally and publish to the global
-//!   [`MetricsRegistry`] / JSONL sink once, bounding lock contention.
+//!   pool workers accumulate locally and publish to their session's
+//!   [`MetricsRegistry`] once, and write trace lines to its JSONL sink in
+//!   bounded batches, bounding both lock contention and memory.
 //! - **No new dependencies.** Histograms reuse `cdt_aggregate`'s fixed
 //!   bucketing through a log₂ mapping; trace lines go through the
 //!   workspace codec `cdt_types::json` (layouts in [`codec`]).
 //!
 //! # Wiring
 //!
-//! The `cdt` binary calls [`install`] with an [`ObsConfig`] built
-//! from `--obs-events`/`--metrics-out`/`--obs-summary`; evaluation loops ask
-//! [`observer_for_run`] for a per-run observer and hand it to the
-//! instrumented engine entry points (`execute_round_observed_into`,
-//! `run_policy_observed`). With no pipeline installed everything stays on
-//! the null path.
+//! Nothing here is process-global. Each `cdt` command starts one
+//! [`Session`] from an [`ObsConfig`] built from its `--obs-*` flags, and
+//! passes it down with its run configuration: a session owns its JSONL
+//! sink, metrics registry, trace id, warn-once set and watchdog. Evaluation
+//! jobs ask [`Session::observer_for_run`] for a per-run observer and hand
+//! it to the instrumented engine entry points
+//! (`execute_round_observed_into`, `run_policy_observed`). A disabled
+//! session (the default) keeps everything on the null path.
 
 pub mod analyze;
 pub mod codec;
@@ -50,17 +53,14 @@ pub use event::{
     SelectionEvent,
 };
 pub use flame::{critical_paths, render_critical_path, render_flame, SpanSet};
-pub use health::{HealthKind, HealthRecord, WatchdogConfig};
+pub use health::{Health, HealthKind, HealthRecord};
 pub use latency::LatencyHistogram;
-pub use metrics::{global, Metric, MetricKey, MetricsRegistry};
-pub use pipeline::{
-    active_trace, flush, install, is_enabled, observer_for_run, publish_health, publish_spans,
-    spans_enabled, summary_requested, uninstall, ObsConfig, PipelineObserver,
-};
+pub use metrics::{Metric, MetricKey, MetricsRegistry};
+pub use pipeline::{ObsConfig, PipelineObserver, Session, SpanBuffer, BATCH_BYTES};
 pub use prometheus::render;
 pub use record::{EventRecord, RecordingObserver};
 pub use sink::JsonlSink;
 pub use span::{SpanId, SpanRecord, TraceId};
 pub use summary::render_summary;
 pub use timing::{PhaseTimer, PhaseTotals};
-pub use warn::warn_once;
+pub use warn::Warnings;

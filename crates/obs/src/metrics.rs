@@ -1,5 +1,6 @@
-//! A process-wide metrics registry: counters, gauges, and log-bucketed
-//! latency histograms, keyed by `(family, labels)`.
+//! A metrics registry: counters, gauges, and log-bucketed latency
+//! histograms, keyed by `(family, labels)`. Each observability session
+//! ([`crate::Session`]) owns one.
 //!
 //! The registry is deliberately tiny — a mutex around a sorted map — because
 //! every hot path batches locally and publishes once (per worker, per run),
@@ -57,7 +58,7 @@ pub enum Metric {
 }
 
 /// A threadsafe registry of named metrics.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
     inner: Mutex<BTreeMap<MetricKey, Metric>>,
 }
@@ -65,10 +66,8 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// An empty registry.
     #[must_use]
-    pub const fn new() -> Self {
-        Self {
-            inner: Mutex::new(BTreeMap::new()),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<MetricKey, Metric>> {
@@ -92,19 +91,6 @@ impl MetricsRegistry {
     pub fn set_gauge(&self, family: &str, labels: &[(&str, &str)], value: f64) {
         let key = MetricKey::new(family, labels);
         self.lock().insert(key, Metric::Gauge(value));
-    }
-
-    /// Records one latency observation into a histogram (creating it).
-    pub fn observe_ns(&self, family: &str, labels: &[(&str, &str)], ns: u64) {
-        let key = MetricKey::new(family, labels);
-        let mut map = self.lock();
-        match map
-            .entry(key)
-            .or_insert_with(|| Metric::Histogram(LatencyHistogram::new()))
-        {
-            Metric::Histogram(h) => h.record_ns(ns),
-            other => debug_assert!(false, "{family} is not a histogram: {other:?}"),
-        }
     }
 
     /// Merges a locally accumulated histogram into a registry histogram —
@@ -141,26 +127,6 @@ impl MetricsRegistry {
             _ => 0,
         }
     }
-
-    /// Clears every metric (tests and fresh CLI runs).
-    pub fn reset(&self) {
-        self.lock().clear();
-    }
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The process-wide registry all instrumentation publishes into.
-static GLOBAL: MetricsRegistry = MetricsRegistry::new();
-
-/// The process-wide metrics registry.
-#[must_use]
-pub fn global() -> &'static MetricsRegistry {
-    &GLOBAL
 }
 
 #[cfg(test)]
@@ -199,30 +165,30 @@ mod tests {
     #[test]
     fn histograms_record_and_merge() {
         let r = MetricsRegistry::new();
-        r.observe_ns("lat", &[], 1_000);
         let mut local = LatencyHistogram::new();
+        local.record_ns(1_000);
+        r.merge_histogram("lat", &[], &local);
         local.record_ns(2_000);
         local.record_ns(3_000);
         r.merge_histogram("lat", &[], &local);
         match &r.snapshot()[0].1 {
             Metric::Histogram(h) => {
-                assert_eq!(h.count(), 3);
-                assert_eq!(h.sum_ns(), 6_000);
+                assert_eq!(h.count(), 4);
+                assert_eq!(h.sum_ns(), 7_000);
             }
             other => panic!("expected histogram, got {other:?}"),
         }
     }
 
     #[test]
-    fn snapshot_is_sorted_and_reset_clears() {
+    fn snapshot_is_sorted() {
         let r = MetricsRegistry::new();
+        assert!(r.snapshot().is_empty());
         r.add_counter("b_total", &[], 1);
         r.add_counter("a_total", &[], 1);
         let snap = r.snapshot();
         assert_eq!(snap[0].0.family, "a_total");
         assert_eq!(snap[1].0.family, "b_total");
-        r.reset();
-        assert!(r.snapshot().is_empty());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! It takes any [`Codec`] value, so one `--obs-events` file carries
 //! [`crate::EventRecord`] round events, [`crate::SpanRecord`] spans, and
 //! [`crate::HealthRecord`] watchdog lines side by side. It is shared across
-//! worker threads through a mutex; contention stays low because observers
-//! batch records locally and write per run, not per event.
+//! worker threads through a mutex; contention stays low because producers
+//! encode lines locally and write them in batches, not per event.
 
 use cdt_types::json::Codec;
 use std::fs::File;
@@ -41,17 +41,13 @@ impl JsonlSink {
         self.lock().write_all(&line)
     }
 
-    /// Writes a batch of records under a single lock acquisition.
-    pub fn write_batch<T: Codec>(&self, records: &[T]) -> io::Result<()> {
-        if records.is_empty() {
+    /// Writes lines a producer already encoded, under a single lock
+    /// acquisition.
+    pub fn write_lines(&self, lines: &[u8]) -> io::Result<()> {
+        if lines.is_empty() {
             return Ok(());
         }
-        let mut buf = Vec::with_capacity(records.len() * 128);
-        for record in records {
-            record.encode(&mut buf);
-            buf.push(b'\n');
-        }
-        self.lock().write_all(&buf)
+        self.lock().write_all(lines)
     }
 
     /// Flushes buffered lines to the file.
@@ -112,15 +108,18 @@ mod tests {
     fn batch_writes_every_record() {
         let path = temp_path("batch");
         let sink = JsonlSink::create(&path).unwrap();
-        let batch: Vec<EventRecord> = (0..5)
-            .map(|round| EventRecord::Observation {
+        let mut batch = Vec::new();
+        for round in 0..5 {
+            let record = EventRecord::Observation {
                 run: "b".into(),
                 round,
                 observed_revenue: round as f64,
                 samples: 2,
-            })
-            .collect();
-        sink.write_batch(&batch).unwrap();
+            };
+            record.encode(&mut batch);
+            batch.push(b'\n');
+        }
+        sink.write_lines(&batch).unwrap();
         sink.flush().unwrap();
         let text = fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 5);

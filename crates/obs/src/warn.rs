@@ -1,35 +1,35 @@
 //! One-time warnings, counted in the metrics registry.
 //!
-//! `warn_once(kind, message)` always increments
-//! `cdt_obs_warnings_total{kind=...}` but prints the message to stderr only
-//! the first time that `kind` fires in the process — configuration mistakes
-//! (an unparseable `CDT_THREADS`, say) surface exactly once instead of
-//! spamming every parallel fan-out, while the counter still shows how often
-//! the bad path was hit.
+//! [`Warnings::warn`] always increments `cdt_obs_warnings_total{kind=...}`
+//! but prints the message to stderr only the first time that `kind` fires
+//! in its session — configuration mistakes (an unparseable `CDT_THREADS`,
+//! say) surface exactly once, while the counter still shows how often the
+//! bad path was hit.
 
-use crate::metrics;
+use crate::metrics::MetricsRegistry;
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
-static SEEN: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-
-/// Counts a warning under `kind`; prints `message` only on `kind`'s first
-/// occurrence. Returns `true` when the message was printed.
-pub fn warn_once(kind: &'static str, message: &str) -> bool {
-    metrics::global().add_counter("cdt_obs_warnings_total", &[("kind", kind)], 1);
-    let mut seen = SEEN.lock().unwrap_or_else(|e| e.into_inner());
-    if seen.insert(kind) {
-        eprintln!("warning: {message}");
-        true
-    } else {
-        false
-    }
+/// The warning kinds one session has already printed.
+#[derive(Debug, Default)]
+pub struct Warnings {
+    seen: Mutex<BTreeSet<String>>,
 }
 
-/// Forgets which kinds already warned (tests only).
-#[doc(hidden)]
-pub fn reset_warnings_for_test() {
-    SEEN.lock().unwrap_or_else(|e| e.into_inner()).clear();
+impl Warnings {
+    /// Counts a warning under `kind` in `registry`; prints `message` only
+    /// on `kind`'s first occurrence. Returns `true` when the message was
+    /// printed.
+    pub fn warn(&self, registry: &MetricsRegistry, kind: &str, message: &str) -> bool {
+        registry.add_counter("cdt_obs_warnings_total", &[("kind", kind)], 1);
+        let mut seen = self.seen.lock().unwrap_or_else(|e| e.into_inner());
+        if seen.contains(kind) {
+            return false;
+        }
+        seen.insert(kind.to_owned());
+        eprintln!("warning: {message}");
+        true
+    }
 }
 
 #[cfg(test)]
@@ -38,13 +38,12 @@ mod tests {
 
     #[test]
     fn prints_once_but_counts_every_time() {
-        reset_warnings_for_test();
+        let (warnings, registry) = (Warnings::default(), MetricsRegistry::new());
         let kind = "warn-unit-test";
-        let before = metrics::global().counter_value("cdt_obs_warnings_total", &[("kind", kind)]);
-        assert!(warn_once(kind, "first"));
-        assert!(!warn_once(kind, "second"));
-        assert!(!warn_once(kind, "third"));
-        let after = metrics::global().counter_value("cdt_obs_warnings_total", &[("kind", kind)]);
-        assert_eq!(after - before, 3);
+        assert!(warnings.warn(&registry, kind, "first"));
+        assert!(!warnings.warn(&registry, kind, "second"));
+        assert!(!warnings.warn(&registry, kind, "third"));
+        let count = registry.counter_value("cdt_obs_warnings_total", &[("kind", kind)]);
+        assert_eq!(count, 3);
     }
 }

@@ -604,6 +604,7 @@ mod tests {
     use super::*;
     use crate::journal::{JournalSink, RotationConfig};
     use crate::segment::{checkpoint_path, compact_journal, index_path, segment_path};
+    use cdt_obs::Session;
     use cdt_types::check::{check, check_all};
     use cdt_types::json::{self, to_string};
     use cdt_types::SimRng;
@@ -802,7 +803,7 @@ mod tests {
     fn write_seeded_journal(base: &std::path::Path, seed: u64, rounds: usize) {
         let mut rng = SimRng::new(seed);
         let rotation = Some(RotationConfig { segment_rounds: 3 });
-        let mut sink = JournalSink::create_with(base, rotation).unwrap();
+        let mut sink = JournalSink::create_with(base, rotation, &Session::disabled()).unwrap();
         let job = JobSpec::new(3, rounds, 10.0)
             .unwrap()
             .with_description(text(&mut rng));
@@ -839,7 +840,7 @@ mod tests {
         }
         sink.append(&MarketEvent::JobCompleted { rounds }).unwrap();
         sink.finish().unwrap();
-        compact_journal(base, 2).unwrap();
+        compact_journal(base, 2, &Session::disabled()).unwrap();
     }
 
     /// Every line of `text` re-encodes to itself through `T`.

@@ -21,8 +21,10 @@
 //! Like every obs sink, the journal batches its metrics locally and
 //! publishes once (`cdt_obs_protocol_events_total`,
 //! `cdt_obs_protocol_settled_rounds`, `cdt_obs_protocol_violations_total`,
-//! and the `cdt_obs_journal_write_ns` latency histogram) when the
-//! observability pipeline is installed.
+//! and the `cdt_obs_journal_write_ns` latency histogram) to the
+//! observability session it was created with, when that session is
+//! enabled; its `journal_write` spans go to the session's sink in bounded
+//! batches.
 //!
 //! Under rotation ([`JournalSink::create_with`] with a [`RotationConfig`])
 //! the sink streams into `<path>.seg-NNNN.partial` instead, seals a
@@ -36,8 +38,10 @@ use crate::codec;
 use crate::event::MarketEvent;
 use crate::segment::{self, SegmentEntry};
 use crate::state::{ProtocolError, ProtocolState};
+use cdt_obs::span::now_ns;
 use cdt_obs::{
-    EquilibriumEvent, LatencyHistogram, ObservationEvent, RoundObserver, SelectionEvent,
+    EquilibriumEvent, LatencyHistogram, ObservationEvent, RoundObserver, SelectionEvent, Session,
+    SpanBuffer, SpanRecord,
 };
 use cdt_types::json::Codec as _;
 use cdt_types::{JobSpec, Round, SellerId};
@@ -177,9 +181,11 @@ pub struct JournalSink {
     /// The line being written, reused across events.
     line: Vec<u8>,
     write_ns: LatencyHistogram,
-    /// Buffered `journal_write`/`journal_flush` spans (span tracing only);
-    /// published alongside the metrics so the sink stays single-writer.
-    spans: Vec<cdt_obs::SpanRecord>,
+    /// Where the metrics, spans and flush latencies go.
+    obs: Session,
+    /// `journal_write`/`journal_flush` spans (span tracing only), written
+    /// to the session's sink in batches.
+    spans: SpanBuffer,
     renamed: bool,
     published_metrics: bool,
     /// `Some` when the sink rotates into `<path>.seg-NNNN` segments.
@@ -202,12 +208,12 @@ impl JournalSink {
     /// recoverable `<path>.partial` at the target, or the I/O error when
     /// the partial file cannot be created.
     pub fn create(path: impl AsRef<Path>) -> Result<Self, JournalError> {
-        Self::create_with(path, None)
+        Self::create_with(path, None, &Session::disabled())
     }
 
     /// Opens a streaming journal targeting `path`, optionally rotating
     /// into `<path>.seg-NNNN` segments every `rotation.segment_rounds`
-    /// settled rounds (see the [module docs](self)).
+    /// settled rounds (see the [module docs](self)), reporting to `obs`.
     ///
     /// # Errors
     /// Returns [`JournalError::StaleArtifact`] when a previous run's
@@ -218,6 +224,7 @@ impl JournalSink {
     pub fn create_with(
         path: impl AsRef<Path>,
         rotation: Option<RotationConfig>,
+        obs: &Session,
     ) -> Result<Self, JournalError> {
         let final_path = path.as_ref().to_path_buf();
         let (partial_path, rotation) = match rotation {
@@ -259,7 +266,8 @@ impl JournalSink {
             violations: 0,
             line: Vec::new(),
             write_ns: LatencyHistogram::new(),
-            spans: Vec::new(),
+            obs: obs.clone(),
+            spans: obs.span_buffer(),
             renamed: false,
             published_metrics: false,
             rotation,
@@ -311,11 +319,10 @@ impl JournalSink {
                 rot.segment_settled += 1;
             }
         }
-        let span_start = cdt_obs::active_trace().map(|trace| (trace, cdt_obs::span::now_ns()));
-        // Only the obs pipeline (the write histogram) and the watchdog
-        // (flush latency) read the write time, so only they pay for it.
-        let watchdog = cdt_obs::health::watchdog_active();
-        let start = (watchdog || cdt_obs::is_enabled()).then(Instant::now);
+        let span_start = self.obs.trace().map(|trace| (trace, now_ns()));
+        // Only an enabled session (the write histogram, the watchdog's
+        // flush latency) reads the write time, so only it pays for it.
+        let start = self.obs.is_enabled().then(Instant::now);
         self.writer.write_all(&self.line)?;
         let flushed = event.is_settlement_boundary();
         if flushed {
@@ -325,8 +332,8 @@ impl JournalSink {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             self.write_ns.record_ns(ns);
             // Settlement-boundary appends are the flush latency signal.
-            if flushed && watchdog {
-                cdt_obs::health::record_flush_ns(ns);
+            if let Some(health) = self.obs.health().filter(|_| flushed) {
+                health.record_flush_ns(ns);
             }
         }
         if flushed {
@@ -337,18 +344,18 @@ impl JournalSink {
                 let parent = round_scope
                     .map(|(id, _)| id)
                     .or_else(cdt_obs::span::current_scope);
-                let mut record = cdt_obs::SpanRecord::new(
+                let mut record = SpanRecord::new(
                     trace,
                     cdt_obs::span::next_span_id(),
                     parent,
                     "journal_write",
                     start_ns,
-                    cdt_obs::span::now_ns().saturating_sub(start_ns),
+                    now_ns().saturating_sub(start_ns),
                 );
                 if let Some((_, round)) = round_scope {
                     record = record.with_round(round);
                 }
-                self.spans.push(record);
+                self.spans.push(&record);
             }
         }
         self.events += 1;
@@ -418,7 +425,7 @@ impl JournalSink {
     /// Returns the I/O error on flush or rename failure (the partial file
     /// is left in place for recovery).
     pub fn finish(mut self) -> Result<JournalReport, JournalError> {
-        let span_start = cdt_obs::active_trace().map(|trace| (trace, cdt_obs::span::now_ns()));
+        let span_start = self.obs.trace().map(|trace| (trace, now_ns()));
         let start = Instant::now();
         if self.rotation.is_some() {
             // Seal the tail segment (possibly short) and leave the index
@@ -432,19 +439,17 @@ impl JournalSink {
             std::fs::rename(&self.partial_path, &self.final_path)?;
         }
         self.renamed = true;
-        if cdt_obs::health::watchdog_active() {
-            cdt_obs::health::record_flush_ns(
-                u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
+        if let Some(health) = self.obs.health() {
+            health.record_flush_ns(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
         if let Some((trace, start_ns)) = span_start {
-            self.spans.push(cdt_obs::SpanRecord::new(
+            self.spans.push(&SpanRecord::new(
                 trace,
                 cdt_obs::span::next_span_id(),
                 cdt_obs::span::current_scope(),
                 "journal_flush",
                 start_ns,
-                cdt_obs::span::now_ns().saturating_sub(start_ns),
+                now_ns().saturating_sub(start_ns),
             ));
         }
         self.publish_metrics();
@@ -457,17 +462,16 @@ impl JournalSink {
         })
     }
 
-    /// Publishes the locally batched protocol metrics to the global
-    /// registry, once, if the obs pipeline is installed.
+    /// Publishes the locally batched protocol metrics, and the spans not
+    /// yet written, to the session, once, if it is enabled.
     fn publish_metrics(&mut self) {
         if self.published_metrics {
             return;
         }
         self.published_metrics = true;
-        if !cdt_obs::is_enabled() {
+        let Some(registry) = self.obs.registry() else {
             return;
-        }
-        let registry = cdt_obs::global();
+        };
         registry.add_counter("cdt_obs_protocol_events_total", &[], self.events);
         registry.add_counter(
             "cdt_obs_protocol_settled_rounds",
@@ -485,10 +489,7 @@ impl JournalSink {
                 registry.add_counter("cdt_obs_journal_segments_total", &[], rot.sealed as u64);
             }
         }
-        if !self.spans.is_empty() {
-            cdt_obs::publish_spans(&self.spans);
-            self.spans.clear();
-        }
+        self.spans.flush();
     }
 }
 
@@ -539,11 +540,11 @@ impl JournalObserver {
     /// # Errors
     /// Propagates sink creation or first-write failures.
     pub fn create(path: impl AsRef<Path>, job: JobSpec) -> Result<Self, JournalError> {
-        Self::create_with(path, job, None)
+        Self::create_with(path, job, None, &Session::disabled())
     }
 
     /// Like [`JournalObserver::create`], but with optional segment
-    /// rotation (see [`JournalSink::create_with`]).
+    /// rotation, reporting to `obs` (see [`JournalSink::create_with`]).
     ///
     /// # Errors
     /// Propagates sink creation or first-write failures.
@@ -551,8 +552,9 @@ impl JournalObserver {
         path: impl AsRef<Path>,
         job: JobSpec,
         rotation: Option<RotationConfig>,
+        obs: &Session,
     ) -> Result<Self, JournalError> {
-        let mut sink = JournalSink::create_with(path, rotation)?;
+        let mut sink = JournalSink::create_with(path, rotation, obs)?;
         sink.append(&MarketEvent::JobPublished { job })?;
         Ok(Self {
             sink,
@@ -785,19 +787,31 @@ mod tests {
     #[test]
     fn rotation_refuses_stray_artifacts_and_zero_threshold() {
         let path = temp_journal("stray");
-        let err = JournalSink::create_with(&path, Some(RotationConfig { segment_rounds: 0 }))
-            .unwrap_err();
+        let err = JournalSink::create_with(
+            &path,
+            Some(RotationConfig { segment_rounds: 0 }),
+            &Session::disabled(),
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("at least 1"), "{err}");
         let stray = crate::segment::segment_path(&path, 3);
         std::fs::write(&stray, "old segment\n").unwrap();
-        let err = JournalSink::create_with(&path, Some(RotationConfig { segment_rounds: 2 }))
-            .unwrap_err();
+        let err = JournalSink::create_with(
+            &path,
+            Some(RotationConfig { segment_rounds: 2 }),
+            &Session::disabled(),
+        )
+        .unwrap_err();
         assert!(matches!(err, JournalError::StaleArtifact(_)), "{err}");
         let _ = std::fs::remove_file(&stray);
         // A same-named single-file journal is refused too.
         std::fs::write(&path, "single-file journal\n").unwrap();
-        let err = JournalSink::create_with(&path, Some(RotationConfig { segment_rounds: 2 }))
-            .unwrap_err();
+        let err = JournalSink::create_with(
+            &path,
+            Some(RotationConfig { segment_rounds: 2 }),
+            &Session::disabled(),
+        )
+        .unwrap_err();
         assert!(matches!(err, JournalError::StaleArtifact(ref p) if *p == path));
         let _ = std::fs::remove_file(&path);
     }
@@ -820,8 +834,12 @@ mod tests {
         feed(&mut sink);
         sink.finish().unwrap();
 
-        let mut sink =
-            JournalSink::create_with(&rotated, Some(RotationConfig { segment_rounds: 2 })).unwrap();
+        let mut sink = JournalSink::create_with(
+            &rotated,
+            Some(RotationConfig { segment_rounds: 2 }),
+            &Session::disabled(),
+        )
+        .unwrap();
         feed(&mut sink);
         let report = sink.finish().unwrap();
         assert_eq!(report.events, 27);
@@ -875,8 +893,12 @@ mod tests {
             assert_eq!(written, std::fs::read(index_path(&fresh)).unwrap());
             assert_eq!(written.iter().filter(|&&b| b == b'\n').count(), 1 + seals);
         };
-        let mut sink =
-            JournalSink::create_with(&path, Some(RotationConfig { segment_rounds: 1 })).unwrap();
+        let mut sink = JournalSink::create_with(
+            &path,
+            Some(RotationConfig { segment_rounds: 1 }),
+            &Session::disabled(),
+        )
+        .unwrap();
         sink.append(&job_event()).unwrap();
         for t in 0..6 {
             for e in round_events(t) {
@@ -899,9 +921,12 @@ mod tests {
     fn dropped_rotating_sink_leaves_sealed_segments_and_partial() {
         let path = temp_journal("rot-crash");
         {
-            let mut sink =
-                JournalSink::create_with(&path, Some(RotationConfig { segment_rounds: 1 }))
-                    .unwrap();
+            let mut sink = JournalSink::create_with(
+                &path,
+                Some(RotationConfig { segment_rounds: 1 }),
+                &Session::disabled(),
+            )
+            .unwrap();
             sink.append(&job_event()).unwrap();
             for e in round_events(0) {
                 sink.append(&e).unwrap();

@@ -1292,13 +1292,18 @@ pub struct CompactReport {
 /// replayed (with the `state_after` cross-check) before anything is
 /// written; the new checkpoint lands first, then the index flips
 /// atomically, then the folded segments and the superseded checkpoint are
-/// deleted — so a crash at any point leaves a loadable journal.
+/// deleted — so a crash at any point leaves a loadable journal. An
+/// enabled `obs` session counts the compaction and times it.
 ///
 /// # Errors
 /// Returns [`SegmentError::Corrupt`] when `path` is not a quiescent
 /// segmented journal or any folded segment fails validation, and
 /// [`SegmentError::Io`] on file failures.
-pub fn compact_journal(path: &Path, keep_segments: usize) -> Result<CompactReport, SegmentError> {
+pub fn compact_journal(
+    path: &Path,
+    keep_segments: usize,
+    obs: &cdt_obs::Session,
+) -> Result<CompactReport, SegmentError> {
     if path.is_file() {
         return Err(SegmentError::corrupt(format!(
             "{}: single-file journal (nothing to compact — write it with \
@@ -1392,8 +1397,7 @@ pub fn compact_journal(path: &Path, keep_segments: usize) -> Result<CompactRepor
         generation: ckpt.generation,
         checkpoint_rounds: ckpt.rounds,
     };
-    if cdt_obs::is_enabled() {
-        let registry = cdt_obs::global();
+    if let Some(registry) = obs.registry() {
         registry.add_counter("cdt_obs_journal_compactions_total", &[], 1);
         registry.add_counter(
             "cdt_obs_journal_compacted_rounds_total",

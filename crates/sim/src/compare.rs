@@ -5,6 +5,7 @@
 //! compares algorithms on one data trace.
 
 use crate::cells::{run_cells, CellJob};
+use crate::parallel::RunConfig;
 use crate::policy_spec::PolicySpec;
 use crate::report::Table;
 use crate::runner::RunResult;
@@ -87,9 +88,9 @@ impl ComparisonResult {
 }
 
 /// Runs every policy in `specs` on `scenario`, emitting one [`CellJob`]
-/// per policy onto the pool ([`run_cells`]). Each job owns its seed
-/// (`base_seed + index`), so the result is bit-for-bit identical at any
-/// thread count.
+/// per policy onto the pool ([`run_cells`]) as `cfg` sets it up. Each job
+/// owns its seed (`base_seed + index`), so the result is bit-for-bit
+/// identical at any thread count.
 ///
 /// # Errors
 /// Propagates the first run error encountered (in policy order).
@@ -98,6 +99,7 @@ pub fn compare_policies(
     specs: &[PolicySpec],
     base_seed: u64,
     checkpoints: &[usize],
+    cfg: &RunConfig,
 ) -> Result<ComparisonResult> {
     let jobs: Vec<CellJob> = specs
         .iter()
@@ -108,7 +110,7 @@ pub fn compare_policies(
             seed: base_seed.wrapping_add(j as u64),
         })
         .collect();
-    let runs = run_cells(&jobs, checkpoints)?;
+    let runs = run_cells(&jobs, checkpoints, cfg)?;
     Ok(ComparisonResult { runs })
 }
 
@@ -130,6 +132,7 @@ pub fn compare_policies_grid(
     specs: &[PolicySpec],
     seeds: &[u64],
     checkpoints: &[usize],
+    cfg: &RunConfig,
 ) -> Result<Vec<ComparisonResult>> {
     assert_eq!(scenarios.len(), seeds.len(), "one seed per grid cell");
     let jobs: Vec<CellJob> = scenarios
@@ -143,7 +146,7 @@ pub fn compare_policies_grid(
             })
         })
         .collect();
-    let mut runs = run_cells(&jobs, checkpoints)?.into_iter();
+    let mut runs = run_cells(&jobs, checkpoints, cfg)?.into_iter();
     // Jobs were laid out cell-major, so chunks of specs.len() rebuild the
     // per-cell comparisons in order.
     Ok(scenarios
@@ -159,15 +162,16 @@ mod tests {
     use super::*;
     use cdt_types::SimRng;
 
-    fn scenario() -> Scenario {
+    /// `specs` compared, serially, on one 24-seller scenario.
+    fn compare(specs: &[PolicySpec]) -> ComparisonResult {
         let mut rng = SimRng::new(11);
-        Scenario::paper_defaults(24, 4, 5, 300, &mut rng).unwrap()
+        let s = Scenario::paper_defaults(24, 4, 5, 300, &mut rng).unwrap();
+        compare_policies(&s, specs, 7, &[], &RunConfig::default()).unwrap()
     }
 
     #[test]
     fn paper_ordering_holds_at_test_scale() {
-        let s = scenario();
-        let cmp = compare_policies(&s, &PolicySpec::paper_set(), 7, &[]).unwrap();
+        let cmp = compare(&PolicySpec::paper_set());
         let optimal = cmp.run("optimal").unwrap();
         let cmab = cmp.run("CMAB-HS").unwrap();
         let random = cmp.run("random").unwrap();
@@ -181,8 +185,7 @@ mod tests {
 
     #[test]
     fn delta_metrics_are_nonnegative_for_learners() {
-        let s = scenario();
-        let cmp = compare_policies(&s, &PolicySpec::paper_set(), 7, &[]).unwrap();
+        let cmp = compare(&PolicySpec::paper_set());
         // Learning is never better than clairvoyance on average (up to
         // quality-estimation noise in the game profits; allow tiny slack).
         for name in ["CMAB-HS", "random"] {
@@ -194,16 +197,14 @@ mod tests {
 
     #[test]
     fn missing_optimal_yields_none() {
-        let s = scenario();
-        let cmp = compare_policies(&s, &[PolicySpec::Random], 7, &[]).unwrap();
+        let cmp = compare(&[PolicySpec::Random]);
         assert!(cmp.delta_poc("random").is_none());
         assert!(cmp.optimal().is_none());
     }
 
     #[test]
     fn summary_table_has_one_row_per_policy() {
-        let s = scenario();
-        let cmp = compare_policies(&s, &[PolicySpec::CmabHs, PolicySpec::Random], 7, &[]).unwrap();
+        let cmp = compare(&[PolicySpec::CmabHs, PolicySpec::Random]);
         let t = cmp.summary_table("demo");
         assert_eq!(t.rows.len(), 2);
     }

@@ -21,6 +21,7 @@ pub mod vs_k;
 pub mod vs_m;
 pub mod vs_n;
 
+use crate::parallel::RunConfig;
 use crate::report::Table;
 use crate::settings::SimSettings;
 use cdt_types::Result;
@@ -34,7 +35,8 @@ pub enum Scale {
     Test,
 }
 
-/// Runs one named experiment and returns its tables.
+/// Runs one named experiment and returns its tables; its pooled sweeps
+/// run as `rc` sets them up.
 ///
 /// Known ids: `table2`, `fig7`, `fig8`, `fig9`, `fig10`, `fig11`, `fig12`,
 /// `fig13`, `fig14`, `fig15`, `fig16`, `fig17`, `fig18`, plus the extension
@@ -43,22 +45,22 @@ pub enum Scale {
 ///
 /// # Errors
 /// Returns a config error for unknown ids and propagates run errors.
-pub fn run_experiment(id: &str, scale: Scale) -> Result<Vec<Table>> {
+pub fn run_experiment(id: &str, scale: Scale, rc: &RunConfig) -> Result<Vec<Table>> {
     match id {
         "table2" => Ok(vec![SimSettings::table2()]),
-        "fig7" => Ok(vs_n::run(&vs_n::config(scale))?.figure7()),
-        "fig8" => Ok(vs_n::run(&vs_n::config(scale))?.figure8()),
-        "fig9" => Ok(vs_m::run(&vs_m::config(scale))?.figure9()),
-        "fig10" => Ok(vs_m::run(&vs_m::config(scale))?.figure10()),
-        "fig11" => Ok(vs_k::run(&vs_k::config(scale))?.figure11()),
-        "fig12" => Ok(vs_k::run(&vs_k::config(scale))?.figure12()),
+        "fig7" => Ok(vs_n::run(&vs_n::config(scale), rc)?.figure7()),
+        "fig8" => Ok(vs_n::run(&vs_n::config(scale), rc)?.figure8()),
+        "fig9" => Ok(vs_m::run(&vs_m::config(scale), rc)?.figure9()),
+        "fig10" => Ok(vs_m::run(&vs_m::config(scale), rc)?.figure10()),
+        "fig11" => Ok(vs_k::run(&vs_k::config(scale), rc)?.figure11()),
+        "fig12" => Ok(vs_k::run(&vs_k::config(scale), rc)?.figure12()),
         "fig13" => game_curves::figure13(scale),
         "fig14" => game_curves::figure14(scale),
         "fig15" => param_sweeps::figure15(scale),
         "fig16" => param_sweeps::figure16(scale),
         "fig17" => param_sweeps::figure17(scale),
         "fig18" => param_sweeps::figure18(scale),
-        "nonstat" => nonstationary::run(&nonstationary::config(scale)),
+        "nonstat" => nonstationary::run(&nonstationary::config(scale), rc),
         "replicate" => {
             // Error-bar companion to the single-run figures: the paper's
             // comparison at the default shape, across independent seeds.
@@ -66,15 +68,8 @@ pub fn run_experiment(id: &str, scale: Scale) -> Result<Vec<Table>> {
                 Scale::Paper => (300, 10, 10, 10_000, 10),
                 Scale::Test => (20, 4, 4, 150, 3),
             };
-            let runs = crate::replicate::replicate(
-                m,
-                k,
-                l,
-                n,
-                &crate::policy_spec::PolicySpec::paper_set(),
-                reps,
-                20_210_419,
-            )?;
+            let specs = crate::policy_spec::PolicySpec::paper_set();
+            let runs = crate::replicate::replicate((m, k, l, n), &specs, reps, 20_210_419, rc)?;
             Ok(vec![crate::replicate::replication_table(
                 &format!("Policy comparison, {reps} seeds (M={m}, K={k}, L={l}, N={n})"),
                 &runs,
@@ -114,12 +109,12 @@ mod tests {
 
     #[test]
     fn unknown_id_is_rejected() {
-        assert!(run_experiment("fig99", Scale::Test).is_err());
+        assert!(run_experiment("fig99", Scale::Test, &RunConfig::default()).is_err());
     }
 
     #[test]
     fn table2_runs_instantly() {
-        let tables = run_experiment("table2", Scale::Test).unwrap();
+        let tables = run_experiment("table2", Scale::Test, &RunConfig::default()).unwrap();
         assert_eq!(tables.len(), 1);
     }
 

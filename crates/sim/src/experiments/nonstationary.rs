@@ -9,6 +9,7 @@
 //! per-round true top-K.
 
 use super::Scale;
+use crate::parallel::{parallel_map, RunConfig};
 use crate::report::{Series, Table};
 use cdt_bandit::{CmabUcbPolicy, RandomPolicy, SelectionPolicy, SlidingWindowUcbPolicy};
 use cdt_quality::{DriftModel, DriftingObserver, SellerPopulation};
@@ -142,7 +143,7 @@ impl SelectionPolicy for DynamicOracle<'_> {
 ///
 /// # Errors
 /// Currently infallible; `Result` for registry uniformity.
-pub fn run(cfg: &Config) -> Result<Vec<Table>> {
+pub fn run(cfg: &Config, rc: &RunConfig) -> Result<Vec<Table>> {
     let observer = drifting_observer(cfg);
 
     // Four independent (policy, seed) jobs over the shared drifting truth.
@@ -156,8 +157,7 @@ pub fn run(cfg: &Config) -> Result<Vec<Table>> {
         "random",
     ];
     let jobs: Vec<usize> = (0..names.len()).collect();
-    let threads = crate::parallel::configured_threads();
-    let curves = crate::parallel::parallel_map(&jobs, threads, |_, &i| {
+    let curves = parallel_map(&jobs, rc, |_, &i| {
         let mut policy: Box<dyn SelectionPolicy + '_> = match i {
             0 => Box::new(DynamicOracle {
                 observer: &observer,
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn sw_ucb_beats_stationary_cmab_under_drift() {
         let cfg = config(Scale::Test);
-        let tables = run(&cfg).unwrap();
+        let tables = run(&cfg, &RunConfig::default()).unwrap();
         let t = &tables[0];
         // Columns: rounds, dynamic-optimal, SW-UCB, CMAB-HS, random.
         let sw = col(t, 2);
@@ -238,7 +238,7 @@ mod tests {
         for rep in 0..8 {
             let mut cfg = config(Scale::Test);
             cfg.seed = cdt_types::mix_seed(cfg.seed, rep);
-            let tables = run(&cfg).unwrap();
+            let tables = run(&cfg, &RunConfig::default()).unwrap();
             let t = &tables[0];
             let rounds = col(t, 0);
             let sw = col(t, 2);
@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn dynamic_oracle_has_least_regret() {
         let cfg = config(Scale::Test);
-        let tables = run(&cfg).unwrap();
+        let tables = run(&cfg, &RunConfig::default()).unwrap();
         let t = &tables[0];
         let oracle = col(t, 1);
         for c in 2..=4 {

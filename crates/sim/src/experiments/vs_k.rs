@@ -6,6 +6,7 @@
 
 use super::Scale;
 use crate::compare::{compare_policies_grid, ComparisonResult};
+use crate::parallel::RunConfig;
 use crate::policy_spec::PolicySpec;
 use crate::report::{Series, Table};
 use crate::settings::SimSettings;
@@ -69,7 +70,7 @@ pub struct VsKResult {
 ///
 /// # Errors
 /// Propagates run errors.
-pub fn run(cfg: &Config) -> Result<VsKResult> {
+pub fn run(cfg: &Config, rc: &RunConfig) -> Result<VsKResult> {
     let population = SellerPopulation::generate_paper_defaults(
         cfg.m,
         cdt_core::scenario::DEFAULT_NOISE_SIGMA,
@@ -84,7 +85,7 @@ pub fn run(cfg: &Config) -> Result<VsKResult> {
     let seeds: Vec<u64> = (0..cfg.k_grid.len())
         .map(|i| cfg.seed.wrapping_add(3000 * i as u64))
         .collect();
-    let comparisons = compare_policies_grid(&scenarios, &cfg.policies, &seeds, &[])?;
+    let comparisons = compare_policies_grid(&scenarios, &cfg.policies, &seeds, &[], rc)?;
     Ok(VsKResult {
         k_grid: cfg.k_grid.clone(),
         labels,
@@ -138,7 +139,7 @@ mod tests {
 
     #[test]
     fn revenue_increases_with_k() {
-        let r = run(&config(Scale::Test)).unwrap();
+        let r = run(&config(Scale::Test), &RunConfig::default()).unwrap();
         for label in &r.labels {
             let revs: Vec<f64> = r
                 .comparisons
@@ -156,7 +157,7 @@ mod tests {
     fn per_seller_profit_decreases_with_k() {
         // Fig. 12(c): "average PoS(s) achieved in each round decreases
         // dramatically along with the increase of K".
-        let r = run(&config(Scale::Test)).unwrap();
+        let r = run(&config(Scale::Test), &RunConfig::default()).unwrap();
         let pos: Vec<f64> = r
             .comparisons
             .iter()
@@ -170,7 +171,7 @@ mod tests {
 
     #[test]
     fn regret_grows_with_k_for_learners() {
-        let r = run(&config(Scale::Test)).unwrap();
+        let r = run(&config(Scale::Test), &RunConfig::default()).unwrap();
         let regs: Vec<f64> = r
             .comparisons
             .iter()

@@ -10,6 +10,7 @@
 
 use super::Scale;
 use crate::compare::{compare_policies_grid, ComparisonResult};
+use crate::parallel::RunConfig;
 use crate::policy_spec::PolicySpec;
 use crate::report::{Series, Table};
 use crate::settings::SimSettings;
@@ -73,7 +74,7 @@ pub struct VsMResult {
 ///
 /// # Errors
 /// Propagates run errors.
-pub fn run(cfg: &Config) -> Result<VsMResult> {
+pub fn run(cfg: &Config, rc: &RunConfig) -> Result<VsMResult> {
     let max_m = *cfg.m_grid.iter().max().expect("non-empty grid");
     let master = SellerPopulation::generate_paper_defaults(
         max_m,
@@ -97,7 +98,7 @@ pub fn run(cfg: &Config) -> Result<VsMResult> {
     let seeds: Vec<u64> = (0..cfg.m_grid.len())
         .map(|i| cfg.seed.wrapping_add(2000 * i as u64))
         .collect();
-    let comparisons = compare_policies_grid(&scenarios, &cfg.policies, &seeds, &[])?;
+    let comparisons = compare_policies_grid(&scenarios, &cfg.policies, &seeds, &[], rc)?;
     Ok(VsMResult {
         m_grid: cfg.m_grid.clone(),
         labels,
@@ -172,7 +173,7 @@ mod tests {
 
     #[test]
     fn learners_beat_random_across_m() {
-        let r = run(&config(Scale::Test)).unwrap();
+        let r = run(&config(Scale::Test), &RunConfig::default()).unwrap();
         for c in &r.comparisons {
             assert!(
                 c.run("CMAB-HS").unwrap().expected_revenue
@@ -186,7 +187,7 @@ mod tests {
         // Fig. 9's claim: revenue "keeps stable and grows very slightly"
         // as M increases — the top-K dominates. Allow generous slack at
         // test scale; the point is no order-of-magnitude drift.
-        let r = run(&config(Scale::Test)).unwrap();
+        let r = run(&config(Scale::Test), &RunConfig::default()).unwrap();
         let revs: Vec<f64> = r
             .comparisons
             .iter()
@@ -199,7 +200,7 @@ mod tests {
 
     #[test]
     fn figure_tables_cover_grid() {
-        let r = run(&config(Scale::Test)).unwrap();
+        let r = run(&config(Scale::Test), &RunConfig::default()).unwrap();
         for t in r.figure9().iter().chain(r.figure10().iter()) {
             assert_eq!(t.rows.len(), 3);
         }

@@ -10,6 +10,7 @@
 
 use super::Scale;
 use crate::compare::{compare_policies_grid, ComparisonResult};
+use crate::parallel::RunConfig;
 use crate::policy_spec::PolicySpec;
 use crate::report::{Series, Table};
 use crate::settings::SimSettings;
@@ -74,7 +75,7 @@ pub struct VsNResult {
 ///
 /// # Errors
 /// Propagates run errors.
-pub fn run(cfg: &Config) -> Result<VsNResult> {
+pub fn run(cfg: &Config, rc: &RunConfig) -> Result<VsNResult> {
     // One hidden population shared by every grid point, so curves vary only
     // through the horizon.
     let population = SellerPopulation::generate_paper_defaults(
@@ -91,7 +92,7 @@ pub fn run(cfg: &Config) -> Result<VsNResult> {
     let seeds: Vec<u64> = (0..cfg.n_grid.len())
         .map(|i| cfg.seed.wrapping_add(1000 * i as u64))
         .collect();
-    let comparisons = compare_policies_grid(&scenarios, &cfg.policies, &seeds, &[])?;
+    let comparisons = compare_policies_grid(&scenarios, &cfg.policies, &seeds, &[], rc)?;
     Ok(VsNResult {
         n_grid: cfg.n_grid.clone(),
         labels,
@@ -161,7 +162,7 @@ mod tests {
 
     #[test]
     fn shapes_match_figure7() {
-        let r = run(&config(Scale::Test)).unwrap();
+        let r = run(&config(Scale::Test), &RunConfig::default()).unwrap();
         // Revenue grows with N for every policy.
         for label in &r.labels {
             let revs: Vec<f64> = r
@@ -184,7 +185,7 @@ mod tests {
 
     #[test]
     fn delta_profits_shrink_with_n_for_cmab() {
-        let r = run(&config(Scale::Test)).unwrap();
+        let r = run(&config(Scale::Test), &RunConfig::default()).unwrap();
         let first = r.comparisons.first().unwrap().delta_poc("CMAB-HS").unwrap();
         let last = r.comparisons.last().unwrap().delta_poc("CMAB-HS").unwrap();
         assert!(
@@ -195,7 +196,7 @@ mod tests {
 
     #[test]
     fn tables_have_grid_rows() {
-        let r = run(&config(Scale::Test)).unwrap();
+        let r = run(&config(Scale::Test), &RunConfig::default()).unwrap();
         for t in r.figure7().iter().chain(r.figure8().iter()) {
             assert_eq!(t.rows.len(), 3);
         }

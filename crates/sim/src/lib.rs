@@ -11,21 +11,22 @@
 //!   ([`PolicySpec::CmabHs`], [`PolicySpec::EpsilonFirst`], …);
 //! - [`runner`]: one policy × one scenario → a [`RunResult`] with
 //!   checkpointed revenue/regret/profit series;
-//! - [`parallel`]: the deterministic job pool every fan-out runs on
-//!   (`--threads` / `CDT_THREADS`, the one execution knob; results
-//!   gathered by job index, so output is bit-for-bit identical to the
-//!   serial path);
+//! - [`parallel`]: the deterministic job pool every fan-out runs on, and
+//!   the [`RunConfig`] it takes: its width (`--threads` / `CDT_THREADS`,
+//!   the one execution knob) and the observability session its runs report
+//!   to. Results are gathered by job index, so output is bit-for-bit
+//!   identical to the serial path;
 //! - [`cells`]: a whole sweep grid flattened into one stream of
-//!   [`cells::CellJob`]s on the pool, one [`run_policy`] per job;
+//!   [`cells::CellJob`]s on the pool, one serial run per job;
 //! - [`compare`]: many policies on a common scenario;
 //! - [`report`]: plain-text tables and CSV export;
 //! - [`experiments`]: one module per paper figure (7–18).
 //!
-//! Observability: [`runner::run_policy`] consults the globally installed
-//! `cdt_obs` pipeline, so installing one (`cdt_obs::install`) instruments
-//! every experiment and comparison without changing any signature; the
-//! job pool in [`parallel`] publishes per-worker introspection to the same
-//! registry while a pipeline is active.
+//! Observability: every fan-out takes a [`RunConfig`], and each pool job
+//! asks its `obs` session for an observer of its run; the pool publishes
+//! per-worker introspection to the same session's registry. A disabled
+//! session (the default) keeps every run on the null path, and
+//! [`runner::run_policy`] stays the unobserved serial oracle.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -42,7 +43,7 @@ pub mod settings;
 
 pub use cells::{run_cells, CellJob};
 pub use compare::{compare_policies, compare_policies_grid, ComparisonResult};
-pub use parallel::{configured_threads, parallel_map, set_thread_override, try_parallel_map};
+pub use parallel::{parallel_map, try_parallel_map, RunConfig};
 pub use policy_spec::PolicySpec;
 pub use replicate::{replicate, replication_table, Replicated, ReplicatedRun};
 pub use report::{Series, Table};

@@ -18,82 +18,49 @@
 //! noise, and handing out one job at a time keeps the tail balanced with
 //! no sizing rule (EXPERIMENTS.md, "One dispatcher").
 //!
-//! Thread-count resolution, from most to least specific:
-//!
-//! 1. the process-wide override set by [`set_thread_override`]
-//!    (wired to the `--threads` CLI flag);
-//! 2. the `CDT_THREADS` environment variable;
-//! 3. [`std::thread::available_parallelism`].
-//!
-//! A resolved count of 1 short-circuits to an in-order loop on the calling
-//! thread — exactly today's serial code path, with no worker threads
+//! The pool's width and its observability session arrive in one
+//! [`RunConfig`], built once per command (the `cdt` binary resolves
+//! `--threads`, then `CDT_THREADS`, then the available parallelism) and
+//! passed down. A width of 1 short-circuits to an in-order loop on the
+//! calling thread — exactly the serial code path, with no worker threads
 //! spawned at all.
 
-use cdt_obs::LatencyHistogram;
-use std::num::NonZeroUsize;
+use cdt_obs::{LatencyHistogram, MetricsRegistry, Session, SpanRecord};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Process-wide thread-count override; 0 means "not set".
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the engine's thread count for this process (`Some(n)` with
-/// `n ≥ 1`), or clears the override (`None`) so [`configured_threads`]
-/// falls back to `CDT_THREADS` / the machine's parallelism.
-///
-/// # Panics
-/// Panics on `Some(0)`.
-pub fn set_thread_override(threads: Option<usize>) {
-    if let Some(n) = threads {
-        assert!(n >= 1, "thread count must be at least 1");
-        THREAD_OVERRIDE.store(n, Ordering::Relaxed);
-    } else {
-        THREAD_OVERRIDE.store(0, Ordering::Relaxed);
-    }
+/// How one command runs its evaluation jobs: the pool's width and the
+/// observability session its runs report to. Both knobs are fixed for the
+/// command's lifetime; nothing about them is process-global.
+#[derive(Debug, Clone)]
+pub struct RunConfig {
+    /// Worker threads per fan-out (1 runs the exact serial path).
+    pub threads: usize,
+    /// Where the runs' observers, the pool's introspection and the
+    /// journal's metrics go (disabled: nowhere).
+    pub obs: Session,
 }
 
-/// The number of worker threads evaluation fan-outs will use (override >
-/// `CDT_THREADS` > available parallelism; always ≥ 1).
-#[must_use]
-pub fn configured_threads() -> usize {
-    let overridden = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if overridden != 0 {
-        return overridden;
-    }
-    threads_from_env(std::env::var("CDT_THREADS").ok().as_deref())
-}
-
-/// Resolves `CDT_THREADS` from its raw value (`None` when the variable is
-/// unset). Anything but a positive integer warns once — "ignoring invalid
-/// CDT_THREADS value …" — and falls back to the available parallelism; the
-/// warning counter in the metrics registry ticks on every such resolution.
-fn threads_from_env(raw: Option<&str>) -> usize {
-    let available = || {
-        std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
-    };
-    let Some(raw) = raw else {
-        return available();
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            let fallback = available();
-            cdt_obs::warn_once(
-                "cdt-threads-invalid",
-                &format!(
-                    "ignoring invalid CDT_THREADS value {raw:?} \
-                     (expected a positive integer); using {fallback} thread(s)"
-                ),
-            );
-            fallback
+impl RunConfig {
+    /// `threads` workers, observing nothing.
+    #[must_use]
+    pub fn with_threads(threads: usize) -> Self {
+        Self {
+            threads,
+            obs: Session::disabled(),
         }
     }
 }
 
+impl Default for RunConfig {
+    /// The serial path, observing nothing.
+    fn default() -> Self {
+        Self::with_threads(1)
+    }
+}
+
 /// Per-worker introspection accumulated locally and published to the
-/// global metrics registry once per `parallel_map` call (never per job).
+/// session's metrics registry once per `parallel_map` call (never per job).
 #[derive(Default)]
 struct PoolWorkerStats {
     jobs: u64,
@@ -102,8 +69,7 @@ struct PoolWorkerStats {
 }
 
 impl PoolWorkerStats {
-    fn publish(&self, worker: usize, wall_ns: u64) {
-        let registry = cdt_obs::global();
+    fn publish(&self, registry: &MetricsRegistry, worker: usize, wall_ns: u64) {
         let label = worker.to_string();
         let labels: [(&str, &str); 1] = [("worker", &label)];
         registry.add_counter("cdt_obs_pool_worker_jobs_total", &labels, self.jobs);
@@ -117,21 +83,23 @@ impl PoolWorkerStats {
     }
 }
 
-/// Maps `f` over `items` on up to `threads` worker threads, returning the
-/// results **in item order** — bit-for-bit identical to the serial
+/// Maps `f` over `items` on up to `cfg.threads` worker threads, returning
+/// the results **in item order** — bit-for-bit identical to the serial
 /// `items.iter().enumerate().map(..)` as long as each job is a pure
-/// function of `(index, item)`.
+/// function of `(index, item)`. While `cfg.obs` is enabled the pool
+/// publishes per-worker introspection (and, with span tracing, `pool` and
+/// `chunk` spans) to it.
 ///
-/// `threads <= 1` (or fewer than two items) runs the exact serial path on
-/// the calling thread. A panic in any job is propagated to the caller.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+/// `cfg.threads <= 1` (or fewer than two items) runs the exact serial path
+/// on the calling thread. A panic in any job is propagated to the caller.
+pub fn parallel_map<T, R, F>(items: &[T], cfg: &RunConfig, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
     let n = items.len();
-    if threads <= 1 || n <= 1 {
+    if cfg.threads <= 1 || n <= 1 {
         return items
             .iter()
             .enumerate()
@@ -139,20 +107,19 @@ where
             .collect();
     }
 
-    let workers = threads.min(n);
+    let workers = cfg.threads.min(n);
     let cursor = AtomicUsize::new(0);
-    // One relaxed atomic load per parallel_map call; all per-job
-    // instrumentation below is gated behind this local bool, so the
-    // uninstrumented path pays a predictable branch and nothing else.
-    let instrument = cdt_obs::is_enabled();
-    if instrument {
-        cdt_obs::global().set_gauge("cdt_obs_pool_threads", &[], workers as f64);
+    // All per-job instrumentation below is gated behind this local: the
+    // unobserved path pays a predictable branch and nothing else.
+    let registry = cfg.obs.registry();
+    if let Some(registry) = registry {
+        registry.set_gauge("cdt_obs_pool_threads", &[], workers as f64);
     }
     // With span tracing on, the whole fan-out gets one `pool` span
     // (parented to the caller's scope), and each claim a `chunk` span under
     // it. A worker enters its claim's span while the job runs, so the run
     // span a job creates is the child of its chunk.
-    let pool_span = cdt_obs::active_trace().map(|trace| {
+    let pool_span = cfg.obs.trace().map(|trace| {
         (
             trace,
             cdt_obs::span::next_span_id(),
@@ -163,7 +130,7 @@ where
     // Watchdog liveness: workers register their slot, and every round a
     // job completes on the worker's thread ticks it (passive, atomics
     // only; results unchanged).
-    let watch = cdt_obs::health::watchdog_active();
+    let health = cfg.obs.health();
     let mut gathered: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -173,11 +140,11 @@ where
                 let pool_span = &pool_span;
                 scope.spawn(move || {
                     let mut local = Vec::new();
-                    let worker_start = instrument.then(Instant::now);
+                    let worker_start = registry.map(|_| Instant::now());
                     let mut stats = PoolWorkerStats::default();
-                    let mut chunk_spans: Vec<cdt_obs::SpanRecord> = Vec::new();
-                    if watch {
-                        cdt_obs::health::worker_begin(w);
+                    let mut chunk_spans = cfg.obs.span_buffer();
+                    if let Some(health) = health {
+                        health.worker_begin(w);
                     }
                     loop {
                         // The claim's `chunk` span (id, start) opens before
@@ -189,7 +156,7 @@ where
                         let Some(item) = items.get(i) else {
                             break;
                         };
-                        if !instrument {
+                        if registry.is_none() {
                             local.push((i, f(i, item)));
                             continue;
                         }
@@ -207,7 +174,7 @@ where
                             (pool_span.as_ref(), chunk)
                         {
                             chunk_spans.push(
-                                cdt_obs::SpanRecord::new(
+                                &SpanRecord::new(
                                     trace,
                                     id,
                                     Some(pool_id),
@@ -219,15 +186,13 @@ where
                             );
                         }
                     }
-                    if watch {
-                        cdt_obs::health::worker_end(w);
+                    if let Some(health) = health {
+                        health.worker_end(w);
                     }
-                    if !chunk_spans.is_empty() {
-                        cdt_obs::publish_spans(&chunk_spans);
-                    }
-                    if let Some(start) = worker_start {
+                    chunk_spans.flush();
+                    if let (Some(registry), Some(start)) = (registry, worker_start) {
                         let wall = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        stats.publish(w, wall);
+                        stats.publish(registry, w, wall);
                     }
                     local
                 })
@@ -241,14 +206,14 @@ where
         }
     });
     if let Some((trace, id, parent, start_ns)) = pool_span {
-        cdt_obs::publish_spans(&[cdt_obs::SpanRecord::new(
+        cfg.obs.span_buffer().push(&SpanRecord::new(
             trace,
             id,
             parent,
             "pool",
             start_ns,
             cdt_obs::span::now_ns().saturating_sub(start_ns),
-        )]);
+        ));
     }
 
     // Place results by job index so scheduling order never matters.
@@ -267,19 +232,23 @@ where
 ///
 /// # Errors
 /// Returns the error of the lowest-indexed failing job.
-pub fn try_parallel_map<T, R, F, E>(items: &[T], threads: usize, f: F) -> Result<Vec<R>, E>
+pub fn try_parallel_map<T, R, F, E>(items: &[T], cfg: &RunConfig, f: F) -> Result<Vec<R>, E>
 where
     T: Sync,
     R: Send,
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    parallel_map(items, threads, f).into_iter().collect()
+    parallel_map(items, cfg, f).into_iter().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn pool(threads: usize) -> RunConfig {
+        RunConfig::with_threads(threads)
+    }
 
     #[test]
     fn matches_serial_in_order() {
@@ -290,7 +259,7 @@ mod tests {
             .map(|(i, x)| i * 1000 + x * x)
             .collect();
         for threads in [1, 2, 4, 16] {
-            let par = parallel_map(&items, threads, |i, &x| i * 1000 + x * x);
+            let par = parallel_map(&items, &pool(threads), |i, &x| i * 1000 + x * x);
             assert_eq!(par, serial, "threads = {threads}");
         }
     }
@@ -298,21 +267,28 @@ mod tests {
     #[test]
     fn more_threads_than_items() {
         let items = [7usize, 8];
-        assert_eq!(parallel_map(&items, 64, |_, &x| x + 1), vec![8, 9]);
+        assert_eq!(parallel_map(&items, &pool(64), |_, &x| x + 1), vec![8, 9]);
     }
 
     #[test]
     fn empty_and_single_item() {
         let empty: [usize; 0] = [];
-        assert!(parallel_map(&empty, 8, |_, &x| x).is_empty());
-        assert_eq!(parallel_map(&[42usize], 8, |i, &x| (i, x)), vec![(0, 42)]);
+        assert!(parallel_map(&empty, &pool(8), |_, &x| x).is_empty());
+        assert_eq!(
+            parallel_map(&[42usize], &pool(8), |i, &x| (i, x)),
+            vec![(0, 42)]
+        );
     }
 
     #[test]
     fn try_variant_returns_lowest_index_error() {
         let items: Vec<usize> = (0..50).collect();
         let res: Result<Vec<usize>, usize> =
-            try_parallel_map(&items, 4, |i, &x| if x % 10 == 3 { Err(i) } else { Ok(x) });
+            try_parallel_map(
+                &items,
+                &pool(4),
+                |i, &x| if x % 10 == 3 { Err(i) } else { Ok(x) },
+            );
         assert_eq!(
             res.unwrap_err(),
             3,
@@ -323,14 +299,14 @@ mod tests {
     #[test]
     fn try_variant_collects_all_oks() {
         let items: Vec<usize> = (0..20).collect();
-        let res: Result<Vec<usize>, ()> = try_parallel_map(&items, 4, |_, &x| Ok(x * 2));
+        let res: Result<Vec<usize>, ()> = try_parallel_map(&items, &pool(4), |_, &x| Ok(x * 2));
         assert_eq!(res.unwrap(), (0..20).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn job_panics_propagate() {
         let result = std::panic::catch_unwind(|| {
-            parallel_map(&[1usize, 2, 3], 2, |_, &x| {
+            parallel_map(&[1usize, 2, 3], &pool(2), |_, &x| {
                 assert!(x != 2, "boom");
                 x
             })
@@ -338,62 +314,29 @@ mod tests {
         assert!(result.is_err());
     }
 
-    // The observability pipeline is process-wide; serialize the tests that
-    // install one so neither uninstalls it under the other's pool call.
-    static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    /// Sums a per-worker pool counter over workers `0..4`.
-    fn pool_counter(name: &str) -> u64 {
-        (0..4)
-            .map(|w| cdt_obs::global().counter_value(name, &[("worker", &w.to_string())]))
-            .sum()
-    }
-
     #[test]
     fn pool_metrics_appear_when_pipeline_installed() {
-        let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // The pool publishes per-worker stats only while a pipeline is
-        // installed; results stay identical either way.
+        // The pool publishes per-worker stats only to an enabled session;
+        // results stay identical either way.
         let items: Vec<u64> = (0..40).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
+        assert_eq!(parallel_map(&items, &pool(4), |_, &x| x * 3), expect);
 
-        cdt_obs::uninstall();
-        assert_eq!(parallel_map(&items, 4, |_, &x| x * 3), expect);
-
-        cdt_obs::install(cdt_obs::ObsConfig::default()).unwrap();
-        let before = pool_counter("cdt_obs_pool_worker_jobs_total");
-        assert_eq!(parallel_map(&items, 4, |_, &x| x * 3), expect);
-        let after = pool_counter("cdt_obs_pool_worker_jobs_total");
-        cdt_obs::uninstall();
-        // ≥, not ==: other tests in this binary may drive the pool (and the
-        // global registry) concurrently.
-        assert!(after - before >= items.len() as u64, "{before} -> {after}");
-    }
-
-    #[test]
-    fn override_takes_precedence_and_clears() {
-        // This test owns the global thread override for its duration;
-        // other tests here never set it.
-        set_thread_override(Some(3));
-        assert_eq!(configured_threads(), 3);
-        set_thread_override(None);
-        assert!(configured_threads() >= 1);
-    }
-
-    #[test]
-    fn cdt_threads_parses_positive_integers_and_warns_once_on_anything_else() {
-        // Unset and rejected values fall back to the available parallelism;
-        // a rejected value also ticks the warning counter (which counts even
-        // without an installed pipeline).
-        let available = threads_from_env(None);
-        assert!(available >= 1);
-        assert_eq!(threads_from_env(Some(" 12 ")), 12);
-        let labels = [("kind", "cdt-threads-invalid")];
-        for invalid in ["0", "wide", ""] {
-            let before = cdt_obs::global().counter_value("cdt_obs_warnings_total", &labels);
-            assert_eq!(threads_from_env(Some(invalid)), available, "{invalid:?}");
-            let after = cdt_obs::global().counter_value("cdt_obs_warnings_total", &labels);
-            assert!(after > before, "{invalid:?}: {before} -> {after}");
-        }
+        let observed = RunConfig {
+            threads: 4,
+            obs: Session::start(cdt_obs::ObsConfig::default()).unwrap(),
+        };
+        assert_eq!(parallel_map(&items, &observed, |_, &x| x * 3), expect);
+        let registry = observed.obs.registry().unwrap();
+        let jobs: u64 = (0..4)
+            .map(|w| {
+                registry.counter_value(
+                    "cdt_obs_pool_worker_jobs_total",
+                    &[("worker", &w.to_string())],
+                )
+            })
+            .sum();
+        // The session is this test's own, so the count is exact.
+        assert_eq!(jobs, items.len() as u64);
     }
 }

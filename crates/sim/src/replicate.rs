@@ -6,6 +6,7 @@
 //! be read with error bars.
 
 use crate::cells::{run_cells, CellJob};
+use crate::parallel::RunConfig;
 use crate::policy_spec::PolicySpec;
 use crate::report::Table;
 use crate::runner::RunResult;
@@ -74,7 +75,7 @@ pub struct ReplicatedRun {
 }
 
 /// Runs each policy `replications` times on freshly generated scenarios of
-/// the same shape (`m`, `k`, `l`, `n`), with both the hidden population
+/// the same `shape` (`M`, `K`, `L`, `N`), with both the hidden population
 /// and the run randomness re-seeded per replication.
 ///
 /// Seeds are derived with [`mix_seed`] (scenario `rep`:
@@ -83,20 +84,18 @@ pub struct ReplicatedRun {
 /// additive `base + rep·7919` / `seed + i + 1` scheme could.
 ///
 /// The (replication × policy) grid is emitted as one [`CellJob`] stream
-/// onto the pool ([`run_cells`]), one pool job per cell. Every job owns its
-/// seed and runs the serial round body, so the result is bit-for-bit
-/// identical at any thread count.
+/// onto the pool ([`run_cells`]) as `cfg` sets it up, one pool job per
+/// cell. Every job owns its seed and runs the serial round body, so the
+/// result is bit-for-bit identical at any thread count.
 ///
 /// # Errors
 /// Propagates scenario-construction and run errors.
 pub fn replicate(
-    m: usize,
-    k: usize,
-    l: usize,
-    n: usize,
+    (m, k, l, n): (usize, usize, usize, usize),
     specs: &[PolicySpec],
     replications: usize,
     base_seed: u64,
+    cfg: &RunConfig,
 ) -> Result<Vec<ReplicatedRun>> {
     // Scenario generation is cheap relative to an N-round run: build all
     // replication scenarios up front, then fan the expensive cells out.
@@ -120,7 +119,7 @@ pub fn replicate(
             });
         }
     }
-    let results: Vec<RunResult> = run_cells(&jobs, &[])?;
+    let results: Vec<RunResult> = run_cells(&jobs, &[], cfg)?;
 
     Ok(specs
         .iter()
@@ -205,16 +204,8 @@ mod tests {
 
     #[test]
     fn replication_orders_policies_consistently() {
-        let runs = replicate(
-            16,
-            4,
-            4,
-            150,
-            &[PolicySpec::Optimal, PolicySpec::CmabHs, PolicySpec::Random],
-            4,
-            99,
-        )
-        .unwrap();
+        let specs = [PolicySpec::Optimal, PolicySpec::CmabHs, PolicySpec::Random];
+        let runs = replicate((16, 4, 4, 150), &specs, 4, 99, &RunConfig::default()).unwrap();
         assert_eq!(runs.len(), 3);
         // Mean ordering must be robust across the replications.
         assert!(runs[0].expected_revenue.mean >= runs[1].expected_revenue.mean);
@@ -228,7 +219,8 @@ mod tests {
 
     #[test]
     fn table_renders_all_policies() {
-        let runs = replicate(10, 3, 3, 60, &[PolicySpec::Random], 2, 5).unwrap();
+        let serial = RunConfig::default();
+        let runs = replicate((10, 3, 3, 60), &[PolicySpec::Random], 2, 5, &serial).unwrap();
         let t = replication_table("replications", &runs);
         assert_eq!(t.rows.len(), 1);
         assert!(t.to_string().contains("random"));

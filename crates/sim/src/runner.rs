@@ -1,5 +1,7 @@
 //! Runs one policy through the full trading loop against a scenario,
-//! with checkpointed metric series.
+//! with checkpointed metric series. [`run_policy`] is the unobserved
+//! serial oracle; pool jobs ([`crate::run_cells`]) call
+//! [`run_policy_observed`] with their session's observer.
 
 use crate::policy_spec::PolicySpec;
 use cdt_bandit::RegretAccountant;
@@ -57,7 +59,8 @@ impl RunResult {
 }
 
 /// Runs `spec` on `scenario` for the configured horizon with its own
-/// RNG stream derived from `seed`.
+/// RNG stream derived from `seed`: the plain serial loop, never observed,
+/// and the oracle every pooled or observed run must match bit for bit.
 ///
 /// `checkpoints` is a sorted list of round counts at which to snapshot the
 /// cumulative metrics (useful to read one long run as a "revenue vs N"
@@ -72,20 +75,6 @@ pub fn run_policy(
     seed: u64,
     checkpoints: &[usize],
 ) -> Result<RunResult> {
-    // One choke point for observability: every experiment, replication grid,
-    // and CLI command funnels through here, so consulting the globally
-    // installed pipeline in this one place instruments them all. With no
-    // pipeline installed this is a single relaxed atomic load and the run
-    // proceeds on the statically disabled NullObserver path. With span
-    // tracing on, the pipeline observer returned here also synthesizes the
-    // causal `run` → `round` → phase span tree for this run (parented to
-    // whatever pool scope is active on this thread).
-    if cdt_obs::is_enabled() {
-        let label = format!("{}/seed{seed}", spec.label());
-        if let Some(mut obs) = cdt_obs::observer_for_run(&label) {
-            return run_policy_observed(scenario, spec, seed, checkpoints, &mut obs);
-        }
-    }
     run_policy_observed(scenario, spec, seed, checkpoints, &mut NullObserver)
 }
 

@@ -10,7 +10,7 @@
 
 use cdt_bandit::{gap_statistics, theoretical_regret_bound};
 use cdt_core::Scenario;
-use cdt_sim::{compare_policies, PolicySpec};
+use cdt_sim::{compare_policies, PolicySpec, RunConfig};
 use cdt_types::SimRng;
 
 fn main() -> cdt_types::Result<()> {
@@ -26,7 +26,15 @@ fn main() -> cdt_types::Result<()> {
         PolicySpec::EpsilonGreedy(0.1),
     ]);
 
-    let cmp = compare_policies(&scenario, &specs, 99, &[])?;
+    // One pool job per policy, on every core.
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cmp = compare_policies(
+        &scenario,
+        &specs,
+        99,
+        &[],
+        &RunConfig::with_threads(threads),
+    )?;
     println!("{}", cmp.summary_table("policy comparison"));
 
     // --- Theorem 19: Reg = O(M K^3 ln(NKL)). ---

@@ -1,7 +1,8 @@
 //! End-to-end tests of the `cdt` binary: each test runs it as a child
-//! process, so exit codes, stdout and stderr are checked as a user sees
-//! them, and no test shares the process-wide observability pipeline.
+//! process, so exit codes, stdout, stderr and the files it writes are
+//! checked as a user sees them.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
@@ -129,13 +130,12 @@ fn repro_prints_the_table_header_and_csv_paths() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Blanks what differs between two runs of one command: a repro header
-/// `=== id (N tables, T) ===` loses its timing, and a `[csv written to
-/// PATH]` line keeps only the file name, as `mask.sed` does for
-/// `regen.sh` and `ci.sh`.
-fn mask(stdout: &str) -> String {
-    stdout
-        .split_inclusive('\n')
+/// Blanks what differs between two runs of one command, as `mask.sed`
+/// does for `regen.sh` and `ci.sh`: a repro header `=== id (N tables, T)
+/// ===` loses its timing, a `[csv written to PATH]` line keeps only the
+/// file name, and every `"…_ns":N` value is blanked.
+fn mask(text: &str) -> String {
+    text.split_inclusive('\n')
         .map(|line| {
             let (body, newline) = line.strip_suffix('\n').map_or((line, ""), |b| (b, "\n"));
             if let Some(path) = body
@@ -150,15 +150,44 @@ fn mask(stdout: &str) -> String {
                     return format!("{}) ==={newline}", &body[..comma]);
                 }
             }
-            line.to_string()
+            let mut masked = String::with_capacity(line.len());
+            let mut rest = line;
+            while let Some(at) = rest.find("_ns\":") {
+                let (head, tail) = rest.split_at(at + "_ns\":".len());
+                masked.push_str(head);
+                rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+            }
+            masked.push_str(rest);
+            masked
         })
         .collect()
 }
 
+/// Every file under `root`, by path relative to it, with its bytes.
+fn files_under(root: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
+        for entry in entries {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                files.insert(path.strip_prefix(root).unwrap().to_path_buf(), bytes);
+            }
+        }
+    }
+    files
+}
+
 /// The byte-identity check of every output-preserving change: each line
 /// of `tests/fixtures/cli/commands.txt` runs the binary, and its masked
-/// stdout (plus every CSV a `--csv DIR` run writes) must equal the golden
-/// files that `regen.sh` wrote beside it.
+/// stdout, plus every file it creates or changes in its working
+/// directory, must equal the goldens that `regen.sh` wrote beside it.
 #[test]
 fn cli_outputs_match_their_goldens() {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/cli");
@@ -171,12 +200,20 @@ fn cli_outputs_match_their_goldens() {
             (words.next().unwrap(), words.collect())
         })
         .collect();
-    assert!(commands.len() >= 6, "{list}");
+    assert!(commands.len() >= 20, "{list}");
+    let mut scenes = Vec::new();
     for (i, (golden, args)) in commands.iter().enumerate() {
         let shown = format!("cdt {}", args.join(" "));
-        let dir = temp_path(&format!("golden_{i}"));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = match golden.split_once('/') {
+            Some((scene, _)) => temp_path(&format!("golden_scene_{scene}")),
+            None => temp_path(&format!("golden_{i}")),
+        };
+        if !scenes.contains(&dir) {
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).unwrap();
+            scenes.push(dir.clone());
+        }
+        let before = files_under(&dir);
         let out = Command::new(env!("CARGO_BIN_EXE_cdt"))
             .args(args)
             .current_dir(&dir)
@@ -189,26 +226,26 @@ fn cli_outputs_match_their_goldens() {
             expected,
             "{shown} differs from {golden}"
         );
-        if let Some(csv) = args.windows(2).find(|w| w[0] == "--csv").map(|w| w[1]) {
-            let names = |root: &Path| {
-                let mut names: Vec<_> = std::fs::read_dir(root)
-                    .unwrap()
-                    .map(|entry| entry.unwrap().file_name())
-                    .collect();
-                names.sort();
-                names
-            };
-            let (written, pinned) = (dir.join(csv), fixtures.join(csv));
-            assert_eq!(names(&written), names(&pinned), "{shown}: csv files");
-            for name in names(&pinned) {
-                assert!(
-                    std::fs::read(written.join(&name)).unwrap()
-                        == std::fs::read(pinned.join(&name)).unwrap(),
-                    "{shown}: {} differs from its golden",
-                    name.to_string_lossy()
-                );
-            }
+        let written: BTreeMap<PathBuf, Vec<u8>> = files_under(&dir)
+            .into_iter()
+            .filter(|(path, bytes)| before.get(path) != Some(bytes))
+            .collect();
+        let pinned = files_under(&fixtures.join(golden.strip_suffix(".txt").unwrap()));
+        assert_eq!(
+            written.keys().collect::<Vec<_>>(),
+            pinned.keys().collect::<Vec<_>>(),
+            "{shown}: the files it writes"
+        );
+        for (path, bytes) in &written {
+            assert_eq!(
+                mask(&String::from_utf8_lossy(bytes)),
+                String::from_utf8_lossy(&pinned[path]),
+                "{shown}: {} differs from its golden",
+                path.display()
+            );
         }
+    }
+    for dir in scenes {
         std::fs::remove_dir_all(&dir).ok();
     }
 }

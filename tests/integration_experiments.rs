@@ -3,11 +3,17 @@
 
 use cdt_sim::experiments::{all_experiment_ids, run_experiment, Scale};
 use cdt_sim::report::Cell;
+use cdt_sim::RunConfig;
+
+/// A two-worker pool; every table is identical at any width.
+fn pool() -> RunConfig {
+    RunConfig::with_threads(2)
+}
 
 #[test]
 fn every_experiment_runs_at_test_scale() {
     for id in all_experiment_ids() {
-        let tables = run_experiment(id, Scale::Test)
+        let tables = run_experiment(id, Scale::Test, &pool())
             .unwrap_or_else(|e| panic!("experiment {id} failed: {e}"));
         assert!(!tables.is_empty(), "{id} produced no tables");
         for t in &tables {
@@ -27,7 +33,7 @@ fn every_experiment_runs_at_test_scale() {
 
 #[test]
 fn experiments_export_csv() {
-    let tables = run_experiment("fig13", Scale::Test).unwrap();
+    let tables = run_experiment("fig13", Scale::Test, &pool()).unwrap();
     for t in &tables {
         let csv = t.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
@@ -60,14 +66,14 @@ fn figure_ids_map_to_expected_table_counts() {
         ("replicate", 1),
     ];
     for (id, n) in expect {
-        let tables = run_experiment(id, Scale::Test).unwrap();
+        let tables = run_experiment(id, Scale::Test, &pool()).unwrap();
         assert_eq!(tables.len(), n, "{id} table count");
     }
 }
 
 #[test]
 fn experiment_reruns_are_deterministic() {
-    let a = run_experiment("fig11", Scale::Test).unwrap();
-    let b = run_experiment("fig11", Scale::Test).unwrap();
+    let a = run_experiment("fig11", Scale::Test, &pool()).unwrap();
+    let b = run_experiment("fig11", Scale::Test, &pool()).unwrap();
     assert_eq!(a, b);
 }

@@ -14,6 +14,7 @@
 //!    the journal.
 
 use cdt_core::{BudgetedCmabHs, CmabHs, LedgerMode, Scenario, StopReason};
+use cdt_obs::{ObsConfig, Session};
 use cdt_protocol::{
     events_for_round, recover_json_lines, EventLog, JournalObserver, JournalSink, MarketEvent,
 };
@@ -94,8 +95,7 @@ fn streamed_journal_is_byte_identical_to_buffered_path() {
 fn journal_bytes_identical_with_spans_and_watchdog() {
     let (seed, m, k, n) = (42, 14, 3, 50);
 
-    // Reference journal: no observability pipeline installed at all.
-    cdt_obs::uninstall();
+    // Reference journal: observed by nothing.
     let path_off = temp_path("spans_off");
     let mut rng = SimRng::new(seed);
     let s = Scenario::paper_defaults(m, k, 4, n, &mut rng).unwrap();
@@ -106,34 +106,34 @@ fn journal_bytes_identical_with_spans_and_watchdog() {
         .unwrap();
     journal.finish().unwrap();
 
-    // Same seed with span tracing and the watchdog on: spans and health
+    // Same seed with span tracing and the watchdog on, the journal riding
+    // beside the run's observer as `cdt run` pairs them: spans and health
     // records go to their own events file, so the journal bytes — and the
     // ledger — must be bit-for-bit identical to the untraced run.
     let events = temp_path("spans_events");
     let path_on = temp_path("spans_on");
-    cdt_obs::global().reset();
-    cdt_obs::install(cdt_obs::ObsConfig {
+    let session = Session::start(ObsConfig {
         events_path: Some(events.clone()),
         spans: true,
         watchdog_ms: Some(1),
-        ..cdt_obs::ObsConfig::default()
+        ..ObsConfig::default()
     })
     .unwrap();
     let mut rng2 = SimRng::new(seed);
     let s2 = Scenario::paper_defaults(m, k, 4, n, &mut rng2).unwrap();
     let mut mech2 = CmabHs::new(s2.config.clone()).unwrap();
-    let mut journal2 = JournalObserver::create(&path_on, s2.config.job.clone()).unwrap();
+    let journal2 =
+        JournalObserver::create_with(&path_on, s2.config.job.clone(), None, &session).unwrap();
+    let mut pair = (journal2, session.observer_for_run("cmab-hs").unwrap());
     let ledger_on = mech2
-        .run_with_mode_observed(
-            &s2.observer(),
-            &mut rng2,
-            LedgerMode::Summary,
-            &mut journal2,
-        )
+        .run_with_mode_observed(&s2.observer(), &mut rng2, LedgerMode::Summary, &mut pair)
         .unwrap();
+    let (journal2, observer) = pair;
+    drop(observer);
     journal2.finish().unwrap();
-    cdt_obs::flush().unwrap();
-    cdt_obs::uninstall();
+    session.finish().unwrap();
+    let traced = std::fs::read_to_string(&events).unwrap();
+    assert!(traced.contains(r#""name":"journal_write""#), "{traced}");
 
     assert_eq!(ledger_off, ledger_on, "spans+watchdog changed the ledger");
     let bytes_off = std::fs::read(&path_off).unwrap();

@@ -2,9 +2,10 @@
 //!
 //! Three guarantees are pinned here:
 //!
-//! 1. **Passivity** — recording every event (in memory or through the
-//!    installed pipeline) leaves `RunResult` / `ReplicatedRun` bit-for-bit
-//!    identical to the uninstrumented null path, at any thread count.
+//! 1. **Passivity** — recording every event (in memory or through an
+//!    observability session) leaves `RunResult` / `ReplicatedRun`
+//!    bit-for-bit identical to the uninstrumented null path, at any thread
+//!    count.
 //! 2. **Schema stability** — the JSONL trace written by the sink carries
 //!    exactly the documented key set per event type (the golden schema),
 //!    and every line of a committed trace (`tests/fixtures/obs_golden.jsonl`)
@@ -14,16 +15,11 @@
 //!    measured wall clock of the run that produced them.
 
 use cdt_core::Scenario;
-use cdt_obs::{EventRecord, ObsConfig, RecordingObserver, TraceLine};
-use cdt_sim::{replicate, run_policy, run_policy_observed, set_thread_override, PolicySpec};
+use cdt_obs::{EventRecord, ObsConfig, RecordingObserver, Session, TraceLine};
+use cdt_sim::{replicate, run_policy, run_policy_observed, PolicySpec, RunConfig};
 use cdt_types::json::{self, Reader};
 use cdt_types::SimRng;
 use std::collections::BTreeSet;
-use std::sync::Mutex;
-
-/// The observability pipeline and the thread override are process-global;
-/// serialize every test that touches either.
-static GLOBAL_STATE_LOCK: Mutex<()> = Mutex::new(());
 
 fn scenario(seed: u64, m: usize, k: usize, n: usize) -> Scenario {
     let mut rng = SimRng::new(seed);
@@ -37,8 +33,6 @@ fn temp_path(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn recording_observer_is_bit_identical_to_null_path() {
-    let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    cdt_obs::uninstall();
     let s = scenario(42, 16, 3, 100);
     let spec = PolicySpec::paper_set()[0];
 
@@ -54,28 +48,21 @@ fn recording_observer_is_bit_identical_to_null_path() {
 
 #[test]
 fn installed_pipeline_leaves_replication_bit_identical() {
-    let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    cdt_obs::uninstall();
     let specs = PolicySpec::paper_set();
+    let baseline = replicate((12, 3, 3, 60), &specs, 2, 99, &RunConfig::default()).unwrap();
 
-    set_thread_override(Some(1));
-    let baseline = replicate(12, 3, 3, 60, &specs, 2, 99).unwrap();
-
-    // Same workload, pipeline on, four workers: still identical.
+    // Same workload, session on, four workers: still identical.
     let events = temp_path("replicate");
-    cdt_obs::global().reset();
-    cdt_obs::install(ObsConfig {
-        events_path: Some(events.clone()),
-        summary: false,
-        events_sample: 0,
-        ..ObsConfig::default()
-    })
-    .unwrap();
-    set_thread_override(Some(4));
-    let instrumented = replicate(12, 3, 3, 60, &specs, 2, 99).unwrap();
-    set_thread_override(None);
-    cdt_obs::flush().unwrap();
-    cdt_obs::uninstall();
+    let observed = RunConfig {
+        threads: 4,
+        obs: Session::start(ObsConfig {
+            events_path: Some(events.clone()),
+            ..ObsConfig::default()
+        })
+        .unwrap(),
+    };
+    let instrumented = replicate((12, 3, 3, 60), &specs, 2, 99, &observed).unwrap();
+    observed.obs.finish().unwrap();
 
     assert_eq!(
         baseline, instrumented,
@@ -88,21 +75,17 @@ fn installed_pipeline_leaves_replication_bit_identical() {
 
 #[test]
 fn jsonl_trace_matches_golden_schema() {
-    let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    cdt_obs::uninstall();
     let events = temp_path("golden");
-    cdt_obs::global().reset();
-    cdt_obs::install(ObsConfig {
+    let session = Session::start(ObsConfig {
         events_path: Some(events.clone()),
-        summary: false,
-        events_sample: 0,
         ..ObsConfig::default()
     })
     .unwrap();
     let s = scenario(5, 12, 3, 20);
-    run_policy(&s, PolicySpec::paper_set()[0], 3, &[]).unwrap();
-    cdt_obs::flush().unwrap();
-    cdt_obs::uninstall();
+    let mut obs = session.observer_for_run("golden").unwrap();
+    run_policy_observed(&s, PolicySpec::paper_set()[0], 3, &[], &mut obs).unwrap();
+    drop(obs);
+    session.finish().unwrap();
 
     let golden: &[(&str, &[&str])] = &[
         ("round_start", &["event", "run", "round"]),
@@ -247,8 +230,6 @@ fn golden_trace_reencodes_byte_for_byte_and_summarizes_cleanly() {
 
 #[test]
 fn phase_laps_nest_inside_run_wall_clock() {
-    let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    cdt_obs::uninstall();
     let s = scenario(9, 14, 3, 50);
     let mut rec = RecordingObserver::new("timing");
     let started = std::time::Instant::now();
@@ -277,15 +258,18 @@ fn phase_laps_nest_inside_run_wall_clock() {
 
 #[test]
 fn prometheus_dump_covers_rounds_phases_and_pool() {
-    let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    cdt_obs::uninstall();
-    cdt_obs::global().reset();
-    cdt_obs::install(ObsConfig::default()).unwrap();
-    set_thread_override(Some(2));
-    replicate(10, 3, 3, 40, &PolicySpec::paper_set(), 2, 17).unwrap();
-    set_thread_override(None);
-    let dump = cdt_obs::render(cdt_obs::global());
-    cdt_obs::uninstall();
+    let observed = RunConfig {
+        threads: 2,
+        obs: Session::start(ObsConfig::default()).unwrap(),
+    };
+    let specs = PolicySpec::paper_set();
+    replicate((10, 3, 3, 40), &specs, 2, 17, &observed).unwrap();
+    let registry = observed.obs.registry().unwrap();
+    // The session is this test's own, so its counts are exact: 2
+    // replications of every policy, 40 rounds each.
+    let rounds = registry.counter_value("cdt_obs_rounds_total", &[]);
+    assert_eq!(rounds, 2 * specs.len() as u64 * 40);
+    let dump = cdt_obs::render(registry);
 
     for family in [
         "cdt_obs_rounds_total",

@@ -3,8 +3,13 @@
 
 use cdt_bandit::{gap_statistics, theoretical_regret_bound};
 use cdt_core::Scenario;
-use cdt_sim::{compare_policies, run_policy, PolicySpec};
+use cdt_sim::{compare_policies, run_policy, PolicySpec, RunConfig};
 use cdt_types::SimRng;
+
+/// A two-worker pool: one job per policy, results identical to serial.
+fn pool() -> RunConfig {
+    RunConfig::with_threads(2)
+}
 
 fn scenario(m: usize, k: usize, l: usize, n: usize, seed: u64) -> Scenario {
     let mut rng = SimRng::new(seed);
@@ -15,7 +20,7 @@ fn scenario(m: usize, k: usize, l: usize, n: usize, seed: u64) -> Scenario {
 fn paper_regret_ordering() {
     // Fig. 7(b): optimal ≈ 0 < CMAB-HS ≤ 0.1-first < 0.5-first < random.
     let s = scenario(30, 5, 5, 800, 1);
-    let cmp = compare_policies(&s, &PolicySpec::paper_set(), 17, &[]).unwrap();
+    let cmp = compare_policies(&s, &PolicySpec::paper_set(), 17, &[], &pool()).unwrap();
     let reg = |name: &str| cmp.run(name).unwrap().regret;
     assert!(reg("optimal").abs() < 1e-9);
     assert!(reg("CMAB-HS") < reg("0.5-first"), "CMAB vs 0.5-first");
@@ -69,7 +74,7 @@ fn theorem19_bound_holds() {
 fn revenue_identity_holds_for_all_policies() {
     // expected_revenue + regret == optimal revenue, for every policy.
     let s = scenario(25, 5, 4, 400, 5);
-    let cmp = compare_policies(&s, &PolicySpec::paper_set(), 23, &[]).unwrap();
+    let cmp = compare_policies(&s, &PolicySpec::paper_set(), 23, &[], &pool()).unwrap();
     let opt_rev = cmp.run("optimal").unwrap().expected_revenue;
     for r in &cmp.runs {
         let identity = r.expected_revenue + r.regret - opt_rev;
@@ -107,6 +112,7 @@ fn extension_policies_also_learn() {
         ],
         31,
         &[],
+        &pool(),
     )
     .unwrap();
     let random = cmp.run("random").unwrap().regret;

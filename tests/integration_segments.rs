@@ -17,6 +17,7 @@
 //!    (`tests/fixtures/golden.jsonl.*`) still verifies, seeks, and
 //!    re-encodes byte for byte.
 
+use cdt_obs::Session;
 use cdt_protocol::segment::{
     checkpoint_path, index_path, segment_partial_path, segment_path, Checkpoint, JournalIndex,
 };
@@ -71,7 +72,7 @@ fn round_events(t: usize) -> Vec<MarketEvent> {
 
 /// Writes a complete journal of `rounds` settled rounds at `path`.
 fn write_journal(path: &Path, rounds: usize, rotation: Option<RotationConfig>) -> JournalReport {
-    let mut sink = JournalSink::create_with(path, rotation).unwrap();
+    let mut sink = JournalSink::create_with(path, rotation, &Session::disabled()).unwrap();
     sink.append(&job_event()).unwrap();
     for t in 0..rounds {
         for e in round_events(t) {
@@ -85,7 +86,12 @@ fn write_journal(path: &Path, rounds: usize, rotation: Option<RotationConfig>) -
 /// Writes a segmented journal that "dies" mid-round: `settled` full
 /// rounds, then `extra_events` events of the next round, then drop.
 fn write_crashed_journal(path: &Path, settled: usize, extra_events: usize, segment_rounds: usize) {
-    let mut sink = JournalSink::create_with(path, Some(RotationConfig { segment_rounds })).unwrap();
+    let mut sink = JournalSink::create_with(
+        path,
+        Some(RotationConfig { segment_rounds }),
+        &Session::disabled(),
+    )
+    .unwrap();
     sink.append(&job_event()).unwrap();
     for t in 0..settled {
         for e in round_events(t) {
@@ -324,7 +330,7 @@ fn compaction_preserves_answers_and_survives_its_crash_windows() {
         .map(|seq| std::fs::read(segment_path(&compacted, seq)).unwrap())
         .collect();
 
-    let report = compact_journal(&compacted, 1).unwrap();
+    let report = compact_journal(&compacted, 1, &Session::disabled()).unwrap();
     assert_eq!(report.folded_segments, 2);
     assert_eq!(report.folded_rounds, 4);
     assert_eq!(report.kept_segments, 1);
@@ -381,7 +387,7 @@ fn compaction_preserves_answers_and_survives_its_crash_windows() {
 
     // Generations chain: a second compaction folds the kept segment into
     // a gen-2 checkpoint covering the whole history.
-    let report = compact_journal(&compacted, 0).unwrap();
+    let report = compact_journal(&compacted, 0, &Session::disabled()).unwrap();
     assert_eq!(report.folded_segments, 1);
     assert_eq!(report.generation, 2);
     assert_eq!(report.checkpoint_rounds, 5);
@@ -401,7 +407,7 @@ fn tampered_checkpoint_is_refused_by_load_and_recover() {
     let dir = scratch_dir("tampered_ckpt");
     let base = dir.join("j.jsonl");
     write_journal(&base, 5, Some(RotationConfig { segment_rounds: 2 }));
-    compact_journal(&base, 1).unwrap();
+    compact_journal(&base, 1, &Session::disabled()).unwrap();
 
     // Nudge a digit inside the checkpoint: the content digest must catch
     // it, and with the folded events gone nothing can replay past it.

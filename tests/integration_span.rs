@@ -19,20 +19,11 @@
 //!    real run.
 
 use cdt_core::Scenario;
-use cdt_obs::{HealthKind, HealthRecord, ObsConfig, SpanRecord, TraceLine};
-use cdt_sim::{replicate, run_policy, set_thread_override, PolicySpec};
+use cdt_obs::{HealthKind, HealthRecord, ObsConfig, Session, SpanRecord, TraceLine};
+use cdt_sim::{replicate, run_policy_observed, PolicySpec, RunConfig};
 use cdt_types::json::{self, Reader};
 use cdt_types::SimRng;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Mutex;
-
-/// The observability pipeline and the pool overrides are process-global;
-/// serialize every test that touches either.
-static GLOBAL_STATE_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn scenario(seed: u64, m: usize, k: usize, n: usize) -> Scenario {
     let mut rng = SimRng::new(seed);
@@ -79,27 +70,31 @@ fn keys_of(line: &str) -> BTreeSet<String> {
 
 #[test]
 fn span_jsonl_matches_golden_schema_with_intact_parent_links() {
-    let _guard = lock();
-    cdt_obs::uninstall();
     let events = temp_path("golden");
 
     // A threaded replication exercises every span producer at once: pool +
     // chunk spans from the worker pool, and run/round/phase spans from the
     // pipeline observer inside each job.
-    cdt_obs::global().reset();
-    cdt_obs::install(ObsConfig {
-        events_path: Some(events.clone()),
-        spans: true,
-        ..ObsConfig::default()
-    })
-    .unwrap();
-    set_thread_override(Some(2));
+    let observed = RunConfig {
+        threads: 2,
+        obs: Session::start(ObsConfig {
+            events_path: Some(events.clone()),
+            spans: true,
+            ..ObsConfig::default()
+        })
+        .unwrap(),
+    };
     let reps = 2;
-    replicate(12, 3, 3, 30, &PolicySpec::paper_set(), reps, 2024).unwrap();
-    set_thread_override(None);
+    replicate(
+        (12, 3, 3, 30),
+        &PolicySpec::paper_set(),
+        reps,
+        2024,
+        &observed,
+    )
+    .unwrap();
     let jobs = reps * PolicySpec::paper_set().len();
-    cdt_obs::flush().unwrap();
-    cdt_obs::uninstall();
+    observed.obs.finish().unwrap();
 
     let text = std::fs::read_to_string(&events).unwrap();
     let spans = span_lines(&text);
@@ -137,7 +132,7 @@ fn span_jsonl_matches_golden_schema_with_intact_parent_links() {
             .or_default()
             .insert(span.span);
     }
-    assert_eq!(ids_by_trace.len(), 1, "one install means one trace id");
+    assert_eq!(ids_by_trace.len(), 1, "one session means one trace id");
     for (line, span) in &spans {
         if let Some(parent) = span.parent {
             assert!(
@@ -174,15 +169,12 @@ fn span_jsonl_matches_golden_schema_with_intact_parent_links() {
 
 #[test]
 fn flame_root_matches_wall_clock_and_exclusive_sum_is_exact() {
-    let _guard = lock();
-    cdt_obs::uninstall();
     let events = temp_path("flame");
-    cdt_obs::global().reset();
     // Sample the trace sparsely: the `run` span closes just after the
-    // drop-time publication of the buffered JSONL lines, and a small trace
-    // (about 20 sampled rounds) of a long run pins the 5% reconciliation
-    // bound on tracing itself, not on serialization volume.
-    cdt_obs::install(ObsConfig {
+    // drop-time write of the run's last batch of JSONL lines, and a small
+    // trace (about 20 sampled rounds) of a long run pins the 5%
+    // reconciliation bound on tracing itself, not on serialization volume.
+    let session = Session::start(ObsConfig {
         events_path: Some(events.clone()),
         spans: true,
         events_sample: 1000,
@@ -195,10 +187,12 @@ fn flame_root_matches_wall_clock_and_exclusive_sum_is_exact() {
     // formatting, observer construction) far under the 5% tolerance.
     let s = scenario(33, 14, 3, 20_000);
     let started = std::time::Instant::now();
-    run_policy(&s, PolicySpec::paper_set()[0], 5, &[]).unwrap();
+    {
+        let mut obs = session.observer_for_run("cmab-hs/seed5").unwrap();
+        run_policy_observed(&s, PolicySpec::paper_set()[0], 5, &[], &mut obs).unwrap();
+    }
     let wall_ns = started.elapsed().as_nanos() as u64;
-    cdt_obs::flush().unwrap();
-    cdt_obs::uninstall();
+    session.finish().unwrap();
 
     let text = std::fs::read_to_string(&events).unwrap();
     let spans: Vec<SpanRecord> = span_lines(&text).into_iter().map(|(_, s)| s).collect();
@@ -262,14 +256,11 @@ fn flame_root_matches_wall_clock_and_exclusive_sum_is_exact() {
 
 #[test]
 fn watchdog_emits_well_formed_health_events() {
-    let _guard = lock();
-    cdt_obs::uninstall();
     let events = temp_path("watchdog");
-    cdt_obs::global().reset();
     // An explicit 1 ns slow-round floor: every settled round is "slow", so
     // the 1 ms monitor must flag at least one during a real run (and
-    // `uninstall` takes one final sample before the sink goes away).
-    cdt_obs::install(ObsConfig {
+    // `finish` takes one final sample before it flushes the sink).
+    let session = Session::start(ObsConfig {
         events_path: Some(events.clone()),
         watchdog_ms: Some(1),
         slow_round_ns: Some(1),
@@ -277,9 +268,11 @@ fn watchdog_emits_well_formed_health_events() {
     })
     .unwrap();
     let s = scenario(21, 14, 3, 80);
-    run_policy(&s, PolicySpec::paper_set()[0], 9, &[]).unwrap();
-    cdt_obs::flush().unwrap();
-    cdt_obs::uninstall();
+    {
+        let mut obs = session.observer_for_run("cmab-hs/seed9").unwrap();
+        run_policy_observed(&s, PolicySpec::paper_set()[0], 9, &[], &mut obs).unwrap();
+    }
+    session.finish().unwrap();
 
     let text = std::fs::read_to_string(&events).unwrap();
     let health: Vec<(&str, HealthRecord)> = trace_lines(&text)
@@ -313,9 +306,19 @@ fn watchdog_emits_well_formed_health_events() {
         "no slow_round event despite the 1 ns floor: {health:?}"
     );
     // The registry counted them too (this is what `--obs-summary` and the
-    // Prometheus render surface).
-    let counted =
-        cdt_obs::global().counter_value("cdt_obs_health_events_total", &[("kind", "slow_round")]);
-    assert!(counted >= 1, "health events missing from the registry");
+    // Prometheus render surface): the session is this test's own, so
+    // exactly the records in the file.
+    let counted = session
+        .registry()
+        .unwrap()
+        .counter_value("cdt_obs_health_events_total", &[("kind", "slow_round")]);
+    let written = health
+        .iter()
+        .filter(|(_, h)| h.kind == HealthKind::SlowRound)
+        .count();
+    assert_eq!(
+        counted, written as u64,
+        "health events missing from the registry"
+    );
     std::fs::remove_file(&events).ok();
 }
