@@ -197,6 +197,30 @@ if [ "$status" -ne 2 ] || ! grep -q 'unknown experiment `nosuch`' /tmp/cdt_stric
     cat /tmp/cdt_strict.txt >&2
     exit 1
 fi
+# A reader that closes stdout early ends cdt quietly with status 0; a
+# stdout that refuses the write exits 2, naming it. Neither panics.
+for cmd in "game" "journal audit tests/fixtures/golden.jsonl"; do
+    set +e
+    # shellcheck disable=SC2086  # $cmd is a deliberate word-split argument list
+    cdt $cmd 2> /tmp/cdt_strict.txt | head -n 1 > /dev/null
+    status=${PIPESTATUS[0]}
+    set -e
+    if [ "$status" -ne 0 ] || [ -s /tmp/cdt_strict.txt ]; then
+        echo "ERROR: cdt $cmd | head -n 1 exited $status:" >&2
+        cat /tmp/cdt_strict.txt >&2
+        exit 1
+    fi
+done
+set +e
+cdt game > /dev/full 2> /tmp/cdt_strict.txt
+status=$?
+set -e
+if [ "$status" -ne 2 ] || ! grep -q 'cannot write to stdout' /tmp/cdt_strict.txt \
+    || grep -q panicked /tmp/cdt_strict.txt; then
+    echo "ERROR: cdt game > /dev/full exited $status:" >&2
+    cat /tmp/cdt_strict.txt >&2
+    exit 1
+fi
 
 echo "==> observability smoke (JSONL trace + Prometheus dump)"
 rm -f /tmp/cdt_obs_events.jsonl /tmp/cdt_obs_metrics.prom
@@ -271,6 +295,13 @@ cdt journal recover /tmp/cdt_journal_torn.jsonl \
 grep -q 'recovered 4 settled rounds' /tmp/cdt_journal_recover.txt
 grep -q 'mid-round' /tmp/cdt_journal_recover.txt
 cdt journal verify /tmp/cdt_journal_recovered.jsonl
+# A complete journal that lacks its final newline recovers whole: --out
+# writes it back newline-terminated, and it verifies.
+rm -f /tmp/cdt_journal_nonl.jsonl /tmp/cdt_journal_nonl_out.jsonl
+head -c -1 /tmp/cdt_journal.jsonl > /tmp/cdt_journal_nonl.jsonl
+cdt journal recover /tmp/cdt_journal_nonl.jsonl --out /tmp/cdt_journal_nonl_out.jsonl
+cdt journal verify /tmp/cdt_journal_nonl_out.jsonl
+cmp /tmp/cdt_journal_nonl_out.jsonl /tmp/cdt_journal.jsonl
 
 echo "==> journal rotation smoke (segments, compaction checkpoint, seek)"
 rm -f /tmp/cdt_journal_seg.jsonl /tmp/cdt_journal_seg.jsonl.seg-* \
@@ -338,6 +369,33 @@ if [ "$status" -ne 2 ] || ! grep -q 'first round' /tmp/cdt_journal_forged.txt; t
     exit 1
 fi
 cp /tmp/cdt_journal_seg.idx.orig /tmp/cdt_journal_seg.jsonl.idx
+# A forged count must fail every reader (exit 2), never panic on overflow
+# in a debug build: on a copy of the compacted store, the checkpoint
+# reference's segments_folded and the first segment's seq become u64::MAX.
+rm -rf /tmp/cdt_journal_forged
+mkdir /tmp/cdt_journal_forged
+max=18446744073709551615
+for args in "verify" "recover" "seek --round 5" "compact"; do
+    cp /tmp/cdt_journal_seg.jsonl.* /tmp/cdt_journal_forged/
+    forged=/tmp/cdt_journal_forged/cdt_journal_seg.jsonl
+    sed -i "s/\"segments_folded\":2}/\"segments_folded\":$max}/; \
+        s/{\"segment\":{\"seq\":2,/{\"segment\":{\"seq\":$max,/" "$forged.idx"
+    if [ "$(grep -c -- "$max" "$forged.idx")" -ne 2 ]; then
+        echo "ERROR: the forged-seq probe did not change both index lines" >&2
+        exit 1
+    fi
+    set +e
+    # shellcheck disable=SC2086  # $args is a deliberate word-split argument list
+    "$target_dir/debug/cdt" journal ${args%% *} "$forged" ${args#"${args%% *}"} \
+        > /tmp/cdt_journal_forged.txt 2>&1
+    status=$?
+    set -e
+    if [ "$status" -ne 2 ] || grep -q panicked /tmp/cdt_journal_forged.txt; then
+        echo "ERROR: debug journal $args exited $status on a forged seq:" >&2
+        cat /tmp/cdt_journal_forged.txt >&2
+        exit 1
+    fi
+done
 
 echo "==> journal diff smoke (same seed diffs to zero, another seed fails)"
 # Two runs of one scenario and seed must settle bit-identically; a run of

@@ -13,9 +13,51 @@ use cdt_sim::{
 use cdt_trace::{csv, generate_trace, trace_stats, TraceConfig, TripRecord};
 use cdt_types::json::{push_f64, push_str, push_usize};
 use cdt_types::{mix_seed, SimRng};
+use std::fmt;
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::num::NonZeroUsize;
+
+/// Why a command stopped short of success.
+#[derive(Debug)]
+pub enum Failure {
+    /// The command failed: the message names why.
+    Error(String),
+    /// Stdout refused the command's output.
+    Stdout(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Error(message)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Self {
+        Failure::Error(message.to_owned())
+    }
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Error(message) => f.write_str(message),
+            Failure::Stdout(e) => write!(f, "cannot write to stdout: {e}"),
+        }
+    }
+}
+
+/// The one writer of `cdt`'s output, for `write!` and `writeln!`: stdout,
+/// whose write errors become [`Failure::Stdout`] where `print!` would
+/// panic.
+struct Out;
+
+impl Out {
+    fn write_fmt(&mut self, args: fmt::Arguments<'_>) -> Result<(), Failure> {
+        io::stdout().write_fmt(args).map_err(Failure::Stdout)
+    }
+}
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -55,7 +97,7 @@ PROTOCOL JOURNAL:
   money flow, and `journal recover` replays a (possibly truncated)
   journal up to its last settlement boundary — `--out FILE` writes the
   recovered prefix back out as a valid journal (refusing to overwrite an
-  existing file or emit a prefix longer than its source).
+  existing file or to trust a source that shrank while it was read).
 
   --journal-segment-rounds N (or CDT_JOURNAL_SEGMENT_ROUNDS) rotates the
   journal into FILE.seg-0000, FILE.seg-0001, ... at settlement
@@ -171,7 +213,7 @@ pub fn command_flags(command: &str, args: &[String]) -> Result<FlagMap, String> 
 /// # Errors
 /// Returns a usage message for an unknown or incomplete command, or the
 /// command's own error.
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+pub fn dispatch(argv: &[String]) -> Result<(), Failure> {
     let mut words = argv.iter().map(String::as_str);
     match (words.next(), words.next()) {
         (Some("trace"), Some("generate")) => {
@@ -189,7 +231,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
                 "flame" => obs_flame_cmd(p),
                 _ => obs_critical_path_cmd(p),
             }),
-            None => Err(format!("usage: cdt obs {sub} FILE")),
+            None => Err(format!("usage: cdt obs {sub} FILE").into()),
         },
         (Some("journal"), Some(sub @ ("verify" | "audit" | "recover" | "compact" | "seek"))) => {
             match argv.get(2) {
@@ -206,7 +248,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
                         },
                     )
                 }
-                None => Err(format!("usage: cdt journal {sub} FILE")),
+                None => Err(format!("usage: cdt journal {sub} FILE").into()),
             }
         }
         (Some("journal"), Some("diff")) => match (argv.get(2), argv.get(3)) {
@@ -225,10 +267,10 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         (Some("game"), _) => run_command("game", &argv[1..], |flags, _| game(flags)),
         (Some("repro"), _) => run_command("repro", &argv[1..], repro),
         (Some("--help" | "-h"), _) | (None, _) => {
-            println!("{USAGE}");
+            writeln!(Out, "{USAGE}")?;
             Ok(())
         }
-        (Some(other), _) => Err(format!("unknown command `{other}`\n{USAGE}")),
+        (Some(other), _) => Err(format!("unknown command `{other}`\n{USAGE}").into()),
     }
 }
 
@@ -246,9 +288,9 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns the first flag, set-up, command or output failure.
-pub fn run_command<F>(command: &str, args: &[String], body: F) -> Result<(), String>
+pub fn run_command<F>(command: &str, args: &[String], body: F) -> Result<(), Failure>
 where
-    F: FnOnce(&FlagMap, &RunConfig) -> Result<(), String>,
+    F: FnOnce(&FlagMap, &RunConfig) -> Result<(), Failure>,
 {
     let flags = command_flags(command, args)?;
     let reads = |flag: &str| {
@@ -348,7 +390,7 @@ fn finish_session(
     obs: &Session,
     metrics_out: Option<(String, File)>,
     summary: bool,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let Some(registry) = obs.registry() else {
         return Ok(());
     };
@@ -357,10 +399,10 @@ fn finish_session(
     if let Some((path, mut file)) = metrics_out {
         file.write_all(cdt_obs::render(registry).as_bytes())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("metrics written to {path}");
+        writeln!(Out, "metrics written to {path}")?;
     }
     if summary {
-        print!("{}", cdt_obs::render_summary(registry));
+        write!(Out, "{}", cdt_obs::render_summary(registry))?;
     }
     Ok(())
 }
@@ -376,10 +418,10 @@ fn create_output(path: &str) -> Result<(String, File), String> {
 ///
 /// # Errors
 /// Returns a message on I/O failure.
-pub fn obs_summarize_cmd(path: &str) -> Result<(), String> {
+pub fn obs_summarize_cmd(path: &str) -> Result<(), Failure> {
     let text = cdt_obs::summarize_trace(std::path::Path::new(path))
         .map_err(|e| format!("cannot summarize {path}: {e}"))?;
-    print!("{text}");
+    write!(Out, "{text}")?;
     Ok(())
 }
 
@@ -403,8 +445,8 @@ fn span_set_from(path: &str) -> Result<cdt_obs::SpanSet, String> {
 ///
 /// # Errors
 /// Returns a message on I/O failure or a trace with no span records.
-pub fn obs_flame_cmd(path: &str) -> Result<(), String> {
-    print!("{}", cdt_obs::render_flame(&span_set_from(path)?));
+pub fn obs_flame_cmd(path: &str) -> Result<(), Failure> {
+    write!(Out, "{}", cdt_obs::render_flame(&span_set_from(path)?))?;
     Ok(())
 }
 
@@ -413,8 +455,12 @@ pub fn obs_flame_cmd(path: &str) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns a message on I/O failure or a trace with no span records.
-pub fn obs_critical_path_cmd(path: &str) -> Result<(), String> {
-    print!("{}", cdt_obs::render_critical_path(&span_set_from(path)?));
+pub fn obs_critical_path_cmd(path: &str) -> Result<(), Failure> {
+    write!(
+        Out,
+        "{}",
+        cdt_obs::render_critical_path(&span_set_from(path)?)
+    )?;
     Ok(())
 }
 
@@ -424,9 +470,10 @@ pub fn obs_critical_path_cmd(path: &str) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns a message on I/O failure or the first replay violation.
-pub fn journal_verify_cmd(path: &str) -> Result<(), String> {
+pub fn journal_verify_cmd(path: &str) -> Result<(), Failure> {
     let view = cdt_protocol::load_journal(std::path::Path::new(path)).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        Out,
         "{path}: valid journal — {} events, {} settled rounds, {}",
         view.events,
         view.settled_rounds(),
@@ -435,12 +482,13 @@ pub fn journal_verify_cmd(path: &str) -> Result<(), String> {
         } else {
             "not completed"
         }
-    );
+    )?;
     if view.segmented {
-        println!(
+        writeln!(
+            Out,
             "segments: {} sealed, checkpoint: {} rounds / {} events folded",
             view.segments, view.compacted_rounds, view.compacted_events
-        );
+        )?;
     }
     Ok(())
 }
@@ -450,46 +498,57 @@ pub fn journal_verify_cmd(path: &str) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns a message on I/O failure or replay violation.
-pub fn journal_audit_cmd(path: &str) -> Result<(), String> {
+pub fn journal_audit_cmd(path: &str) -> Result<(), Failure> {
     let view = cdt_protocol::load_journal(std::path::Path::new(path)).map_err(|e| e.to_string())?;
     // Row-order sums: bit-identical to the pre-segmentation full-replay
     // totals, and to the checkpoint's digested totals after compaction.
     let consumer_total = view.consumer_total();
     let seller_total = view.seller_total();
-    println!("journal audit: {path}");
-    println!(
+    writeln!(Out, "journal audit: {path}")?;
+    writeln!(
+        Out,
         "events: {}   settled rounds: {}   completed: {}",
         view.events,
         view.settled_rounds(),
         view.completed()
-    );
+    )?;
     if view.segmented {
-        println!(
+        writeln!(
+            Out,
             "segments: {} sealed, checkpoint: {} rounds / {} events folded",
             view.segments, view.compacted_rounds, view.compacted_events
-        );
+        )?;
     }
-    println!("consumer paid: {consumer_total:.1}   sellers received: {seller_total:.1}");
-    println!(
+    writeln!(
+        Out,
+        "consumer paid: {consumer_total:.1}   sellers received: {seller_total:.1}"
+    )?;
+    writeln!(
+        Out,
         "{:<8} {:>14} {:>14} {:>8}",
         "round", "consumer", "sellers", "k"
-    );
+    )?;
     const CAP: usize = 10;
     let settlements = &view.settlements;
     for (i, row) in settlements.iter().enumerate() {
         if settlements.len() > 2 * CAP && (CAP..settlements.len() - CAP).contains(&i) {
             if i == CAP {
-                println!("...      ({} rounds elided)", settlements.len() - 2 * CAP);
+                writeln!(
+                    Out,
+                    "...      ({} rounds elided)",
+                    settlements.len() - 2 * CAP
+                )?;
             }
             continue;
         }
-        println!(
+        writeln!(
+            Out,
             "{:<8} {:>14.4} {:>14.4} {:>8}",
             row.round.index(),
             row.consumer,
             row.sellers.iter().sum::<f64>(),
             row.sellers.len()
-        );
+        )?;
     }
     Ok(())
 }
@@ -501,24 +560,27 @@ pub fn journal_audit_cmd(path: &str) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns a message on I/O failure (recovery itself never fails).
-pub fn journal_recover_cmd(path: &str, out: Option<&str>) -> Result<(), String> {
+pub fn journal_recover_cmd(path: &str, out: Option<&str>) -> Result<(), Failure> {
     let rec =
         cdt_protocol::recover_journal(std::path::Path::new(path)).map_err(|e| e.to_string())?;
-    println!(
+    let view = &rec.view;
+    writeln!(
+        Out,
         "{path}: recovered {} settled rounds ({} events kept of {} lines{})",
-        rec.settled_rounds(),
-        rec.events_kept,
+        view.settled_rounds(),
+        rec.events_kept(),
         rec.lines_read,
-        if rec.completed() { ", completed" } else { "" }
-    );
-    if rec.compacted_rounds > 0 {
-        println!(
+        if view.completed() { ", completed" } else { "" }
+    )?;
+    if view.compacted_rounds > 0 {
+        writeln!(
+            Out,
             "resumed from checkpoint: {} rounds / {} events folded",
-            rec.compacted_rounds, rec.compacted_events
-        );
+            view.compacted_rounds, view.compacted_events
+        )?;
     }
     if let Some(stop) = &rec.stop {
-        println!("replay stopped at line {}: {}", stop.line, stop.reason);
+        writeln!(Out, "replay stopped at line {}: {}", stop.line, stop.reason)?;
     }
     if let Some(out_path) = out {
         // Output safety: never clobber an existing file with a recovered
@@ -526,38 +588,42 @@ pub fn journal_recover_cmd(path: &str, out: Option<&str>) -> Result<(), String> 
         if std::path::Path::new(out_path).exists() {
             return Err(format!(
                 "refusing to overwrite existing {out_path} (delete it or pick another --out path)"
-            ));
+            )
+            .into());
         }
         // A compacted history's folded events exist only inside the
         // checkpoint; the kept text alone would replay from round 0 and
         // fail, so there is no valid flat journal to write.
-        if rec.compacted_events > 0 {
+        if view.compacted_events > 0 {
             return Err(format!(
                 "cannot write --out from a compacted journal: {} events live only in the \
                  checkpoint (the segments still replay in place — use `cdt journal verify`)",
-                rec.compacted_events
-            ));
+                view.compacted_events
+            )
+            .into());
         }
-        // A recovered prefix can never be longer than what was read: a
-        // longer "prefix" means the source shrank or changed underneath
-        // the replay (truncation race) and the output must not be trusted.
-        let mut source_bytes = rec.source_bytes;
-        if let Ok(meta) = std::fs::metadata(path) {
-            source_bytes = source_bytes.min(meta.len());
-        }
-        if rec.kept_text.len() as u64 > source_bytes {
-            return Err(format!(
-                "recovered prefix ({} bytes) is longer than the source journal ({source_bytes} \
-                 bytes): the source changed while it was being read (truncation race) — re-run \
-                 recovery",
-                rec.kept_text.len()
-            ));
-        }
+        source_still_covers(path, rec.source_bytes)?;
         std::fs::write(out_path, &rec.kept_text)
             .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-        println!("recovered journal written to {out_path}");
+        writeln!(Out, "recovered journal written to {out_path}")?;
     }
     Ok(())
+}
+
+/// The `--out` guard against a truncation race: the recovered prefix
+/// covers the first `covered` bytes of the journal file at `path`, so a
+/// file now shorter than that shrank or changed while it was read, and
+/// its prefix must not be trusted. A segmented layout has no one file to
+/// measure.
+fn source_still_covers(path: &str, covered: u64) -> Result<(), String> {
+    match std::fs::metadata(path) {
+        Ok(meta) if meta.len() < covered => Err(format!(
+            "recovered prefix covers {covered} bytes of {path}, which now holds {}: the \
+             source changed while it was being read (truncation race) — re-run recovery",
+            meta.len()
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// `cdt journal diff A B [--tol T]` — round-aligned settlement comparison
@@ -569,12 +635,10 @@ pub fn journal_recover_cmd(path: &str, out: Option<&str>) -> Result<(), String> 
 /// # Errors
 /// Returns a message on I/O failure, an invalid journal, a structural
 /// mismatch, or divergence beyond `--tol`.
-pub fn journal_diff_cmd(path_a: &str, path_b: &str, flags: &FlagMap) -> Result<(), String> {
+pub fn journal_diff_cmd(path_a: &str, path_b: &str, flags: &FlagMap) -> Result<(), Failure> {
     let tol = flags.f64_or("tol", 0.0)?;
     if !tol.is_finite() || tol < 0.0 {
-        return Err(format!(
-            "--tol must be a finite non-negative number, got {tol}"
-        ));
+        return Err(format!("--tol must be a finite non-negative number, got {tol}").into());
     }
     let read_view = |path: &str| -> Result<cdt_protocol::JournalView, String> {
         cdt_protocol::load_journal(std::path::Path::new(path)).map_err(|e| e.to_string())
@@ -582,30 +646,33 @@ pub fn journal_diff_cmd(path_a: &str, path_b: &str, flags: &FlagMap) -> Result<(
     let view_a = read_view(path_a)?;
     let view_b = read_view(path_b)?;
     let d = cdt_protocol::diff_settlement_rows(&view_a.settlements, &view_b.settlements);
-    println!("journal diff: {path_a} vs {path_b}");
-    println!(
+    writeln!(Out, "journal diff: {path_a} vs {path_b}")?;
+    writeln!(
+        Out,
         "settled rounds: {} vs {}   compared: {}",
         d.rounds_a, d.rounds_b, d.rounds_compared
-    );
+    )?;
     match d.worst_round {
-        Some(round) => println!(
+        Some(round) => writeln!(
+            Out,
             "max divergence: {:.3e} abs, {:.3e} rel (worst at round {})",
             d.max_abs,
             d.max_rel,
             round.index()
-        ),
-        None => println!("max divergence: 0 (settlements bit-identical)"),
+        )?,
+        None => writeln!(Out, "max divergence: 0 (settlements bit-identical)")?,
     }
     if let Some(msg) = &d.structural {
-        return Err(format!("structural mismatch: {msg}"));
+        return Err(format!("structural mismatch: {msg}").into());
     }
     if !d.within(tol) {
         return Err(format!(
             "settlements diverge: max abs {:.3e} exceeds tolerance {tol:.3e}",
             d.max_abs
-        ));
+        )
+        .into());
     }
-    println!("within tolerance {tol:.3e}");
+    writeln!(Out, "within tolerance {tol:.3e}")?;
     Ok(())
 }
 
@@ -618,33 +685,36 @@ pub fn journal_diff_cmd(path_a: &str, path_b: &str, flags: &FlagMap) -> Result<(
 /// # Errors
 /// Returns a message on I/O failure, a single-file (unsegmented) journal,
 /// or a replay/digest violation in the segments being folded.
-pub fn journal_compact_cmd(path: &str, flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
+pub fn journal_compact_cmd(path: &str, flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
     let keep = flags.usize_or("keep-segments", 0)?;
     let report = cdt_protocol::compact_journal(std::path::Path::new(path), keep, &cfg.obs)
         .map_err(|e| e.to_string())?;
     if report.folded_segments == 0 {
-        println!(
+        writeln!(
+            Out,
             "{path}: nothing to fold ({} segment{} kept, checkpoint at {} rounds)",
             report.kept_segments,
             if report.kept_segments == 1 { "" } else { "s" },
             report.checkpoint_rounds
-        );
+        )?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        Out,
         "{path}: folded {} segment{} ({} rounds, {} events) into checkpoint generation {}",
         report.folded_segments,
         if report.folded_segments == 1 { "" } else { "s" },
         report.folded_rounds,
         report.folded_events,
         report.generation
-    );
-    println!(
+    )?;
+    writeln!(
+        Out,
         "checkpoint now covers {} rounds; {} segment{} kept",
         report.checkpoint_rounds,
         report.kept_segments,
         if report.kept_segments == 1 { "" } else { "s" }
-    );
+    )?;
     Ok(())
 }
 
@@ -656,7 +726,7 @@ pub fn journal_compact_cmd(path: &str, flags: &FlagMap, cfg: &RunConfig) -> Resu
 /// # Errors
 /// Returns a message on I/O failure, a missing/invalid `--round`, an
 /// unsettled round, or a digest violation in the segment scanned.
-pub fn journal_seek_cmd(path: &str, flags: &FlagMap) -> Result<(), String> {
+pub fn journal_seek_cmd(path: &str, flags: &FlagMap) -> Result<(), Failure> {
     let raw = flags
         .get("round")
         .ok_or("journal seek requires --round R")?;
@@ -666,25 +736,28 @@ pub fn journal_seek_cmd(path: &str, flags: &FlagMap) -> Result<(), String> {
     let lookup = cdt_protocol::replay_to_round(std::path::Path::new(path), round)
         .map_err(|e| e.to_string())?;
     let row = &lookup.row;
-    println!(
+    writeln!(
+        Out,
         "round {}: consumer paid {:.4}, sellers received {:.4} (k={})",
         row.round.index(),
         row.consumer,
         row.sellers.iter().sum::<f64>(),
         row.sellers.len()
-    );
+    )?;
     if lookup.from_checkpoint {
-        println!("served from checkpoint ledger (0 events replayed)");
+        writeln!(Out, "served from checkpoint ledger (0 events replayed)")?;
     } else if let Some(seq) = lookup.segment {
-        println!(
+        writeln!(
+            Out,
             "served from segment {seq} ({} events replayed)",
             lookup.events_scanned
-        );
+        )?;
     } else {
-        println!(
+        writeln!(
+            Out,
             "served by full-journal replay ({} events replayed)",
             lookup.events_scanned
-        );
+        )?;
     }
     Ok(())
 }
@@ -710,7 +783,7 @@ pub fn journal_rotation(
 ///
 /// # Errors
 /// Returns a message on flag or I/O failure.
-pub fn trace_generate(flags: &FlagMap) -> Result<(), String> {
+pub fn trace_generate(flags: &FlagMap) -> Result<(), Failure> {
     let taxis = flags.u64_or("taxis", 300)?;
     let num_taxis = u32::try_from(taxis)
         .ok()
@@ -720,7 +793,8 @@ pub fn trace_generate(flags: &FlagMap) -> Result<(), String> {
     if !fits::<TripRecord>(num_records) {
         return Err(format!(
             "--records {num_records} is too large: the trace does not fit in memory"
-        ));
+        )
+        .into());
     }
     let config = TraceConfig {
         num_records,
@@ -730,14 +804,15 @@ pub fn trace_generate(flags: &FlagMap) -> Result<(), String> {
     let seed = flags.u64_or("seed", 20_210_419)?;
     let records = generate_trace(&config, &mut SimRng::new(seed));
     let stats = trace_stats(&records);
-    println!(
+    writeln!(
+        Out,
         "generated {} records, {} taxis, {} areas, mean trip {:.2} mi, area gini {:.3}",
         stats.num_records, stats.num_taxis, stats.num_areas, stats.mean_trip_miles, stats.area_gini
-    );
+    )?;
     if let Some(path) = flags.get("out") {
         std::fs::write(path, csv::to_csv(&records))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("trace written to {path}");
+        writeln!(Out, "trace written to {path}")?;
     }
     Ok(())
 }
@@ -746,41 +821,56 @@ pub fn trace_generate(flags: &FlagMap) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns a message on I/O or parse failure.
-pub fn trace_stats_cmd(path: &str) -> Result<(), String> {
+pub fn trace_stats_cmd(path: &str) -> Result<(), Failure> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let records = csv::from_csv(&text).map_err(|e| e.to_string())?;
     let s = trace_stats(&records);
-    println!("records:            {}", s.num_records);
-    println!("taxis:              {}", s.num_taxis);
-    println!("areas touched:      {}", s.num_areas);
-    println!("mean trip miles:    {:.2}", s.mean_trip_miles);
-    println!("area gini:          {:.3}", s.area_gini);
-    println!("busiest taxi trips: {}", s.max_trips_per_taxi);
+    writeln!(Out, "records:            {}", s.num_records)?;
+    writeln!(Out, "taxis:              {}", s.num_taxis)?;
+    writeln!(Out, "areas touched:      {}", s.num_areas)?;
+    writeln!(Out, "mean trip miles:    {:.2}", s.mean_trip_miles)?;
+    writeln!(Out, "area gini:          {:.3}", s.area_gini)?;
+    writeln!(Out, "busiest taxi trips: {}", s.max_trips_per_taxi)?;
     let peak = s
         .peak_hour()
         .map_or_else(|| "none".to_owned(), |h| format!("{h}:00"));
-    println!("peak hour:          {peak}");
+    writeln!(Out, "peak hour:          {peak}")?;
     Ok(())
 }
 
-fn print_ledger(scenario: &Scenario, ledger: &TradingLedger) {
-    println!(
+fn print_ledger(scenario: &Scenario, ledger: &TradingLedger) -> Result<(), Failure> {
+    writeln!(
+        Out,
         "CMAB-HS: M={} K={} L={} N={}",
         scenario.config.m(),
         scenario.config.k(),
         scenario.config.l(),
         scenario.config.n()
-    );
-    println!("rounds:            {}", ledger.rounds());
-    println!("observed revenue:  {:.1}", ledger.total_observed_revenue());
-    println!("consumer paid:     {:.1}", ledger.total_consumer_payment());
-    println!("sellers received:  {:.1}", ledger.total_seller_payment());
-    println!(
+    )?;
+    writeln!(Out, "rounds:            {}", ledger.rounds())?;
+    writeln!(
+        Out,
+        "observed revenue:  {:.1}",
+        ledger.total_observed_revenue()
+    )?;
+    writeln!(
+        Out,
+        "consumer paid:     {:.1}",
+        ledger.total_consumer_payment()
+    )?;
+    writeln!(
+        Out,
+        "sellers received:  {:.1}",
+        ledger.total_seller_payment()
+    )?;
+    writeln!(
+        Out,
         "mean PoC/PoP/PoS:  {:.2} / {:.2} / {:.2}",
         ledger.mean_consumer_profit(),
         ledger.mean_platform_profit(),
         ledger.mean_seller_profit()
-    );
+    )?;
+    Ok(())
 }
 
 /// The scenario shape `(M, K, L, N)` and seed of `run`, `budget`,
@@ -847,7 +937,7 @@ fn scenario_from_flags(flags: &FlagMap) -> Result<(Scenario, SimRng, u64), Strin
 ///
 /// # Errors
 /// Returns a message on flag, run, or I/O failure.
-pub fn run_mechanism(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
+pub fn run_mechanism(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
     let (scenario, mut rng, _) = scenario_from_flags(flags)?;
     let mut mech = CmabHs::new(scenario.config.clone()).map_err(|e| e.to_string())?;
     let observer = scenario.observer();
@@ -882,12 +972,13 @@ pub fn run_mechanism(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
                 .map_err(|e| e.to_string())?,
         };
         let report = journal.finish().map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            Out,
             "journaled {} events over {} rounds to {path} (streamed, replay-validated)",
             report.events, report.settled_rounds
-        );
+        )?;
         if report.segments > 0 {
-            println!("journal rotated into {} segments", report.segments);
+            writeln!(Out, "journal rotated into {} segments", report.segments)?;
         }
         ledger
     } else {
@@ -900,11 +991,11 @@ pub fn run_mechanism(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
                 .map_err(|e| e.to_string())?,
         }
     };
-    print_ledger(&scenario, &ledger);
+    print_ledger(&scenario, &ledger)?;
     if let Some((path, mut file)) = json_out {
         file.write_all(&ledger_json(&ledger))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("ledger written to {path}");
+        writeln!(Out, "ledger written to {path}")?;
     }
     Ok(())
 }
@@ -945,7 +1036,7 @@ fn ledger_json(ledger: &TradingLedger) -> Vec<u8> {
 ///
 /// # Errors
 /// Returns a message on flag or run failure.
-pub fn budget(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
+pub fn budget(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
     let cap = flags
         .get("budget")
         .ok_or("--budget is required")?
@@ -980,25 +1071,27 @@ pub fn budget(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
             })
             .map_err(|e| e.to_string())?;
         if let Some(e) = journal_err {
-            return Err(e);
+            return Err(e.into());
         }
         let rounds = sink.state().settled_rounds();
         sink.append(&cdt_protocol::MarketEvent::JobCompleted { rounds })
             .map_err(|e| e.to_string())?;
         let report = sink.finish().map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            Out,
             "journaled {} events over {} rounds to {path} (streamed, replay-validated)",
             report.events, report.settled_rounds
-        );
+        )?;
         if report.segments > 0 {
-            println!("journal rotated into {} segments", report.segments);
+            writeln!(Out, "journal rotated into {} segments", report.segments)?;
         }
         run
     } else {
         mech.run(&scenario.observer(), &mut rng)
             .map_err(|e| e.to_string())?
     };
-    println!(
+    writeln!(
+        Out,
         "budgeted run: {} rounds, spent {:.1} of {:.1} ({})",
         run.ledger.rounds(),
         run.spent,
@@ -1007,12 +1100,13 @@ pub fn budget(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
             StopReason::HorizonReached => "horizon reached",
             StopReason::BudgetExhausted => "budget exhausted",
         }
-    );
-    println!(
+    )?;
+    writeln!(
+        Out,
         "observed revenue {:.1}, mean PoC {:.2}",
         run.ledger.total_observed_revenue(),
         run.ledger.mean_consumer_profit()
-    );
+    )?;
     Ok(())
 }
 
@@ -1020,22 +1114,23 @@ pub fn budget(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns a message on flag or run failure.
-pub fn compare(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
+pub fn compare(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
     let reps = reps_from_flags(flags, 1)?;
     if reps > 1 {
         let (m, k, l, n, seed) = shape_from_flags(flags)?;
         let runs = replicate((m, k, l, n), &PolicySpec::paper_set(), reps, seed, cfg)
             .map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            Out,
             "{}",
             replication_table(&format!("policy comparison ({reps} replications)"), &runs)
-        );
+        )?;
         return Ok(());
     }
     let (scenario, _, seed) = scenario_from_flags(flags)?;
     let cmp = compare_policies(&scenario, &PolicySpec::paper_set(), seed, &[], cfg)
         .map_err(|e| e.to_string())?;
-    println!("{}", cmp.summary_table("policy comparison"));
+    writeln!(Out, "{}", cmp.summary_table("policy comparison"))?;
     Ok(())
 }
 
@@ -1049,10 +1144,10 @@ pub fn compare(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns a message on flag or run failure.
-pub fn sweep(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
+pub fn sweep(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
     let axis = flags.get("axis").ok_or("--axis k|m|n is required")?;
     if !matches!(axis, "k" | "m" | "n") {
-        return Err(format!("--axis must be k, m, or n, got `{axis}`"));
+        return Err(format!("--axis must be k, m, or n, got `{axis}`").into());
     }
     let grid = flags
         .get("grid")
@@ -1124,22 +1219,24 @@ pub fn sweep(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
         revenue.push(Series::new(label.clone(), x.clone(), rev));
         regret.push(Series::new(label, x.clone(), reg));
     }
-    println!(
+    writeln!(
+        Out,
         "{}",
         Series::tabulate(
             format!("sweep: total revenue vs {axis_label} (mean of {reps} reps)"),
             &axis_label,
             &revenue
         )
-    );
-    println!(
+    )?;
+    writeln!(
+        Out,
         "{}",
         Series::tabulate(
             format!("sweep: regret vs {axis_label} (mean of {reps} reps)"),
             &axis_label,
             &regret
         )
-    );
+    )?;
     Ok(())
 }
 
@@ -1149,37 +1246,41 @@ pub fn sweep(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns a message on flag or construction failure.
-pub fn game(flags: &FlagMap) -> Result<(), String> {
+pub fn game(flags: &FlagMap) -> Result<(), Failure> {
     let omega = flags.f64_or("omega", 1000.0)?;
     let theta = flags.f64_or("theta", 0.1)?;
     let ctx = game_curves::round_context(Scale::Paper, omega, theta).map_err(|e| e.to_string())?;
     let eq = solve_equilibrium(&ctx);
-    println!(
+    writeln!(
+        Out,
         "equilibrium (K = {}, omega = {omega}, theta = {theta}):",
         ctx.k()
-    );
-    println!("  p^J* = {:.4}", eq.service_price);
-    println!("  p*   = {:.4}", eq.collection_price);
-    println!("  total sensing time = {:.4}", eq.total_sensing_time());
-    println!(
+    )?;
+    writeln!(Out, "  p^J* = {:.4}", eq.service_price)?;
+    writeln!(Out, "  p*   = {:.4}", eq.collection_price)?;
+    writeln!(Out, "  total sensing time = {:.4}", eq.total_sensing_time())?;
+    writeln!(
+        Out,
         "  PoC = {:.2}, PoP = {:.2}, sum PoS = {:.2}",
         eq.profits.consumer,
         eq.profits.platform,
         eq.profits.total_seller()
-    );
+    )?;
     let report = verify_equilibrium(&ctx, &eq, 2000, 1e-3 * eq.profits.consumer.abs());
-    println!(
+    writeln!(
+        Out,
         "  Stackelberg equilibrium verified: {} (max deviation gain {:.3e})",
         report.is_equilibrium(),
         report.max_gain()
-    );
+    )?;
     let w = welfare_report(&ctx, &eq);
-    println!(
+    writeln!(
+        Out,
         "  welfare: equilibrium {:.2} / first-best {:.2} (efficiency {:.1}%)",
         w.equilibrium_welfare,
         w.efficient_welfare,
         100.0 * w.efficiency()
-    );
+    )?;
     Ok(())
 }
 
@@ -1209,14 +1310,14 @@ fn experiment_ids(flags: &FlagMap) -> Result<Vec<&'static str>, String> {
 /// # Errors
 /// Returns a message naming an unknown `--exp` id (before any experiment
 /// runs), or on a flag, experiment or write failure.
-pub fn repro(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
+pub fn repro(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
     let ids = experiment_ids(flags)?;
     let (scale, scale_name) = if flags.is_set("paper") {
         (Scale::Paper, "paper")
     } else {
         (Scale::Test, "test")
     };
-    println!("# CMAB-HS figure reproduction (scale: {scale_name})\n");
+    writeln!(Out, "# CMAB-HS figure reproduction (scale: {scale_name})\n")?;
     let csv_dir = flags.get("csv");
     if let Some(dir) = csv_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
@@ -1225,19 +1326,20 @@ pub fn repro(flags: &FlagMap, cfg: &RunConfig) -> Result<(), String> {
         let started = std::time::Instant::now();
         let tables =
             run_experiment(id, scale, cfg).map_err(|e| format!("experiment {id} failed: {e}"))?;
-        println!(
+        writeln!(
+            Out,
             "=== {id} ({} table{}, {:.1?}) ===\n",
             tables.len(),
             if tables.len() == 1 { "" } else { "s" },
             started.elapsed()
-        );
+        )?;
         for (i, table) in tables.iter().enumerate() {
-            println!("{table}");
+            writeln!(Out, "{table}")?;
             if let Some(dir) = csv_dir {
                 let path = format!("{dir}/{id}_{i}.csv");
                 std::fs::write(&path, table.to_csv())
                     .map_err(|e| format!("cannot write {path}: {e}"))?;
-                println!("[csv written to {path}]\n");
+                writeln!(Out, "[csv written to {path}]\n")?;
             }
         }
     }
@@ -1256,7 +1358,7 @@ mod tests {
     /// `cdt ARGV...`, as the binary runs it, minus the exit code.
     fn cdt(argv: &[&str]) -> Result<(), String> {
         let argv: Vec<String> = argv.iter().map(|s| (*s).to_owned()).collect();
-        dispatch(&argv)
+        dispatch(&argv).map_err(|e| e.to_string())
     }
 
     /// `argv` with `extra` appended.
@@ -1279,10 +1381,9 @@ mod tests {
         let path_str = path.to_str().unwrap();
         let shape = ["run", "--m", "6", "--k", "2", "--l", "3", "--n", "8"];
         cdt(&with(&shape, &["--journal", path_str])).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let log = cdt_protocol::EventLog::from_json_lines(&text).unwrap();
-        assert!(log.state().is_completed());
-        assert_eq!(log.state().settled_rounds(), 8);
+        let view = cdt_protocol::load_journal(&path).unwrap();
+        assert!(view.completed());
+        assert_eq!(view.settled_rounds(), 8);
         std::fs::remove_file(path).unwrap();
     }
 
@@ -1304,12 +1405,11 @@ mod tests {
         let cap = (uncapped.spent / 2.0).to_string();
         let args = with(&with(&["budget"], &shape), &["--budget", &cap]);
         cdt(&with(&args, &["--journal", path_str])).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let log = cdt_protocol::EventLog::from_json_lines(&text).unwrap();
-        assert!(log.state().is_completed());
+        let view = cdt_protocol::load_journal(&path).unwrap();
+        assert!(view.completed());
         // The cap binds before the horizon; only settled rounds are
         // journaled, so the budget-rejected final round is absent.
-        let settled = log.state().settled_rounds();
+        let settled = view.settled_rounds();
         assert!((1..200).contains(&settled), "settled {settled}");
         std::fs::remove_file(path).unwrap();
     }
@@ -1328,11 +1428,7 @@ mod tests {
         // Simulate a crash: keep two settled rounds, two in-flight events,
         // and a torn half-written line.
         let text = std::fs::read_to_string(&path).unwrap();
-        let mut cut = String::new();
-        for line in text.lines().take(1 + 2 * 5 + 2) {
-            cut.push_str(line);
-            cut.push('\n');
-        }
+        let mut cut = take_lines(&text, 1 + 2 * 5 + 2);
         cut.push_str(&text.lines().nth(13).unwrap()[..10]);
         let partial = dir.join("journal.jsonl.partial");
         std::fs::write(&partial, cut).unwrap();
@@ -1345,12 +1441,15 @@ mod tests {
         let out_str = out.to_str().unwrap();
         cdt(&["journal", "recover", partial_str, "--out", out_str]).unwrap();
         let recovered = std::fs::read_to_string(&out).unwrap();
-        let log = cdt_protocol::EventLog::from_json_lines(&recovered).unwrap();
-        assert_eq!(log.state().settled_rounds(), 2);
+        assert_eq!(recovered, take_lines(&text, 1 + 2 * 5));
+        let view = cdt_protocol::load_journal(&out).unwrap();
+        assert_eq!(view.settled_rounds(), 2);
 
-        // Satellite regression: a second recover to the same --out must
-        // refuse rather than clobber the file just written.
-        let err = journal_recover_cmd(partial_str, Some(out_str)).unwrap_err();
+        // A second recover to the same --out must refuse rather than
+        // clobber the file just written.
+        let err = journal_recover_cmd(partial_str, Some(out_str))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("refusing to overwrite"), "{err}");
         assert_eq!(std::fs::read_to_string(&out).unwrap(), recovered);
         std::fs::remove_file(path).unwrap();
@@ -1358,58 +1457,43 @@ mod tests {
         std::fs::remove_file(out).unwrap();
     }
 
+    /// The first `n` lines of `text`, newline-terminated.
+    fn take_lines(text: &str, n: usize) -> String {
+        text.lines()
+            .take(n)
+            .map(|line| format!("{line}\n"))
+            .collect()
+    }
+
     #[test]
     fn journal_recover_rejects_prefix_longer_than_source() {
-        let dir = std::env::temp_dir().join("cdt_cli_recover_race_test");
+        let dir =
+            std::env::temp_dir().join(format!("cdt_cli_recover_race_test_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        // Write a journal whose floats use compact spellings (`2e1`) that
-        // reserialize longer (`20.0`): the canonical recovered prefix is
-        // then longer than the source file, exactly the signature of a
-        // source that shrank mid-read (truncation race), and --out must
-        // refuse it.
-        let mut log = cdt_protocol::EventLog::new();
-        log.append(cdt_protocol::MarketEvent::JobPublished {
-            job: cdt_types::JobSpec::new(4, 2, 10.0).unwrap(),
-        })
-        .unwrap();
-        log.append(cdt_protocol::MarketEvent::SellersSelected {
-            round: cdt_types::Round(0),
-            sellers: vec![cdt_types::SellerId(0), cdt_types::SellerId(1)],
-        })
-        .unwrap();
-        log.append(cdt_protocol::MarketEvent::StrategyDetermined {
-            round: cdt_types::Round(0),
-            service_price: 4.0,
-            collection_price: 1.5,
-            sensing_times: vec![2.0, 3.0],
-        })
-        .unwrap();
-        log.append(cdt_protocol::MarketEvent::DataCollected {
-            round: cdt_types::Round(0),
-            observed_revenue: 5.5,
-        })
-        .unwrap();
-        log.append(cdt_protocol::MarketEvent::StatisticsDelivered {
-            round: cdt_types::Round(0),
-        })
-        .unwrap();
-        log.append(cdt_protocol::MarketEvent::PaymentsSettled {
-            round: cdt_types::Round(0),
-            consumer_payment: 20.0,
-            seller_payments: vec![3.0, 4.5],
-        })
-        .unwrap();
-        let text = log.to_json_lines().replace("20.0", "2e1");
-        assert!(text.contains("2e1"), "compact spelling must land: {text}");
-        let src = dir.join("compact-floats.jsonl");
-        std::fs::write(&src, text).unwrap();
-        let out = dir.join("recovered.jsonl");
-        std::fs::remove_file(&out).ok();
-        let err =
-            journal_recover_cmd(src.to_str().unwrap(), Some(out.to_str().unwrap())).unwrap_err();
+        let full = dir.join("j.jsonl");
+        let shape = ["run", "--m", "8", "--k", "2", "--l", "3", "--n", "6"];
+        cdt(&with(&shape, &["--journal", full.to_str().unwrap()])).unwrap();
+        // A complete journal that lacks its final newline recovers whole:
+        // the kept prefix covers every byte of it, and the recovered
+        // journal is the original, newline and all.
+        let text = std::fs::read_to_string(&full).unwrap();
+        let src = dir.join("n.jsonl");
+        std::fs::write(&src, text.strip_suffix('\n').unwrap()).unwrap();
+        let (src, out) = (src.to_str().unwrap(), dir.join("r.jsonl"));
+        journal_recover_cmd(src, Some(out.to_str().unwrap())).unwrap();
+        assert_eq!(std::fs::read_to_string(&out).unwrap(), text);
+        // A source now shorter than the prefix recovery kept shrank while
+        // it was read (a truncation race): the guard refuses to trust it.
+        let covered = text.len() as u64 - 1;
+        source_still_covers(src, covered).unwrap();
+        let err = source_still_covers(src, covered + 1).unwrap_err();
         assert!(err.contains("truncation race"), "{err}");
-        assert!(!out.exists(), "refused output must not be written");
-        std::fs::remove_file(src).unwrap();
+        assert!(
+            err.contains(&format!("covers {} bytes", covered + 1)),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1440,7 +1524,9 @@ mod tests {
         // The recovered prefix of a compacted history has no flat-journal
         // serialization; --out must refuse.
         let out = dir.join("out.jsonl");
-        let err = journal_recover_cmd(seg_str, Some(out.to_str().unwrap())).unwrap_err();
+        let err = journal_recover_cmd(seg_str, Some(out.to_str().unwrap()))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("compacted journal"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -2,8 +2,8 @@
 //! (`cdt journal diff A B`).
 //!
 //! Two runs of the same scenario and seed settle identically, bit for
-//! bit. This module turns that claim into a measurement: align the two
-//! logs' settled rounds, compare the consumer payment and every seller
+//! bit. This module turns that claim into a measurement: align the
+//! settled rounds of two loaded journals (any layout), compare the consumer payment and every seller
 //! payment per round, and report the maximum absolute and relative
 //! divergence.
 //!
@@ -12,7 +12,6 @@
 //! drift; any disagreement in shape is a *structural* mismatch — the runs
 //! are not comparable and no tolerance excuses them.
 
-use crate::log::EventLog;
 use cdt_types::Round;
 
 /// One settled round's money flow: the unit both the journal diff and
@@ -26,18 +25,6 @@ pub struct SettlementRow {
     pub consumer: f64,
     /// `p · τ_i` per seller, in selection order.
     pub sellers: Vec<f64>,
-}
-
-/// The per-round settlement rows of a log, in round order.
-#[must_use]
-pub fn settlement_rows(log: &EventLog) -> Vec<SettlementRow> {
-    log.settlements()
-        .map(|(round, consumer, sellers)| SettlementRow {
-            round,
-            consumer,
-            sellers: sellers.to_vec(),
-        })
-        .collect()
 }
 
 /// The result of comparing two journals' settlements round by round.
@@ -92,21 +79,14 @@ impl SettlementDiff {
     }
 }
 
-/// Compares two journals' settled payments round by round.
+/// Compares two journals' settled payments round by round, as their
+/// [`crate::JournalView::settlements`] rows.
 ///
 /// Rounds are aligned by position in settlement order (the protocol state
 /// machine already forces settlement order to be round order) and checked
 /// to carry the same round index and seller count; the comparison covers
 /// the common prefix when one journal settled more rounds than the other
 /// (reported as a structural mismatch).
-#[must_use]
-pub fn diff_settlements(a: &EventLog, b: &EventLog) -> SettlementDiff {
-    diff_settlement_rows(&settlement_rows(a), &settlement_rows(b))
-}
-
-/// Compares two settlement-row histories round by round — the row-level
-/// core of [`diff_settlements`], usable on histories loaded from a
-/// segmented/compacted journal where no full [`EventLog`] exists.
 #[must_use]
 pub fn diff_settlement_rows(rows_a: &[SettlementRow], rows_b: &[SettlementRow]) -> SettlementDiff {
     let mut diff = SettlementDiff {
@@ -155,63 +135,25 @@ pub fn diff_settlement_rows(rows_a: &[SettlementRow], rows_b: &[SettlementRow]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::MarketEvent;
-    use cdt_types::{JobSpec, SellerId};
 
-    /// A log settling `payments[r]` (consumer, sellers) for round `r`.
-    ///
-    /// The state machine enforces `consumer = p^J·Στ` and
-    /// `seller_payments[i] = p·τ_i`, so the strategy is derived from the
-    /// requested payments: `p = 1` makes `τ_i = seller_payments[i]`, and
-    /// `p^J = consumer / Στ` closes the consumer identity.
-    fn settled_log(payments: &[(f64, Vec<f64>)]) -> EventLog {
-        let mut log = EventLog::new();
-        log.append(MarketEvent::JobPublished {
-            job: JobSpec::new(4, payments.len().max(1), 10.0).unwrap(),
-        })
-        .unwrap();
-        for (r, (consumer, sellers)) in payments.iter().enumerate() {
-            let round = Round(r);
-            let total_tau: f64 = sellers.iter().sum();
-            let service_price = if total_tau > 0.0 {
-                consumer / total_tau
-            } else {
-                assert_eq!(*consumer, 0.0, "zero sensing time forces zero payment");
-                4.0
-            };
-            log.append(MarketEvent::SellersSelected {
-                round,
-                sellers: (0..sellers.len()).map(SellerId).collect(),
+    /// The rows of a history settling `payments[r]` (consumer, sellers)
+    /// in round `r`.
+    fn rows(payments: &[(f64, Vec<f64>)]) -> Vec<SettlementRow> {
+        payments
+            .iter()
+            .enumerate()
+            .map(|(r, (consumer, sellers))| SettlementRow {
+                round: Round(r),
+                consumer: *consumer,
+                sellers: sellers.clone(),
             })
-            .unwrap();
-            log.append(MarketEvent::StrategyDetermined {
-                round,
-                service_price,
-                collection_price: 1.0,
-                sensing_times: sellers.clone(),
-            })
-            .unwrap();
-            log.append(MarketEvent::DataCollected {
-                round,
-                observed_revenue: 3.0,
-            })
-            .unwrap();
-            log.append(MarketEvent::StatisticsDelivered { round })
-                .unwrap();
-            log.append(MarketEvent::PaymentsSettled {
-                round,
-                consumer_payment: *consumer,
-                seller_payments: sellers.clone(),
-            })
-            .unwrap();
-        }
-        log
+            .collect()
     }
 
     #[test]
     fn identical_logs_diff_to_zero() {
-        let log = settled_log(&[(10.0, vec![1.0, 2.0]), (11.0, vec![1.5, 2.5])]);
-        let d = diff_settlements(&log, &log.clone());
+        let a = rows(&[(10.0, vec![1.0, 2.0]), (11.0, vec![1.5, 2.5])]);
+        let d = diff_settlement_rows(&a, &a.clone());
         assert!(d.is_zero(), "{d:?}");
         assert_eq!(d.rounds_compared, 2);
         assert_eq!(d.worst_round, None);
@@ -220,9 +162,9 @@ mod tests {
 
     #[test]
     fn numeric_drift_is_measured_with_worst_round() {
-        let a = settled_log(&[(10.0, vec![1.0, 2.0]), (20.0, vec![4.0])]);
-        let b = settled_log(&[(10.0, vec![1.0, 2.0 + 1e-9]), (20.0 + 4e-9, vec![4.0])]);
-        let d = diff_settlements(&a, &b);
+        let a = rows(&[(10.0, vec![1.0, 2.0]), (20.0, vec![4.0])]);
+        let b = rows(&[(10.0, vec![1.0, 2.0 + 1e-9]), (20.0 + 4e-9, vec![4.0])]);
+        let d = diff_settlement_rows(&a, &b);
         assert!(d.structural.is_none());
         assert!(!d.is_zero());
         assert!((d.max_abs - 4e-9).abs() < 1e-15, "{d:?}");
@@ -234,9 +176,9 @@ mod tests {
 
     #[test]
     fn round_count_mismatch_is_structural() {
-        let a = settled_log(&[(10.0, vec![1.0]), (11.0, vec![1.0])]);
-        let b = settled_log(&[(10.0, vec![1.0])]);
-        let d = diff_settlements(&a, &b);
+        let a = rows(&[(10.0, vec![1.0]), (11.0, vec![1.0])]);
+        let b = rows(&[(10.0, vec![1.0])]);
+        let d = diff_settlement_rows(&a, &b);
         assert_eq!(d.rounds_a, 2);
         assert_eq!(d.rounds_b, 1);
         let msg = d.structural.as_deref().unwrap();
@@ -249,27 +191,17 @@ mod tests {
 
     #[test]
     fn seller_count_mismatch_is_structural() {
-        let a = settled_log(&[(10.0, vec![1.0, 2.0])]);
-        let b = settled_log(&[(10.0, vec![1.0, 1.0, 1.0])]);
-        let d = diff_settlements(&a, &b);
+        let a = rows(&[(10.0, vec![1.0, 2.0])]);
+        let b = rows(&[(10.0, vec![1.0, 1.0, 1.0])]);
+        let d = diff_settlement_rows(&a, &b);
         let msg = d.structural.as_deref().unwrap();
         assert!(msg.contains("seller payment counts differ"), "{msg}");
         assert_eq!(d.rounds_compared, 0);
     }
 
     #[test]
-    fn row_diff_agrees_with_log_diff() {
-        let a = settled_log(&[(10.0, vec![1.0, 2.0]), (20.0, vec![4.0])]);
-        let b = settled_log(&[(10.0, vec![1.0, 2.5]), (20.0, vec![4.0])]);
-        let from_logs = diff_settlements(&a, &b);
-        let from_rows = diff_settlement_rows(&settlement_rows(&a), &settlement_rows(&b));
-        assert_eq!(from_logs, from_rows);
-        assert_eq!(from_rows.worst_round, Some(Round(0)));
-    }
-
-    #[test]
     fn settlement_rows_codec_round_trip() {
-        let rows = settlement_rows(&settled_log(&[(10.0, vec![1.0, 2.0])]));
+        let rows = rows(&[(10.0, vec![1.0, 2.0])]);
         let back: Vec<SettlementRow> = rows
             .iter()
             .map(|row| cdt_types::json::from_str(&cdt_types::json::to_string(row)).unwrap())
@@ -279,9 +211,8 @@ mod tests {
 
     #[test]
     fn zero_payments_have_zero_relative_divergence() {
-        let a = settled_log(&[(0.0, vec![0.0])]);
-        let b = settled_log(&[(0.0, vec![0.0])]);
-        let d = diff_settlements(&a, &b);
+        let a = rows(&[(0.0, vec![0.0])]);
+        let d = diff_settlement_rows(&a, &a.clone());
         assert_eq!(d.max_rel, 0.0);
         assert!(d.is_zero());
     }

@@ -12,7 +12,7 @@
 //! - a *completed* run's journal appears atomically, byte-identical to the
 //!   in-memory [`crate::EventLog::to_json_lines`] serialization;
 //! - a *killed* run leaves `<path>.partial`, whose settled-round prefix is
-//!   recoverable with [`crate::recover_json_lines`] — at most the in-flight
+//!   recoverable with [`crate::recover_journal`] — at most the in-flight
 //!   round is lost.
 //!
 //! [`JournalObserver`] adapts the sink to the engine's
@@ -495,7 +495,7 @@ impl JournalSink {
 
 impl Drop for JournalSink {
     /// The crash/error path: flush what settled and leave `<path>.partial`
-    /// on disk for [`crate::recover_json_lines`]. Metrics still publish so
+    /// on disk for [`crate::recover_journal`]. Metrics still publish so
     /// an aborted run's journal work is visible in the summary.
     fn drop(&mut self) {
         if !self.renamed {
@@ -665,6 +665,7 @@ impl RoundObserver for JournalObserver {
 mod tests {
     use super::*;
     use crate::log::EventLog;
+    use crate::segment::{load_journal, recover_journal};
     use cdt_types::SellerId;
 
     fn temp_journal(name: &str) -> PathBuf {
@@ -727,9 +728,16 @@ mod tests {
         assert!(!partial_path_for(&path).exists());
 
         // The streamed bytes replay cleanly and match the buffered path.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let log = EventLog::from_json_lines(&text).unwrap();
-        assert_eq!(text, log.to_json_lines());
+        let mut log = EventLog::new();
+        log.append(job_event()).unwrap();
+        for t in 0..2 {
+            for e in round_events(t) {
+                log.append(e).unwrap();
+            }
+        }
+        log.append(MarketEvent::JobCompleted { rounds: 2 }).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), log.to_json_lines());
+        assert_eq!(load_journal(&path).unwrap().state, *log.state());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -763,9 +771,8 @@ mod tests {
             sink.append(&round_events(1)[0]).unwrap();
         }
         assert!(!path.exists());
-        let text = std::fs::read_to_string(partial_path_for(&path)).unwrap();
-        let rec = crate::recover_json_lines(&text);
-        assert_eq!(rec.log.state().settled_rounds(), 1);
+        let rec = recover_journal(&partial_path_for(&path)).unwrap();
+        assert_eq!(rec.view.settled_rounds(), 1);
         assert!(rec.stop.is_some());
         let _ = std::fs::remove_file(partial_path_for(&path));
     }
@@ -936,10 +943,10 @@ mod tests {
         }
         assert!(crate::segment::segment_path(&path, 0).exists());
         assert!(crate::segment::segment_partial_path(&path, 1).exists());
-        let rec = crate::segment::recover_journal(&path).unwrap();
-        assert!(rec.segmented);
-        assert_eq!(rec.settled_rounds(), 1);
-        assert!(rec.state.at_round_boundary());
+        let rec = recover_journal(&path).unwrap();
+        assert!(rec.view.segmented);
+        assert_eq!(rec.view.settled_rounds(), 1);
+        assert!(rec.view.state.at_round_boundary());
         assert!(rec.stop.is_some());
         let _ = std::fs::remove_file(crate::segment::segment_path(&path, 0));
         let _ = std::fs::remove_file(crate::segment::segment_partial_path(&path, 1));
@@ -995,19 +1002,9 @@ mod tests {
         assert_eq!(report.events, 7); // publish + 5 round events + complete
         assert_eq!(report.settled_rounds, 1);
         assert!(report.completed);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let log = EventLog::from_json_lines(&text).unwrap();
-        match &log.events()[5] {
-            MarketEvent::PaymentsSettled {
-                consumer_payment,
-                seller_payments,
-                ..
-            } => {
-                assert_eq!(*consumer_payment, 4.0 * (2.0 + 3.0));
-                assert_eq!(seller_payments, &vec![3.0, 4.5]);
-            }
-            other => panic!("expected settlement, got {}", other.kind()),
-        }
+        let row = &load_journal(&path).unwrap().settlements[0];
+        assert_eq!(row.consumer, 4.0 * (2.0 + 3.0));
+        assert_eq!(row.sellers, [3.0, 4.5]);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -18,8 +18,8 @@
 //! - [`state`]: a per-round state machine rejecting out-of-order or
 //!   inconsistent events (e.g. settling a round whose data never arrived,
 //!   or paying a different amount than the agreed strategy implies);
-//! - [`log`]: an append-only [`EventLog`] with JSON-lines round-trip and
-//!   full-replay validation;
+//! - [`log`]: an append-only [`EventLog`] that validates every append
+//!   and writes its history as journal text;
 //! - `codec`: the layouts of the journal's files (event lines, index
 //!   lines, checkpoints) on the workspace codec [`cdt_types::json`],
 //!   writing into reused byte buffers and reading with a cursor parser;
@@ -30,15 +30,19 @@
 //!   plus a [`JournalObserver`] that journals through the engine's
 //!   `cdt_obs::RoundObserver` hooks and publishes `cdt_obs_protocol_*`
 //!   metrics;
-//! - [`recover`]: truncation-tolerant replay recovering the longest
-//!   settled-round prefix of a crashed run's journal;
+//! - [`recover`]: the one replay every journal reader runs — strict, or
+//!   truncation-tolerant, recovering the longest settled-round prefix of
+//!   a crashed run's journal;
 //! - [`diff`]: round-aligned settlement comparison between two journals
 //!   (`cdt journal diff`): two runs of one scenario and seed diff to zero;
-//! - [`segment`]: segment-rotated journal layout — the `<path>.seg-NNNN`
-//!   files, the `<path>.idx` round-range index, and the compaction
-//!   checkpoints (`cdt journal compact`) that fold a settled prefix into a
-//!   digest-verified [`ProtocolState`] snapshot, making replay-to-round an
-//!   index lookup plus one segment scan.
+//! - [`segment`]: the journal layouts and their readers — a single file,
+//!   or the `<path>.seg-NNNN` files, the `<path>.idx` round-range index,
+//!   and the compaction checkpoints (`cdt journal compact`) that fold a
+//!   settled prefix into a digest-verified [`ProtocolState`] snapshot,
+//!   making replay-to-round an index lookup plus one segment scan. Every
+//!   reader ([`load_journal`], [`recover_journal`], [`replay_to_round`],
+//!   [`compact_journal`]) feeds the one replay; they differ only in which
+//!   files they feed it.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -54,15 +58,13 @@ pub mod segment;
 pub mod state;
 
 pub use bridge::events_for_round;
-pub use diff::{
-    diff_settlement_rows, diff_settlements, settlement_rows, SettlementDiff, SettlementRow,
-};
+pub use diff::{diff_settlement_rows, SettlementDiff, SettlementRow};
 pub use event::MarketEvent;
 pub use journal::{JournalError, JournalObserver, JournalReport, JournalSink, RotationConfig};
 pub use log::EventLog;
-pub use recover::{recover_json_lines, Recovery, RecoveryStop};
+pub use recover::{JournalRecovery, RecoveryStop};
 pub use segment::{
-    compact_journal, load_journal, recover_journal, replay_to_round, CompactReport,
-    JournalRecovery, JournalView, RoundLookup, SegmentError,
+    compact_journal, load_journal, load_journal_text, recover_journal, replay_to_round,
+    CompactReport, JournalView, RoundLookup, SegmentError,
 };
 pub use state::{ProtocolError, ProtocolState};

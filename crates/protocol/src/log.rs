@@ -1,10 +1,10 @@
-//! Append-only, replay-validated event log with JSON-lines round-trip.
+//! Append-only, validated in-memory event log: the writer that builds a
+//! journal's text in memory. Its text reads back, like any journal file,
+//! through [`crate::load_journal_text`].
 
-use crate::codec;
 use crate::event::MarketEvent;
 use crate::state::{ProtocolError, ProtocolState};
 use cdt_types::json::Codec as _;
-use cdt_types::{CdtError, Result, Round};
 
 /// An event log that validates every append against the protocol state
 /// machine, so an in-memory log is *always* a legal history.
@@ -49,7 +49,7 @@ impl EventLog {
     ///
     /// # Errors
     /// Returns the protocol violation; the log is unchanged on error.
-    pub fn append(&mut self, event: MarketEvent) -> std::result::Result<(), ProtocolError> {
+    pub fn append(&mut self, event: MarketEvent) -> Result<(), ProtocolError> {
         self.state.apply(&event)?;
         self.events.push(event);
         Ok(())
@@ -65,77 +65,12 @@ impl EventLog {
         }
         String::from_utf8(out).expect("the codec writes UTF-8")
     }
-
-    /// Parses and *replays* a JSON-lines log, re-validating every event —
-    /// a tampered or truncated-mid-round log is rejected.
-    ///
-    /// # Errors
-    /// Returns [`CdtError::TraceParse`] with the offending 1-based line.
-    pub fn from_json_lines(input: &str) -> Result<Self> {
-        let mut log = Self::new();
-        for (idx, line) in input.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let event = codec::event_from_line(line).map_err(|message| CdtError::TraceParse {
-                line: line_no,
-                message,
-            })?;
-            log.append(event).map_err(|e| CdtError::TraceParse {
-                line: line_no,
-                message: format!("protocol violation on replay: {e}"),
-            })?;
-        }
-        Ok(log)
-    }
-
-    /// Total consumer spend across all settled rounds (audit query).
-    #[must_use]
-    pub fn total_consumer_spend(&self) -> f64 {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                MarketEvent::PaymentsSettled {
-                    consumer_payment, ..
-                } => Some(*consumer_payment),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Total paid out to sellers across all settled rounds (audit query).
-    #[must_use]
-    pub fn total_seller_payout(&self) -> f64 {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                MarketEvent::PaymentsSettled {
-                    seller_payments, ..
-                } => Some(seller_payments.iter().sum::<f64>()),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// The per-round settlements, in round order: `(round,
-    /// consumer_payment, seller_payments)` (audit query).
-    pub fn settlements(&self) -> impl Iterator<Item = (Round, f64, &[f64])> + '_ {
-        self.events.iter().filter_map(|e| match e {
-            MarketEvent::PaymentsSettled {
-                round,
-                consumer_payment,
-                seller_payments,
-            } => Some((*round, *consumer_payment, seller_payments.as_slice())),
-            _ => None,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::{load_journal_text, JournalView, SegmentError};
     use cdt_types::json;
     use cdt_types::{JobSpec, Round, SellerId};
 
@@ -174,13 +109,18 @@ mod tests {
         log
     }
 
+    /// Reads a log's text back, as `cdt journal verify` reads a file.
+    fn read(text: &str) -> Result<JournalView, SegmentError> {
+        load_journal_text(text, "log.jsonl")
+    }
+
     #[test]
     fn json_lines_round_trip() {
         let log = full_log();
-        let text = log.to_json_lines();
-        let back = EventLog::from_json_lines(&text).unwrap();
-        assert_eq!(back.events(), log.events());
-        assert!(back.state().is_completed());
+        let view = read(&log.to_json_lines()).unwrap();
+        assert_eq!(view.events, log.len() as u64);
+        assert_eq!(&view.state, log.state());
+        assert!(view.completed());
     }
 
     #[test]
@@ -230,8 +170,11 @@ mod tests {
             "consumer_payment",
             80.0,
         );
-        let err = EventLog::from_json_lines(&text).unwrap_err();
-        assert!(err.to_string().contains("protocol violation"));
+        let err = read(&text).unwrap_err().to_string();
+        assert!(
+            err.starts_with("log.jsonl line 6: protocol violation: "),
+            "{err}"
+        );
     }
 
     #[test]
@@ -245,7 +188,7 @@ mod tests {
             "service_price",
             0.5,
         );
-        let err = EventLog::from_json_lines(&text).unwrap_err();
+        let err = read(&text).unwrap_err();
         assert!(err.to_string().contains("protocol violation"));
     }
 
@@ -255,14 +198,14 @@ mod tests {
         let text = log.to_json_lines();
         let mut lines: Vec<&str> = text.lines().collect();
         lines.swap(1, 2); // selection and strategy swapped
-        let err = EventLog::from_json_lines(&lines.join("\n")).unwrap_err();
+        let err = read(&lines.join("\n")).unwrap_err();
         assert!(err.to_string().contains("protocol violation"));
     }
 
     #[test]
     fn replay_rejects_garbage_json() {
-        let err = EventLog::from_json_lines("not json\n").unwrap_err();
-        assert!(err.to_string().contains("bad event JSON"));
+        let err = read("not json\n").unwrap_err().to_string();
+        assert!(err.starts_with("log.jsonl line 1: bad event JSON"), "{err}");
     }
 
     /// A published job goes through `JobSpec::new`, so `L = 0`, `N = 0` and
@@ -280,7 +223,7 @@ mod tests {
                 "{}\n{{\"JobCompleted\":{{\"rounds\":0}}}}\n",
                 json::to_string(&MarketEvent::JobPublished { job })
             );
-            let err = EventLog::from_json_lines(&text).unwrap_err().to_string();
+            let err = read(&text).unwrap_err().to_string();
             let why = JobSpec::new(pois, rounds, duration).unwrap_err();
             assert!(
                 err.contains(&format!("line 1: invalid job: {why}")),
@@ -291,26 +234,25 @@ mod tests {
 
     #[test]
     fn audit_queries_sum_settlements() {
-        let log = full_log();
-        assert!((log.total_consumer_spend() - 8.0).abs() < 1e-12);
-        assert!((log.total_seller_payout() - 2.0).abs() < 1e-12);
+        let view = read(&full_log().to_json_lines()).unwrap();
+        assert_eq!(view.consumer_total(), 8.0);
+        assert_eq!(view.seller_total(), 2.0);
     }
 
     #[test]
     fn empty_lines_are_skipped() {
         let log = full_log();
         let text = format!("\n{}\n\n", log.to_json_lines());
-        assert_eq!(EventLog::from_json_lines(&text).unwrap().len(), log.len());
+        assert_eq!(read(&text).unwrap().events, log.len() as u64);
     }
 
     #[test]
     fn settlements_iterate_in_round_order() {
-        let log = full_log();
-        let rows: Vec<_> = log.settlements().collect();
-        assert_eq!(rows.len(), 1);
-        let (round, consumer, sellers) = rows[0];
-        assert_eq!(round, Round(0));
-        assert!((consumer - 8.0).abs() < 1e-12);
-        assert_eq!(sellers, &[2.0]);
+        let view = read(&full_log().to_json_lines()).unwrap();
+        assert_eq!(view.settlements.len(), 1);
+        let row = &view.settlements[0];
+        assert_eq!(row.round, Round(0));
+        assert_eq!(row.consumer, 8.0);
+        assert_eq!(row.sellers, [2.0]);
     }
 }

@@ -1,141 +1,267 @@
-//! Truncation-tolerant journal recovery.
+//! The one replay every journal reader runs.
 //!
-//! [`EventLog::from_json_lines`] is all-or-nothing: any bad line rejects
-//! the whole journal. That is the right contract for audit, but a journal
-//! left behind by a killed run (`<path>.partial` from
-//! [`crate::JournalSink`]) legitimately ends mid-round. This module
-//! replays as far as the history stays valid and keeps the longest prefix
-//! that ends on a *settlement boundary* — after `JobPublished`, after any
-//! `PaymentsSettled`, or after `JobCompleted` — reporting where and why
-//! replay stopped.
+//! A journal's history is a sequence of sources, fed in order: one file,
+//! or a checkpoint and then the indexed segments, the sealed segments the
+//! index never recorded and the active partial (see [`crate::segment`]).
+//! [`Replay`] decodes each line, applies it to the [`ProtocolState`],
+//! collects the settlement rows and remembers the last *settlement
+//! boundary* — after `JobPublished`, after any `PaymentsSettled`, or
+//! after `JobCompleted`. A strict reader turns its first stop into an
+//! error. Recovery rolls back to the boundary instead and reports where
+//! and why replay stopped, so a journal left behind by a killed run
+//! (`<path>.partial` from [`crate::JournalSink`]) keeps its longest
+//! settled prefix.
 
 use crate::codec;
+use crate::diff::SettlementRow;
 use crate::event::MarketEvent;
-use crate::log::EventLog;
-use crate::state::ProtocolState;
+use crate::segment::{JournalView, SegmentError};
 
 /// Where and why a recovery replay stopped short of the journal's end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryStop {
-    /// 1-based line number of the offending (or last in-flight) line.
+    /// Non-empty lines read through the offending (or last in-flight)
+    /// line, counted across every source: its 1-based line number in a
+    /// journal without blank lines.
     pub line: usize,
     /// Human-readable cause: bad JSON, protocol violation, or mid-round
-    /// truncation.
+    /// truncation, after the source's file name in a segmented layout.
     pub reason: String,
 }
 
-/// The result of a truncation-tolerant replay.
+/// The result of a truncation-tolerant recovery over any journal layout.
 #[derive(Debug)]
-pub struct Recovery {
-    /// The longest valid prefix ending on a settlement boundary.
-    pub log: EventLog,
-    /// Whether the recovered prefix ends with `JobCompleted`.
-    pub completed: bool,
-    /// Non-empty lines scanned (including any rejected one).
+pub struct JournalRecovery {
+    /// The recovered history. It always ends on a settlement boundary.
+    pub view: JournalView,
+    /// Non-empty lines read across all source files.
     pub lines_read: usize,
-    /// Events that parsed and replayed cleanly (the kept prefix plus any
-    /// in-flight events of an unsettled trailing round).
-    pub events_replayed: usize,
-    /// `None` when the journal is a clean boundary-terminated history;
-    /// otherwise where and why replay stopped.
+    /// Events that decoded and applied cleanly, kept or in flight (the
+    /// checkpoint's folded events excluded).
+    pub events_replayed: u64,
+    /// The kept event lines (the folded prefix excluded), each as written
+    /// and newline-terminated: a valid journal when no checkpoint is
+    /// involved.
+    pub kept_text: String,
+    /// Bytes of the source files that the kept lines cover, through the
+    /// end of the last kept line.
+    pub source_bytes: u64,
+    /// `None` for a clean boundary-terminated history; otherwise where
+    /// and why replay stopped.
     pub stop: Option<RecoveryStop>,
 }
 
-impl Recovery {
-    /// Rounds fully settled in the recovered prefix.
+impl JournalRecovery {
+    /// Events kept in the recovered history, the folded ones excluded.
     #[must_use]
-    pub fn settled_rounds(&self) -> usize {
-        self.log.state().settled_rounds()
-    }
-
-    /// Cleanly replayed events that were discarded because their round
-    /// never settled.
-    #[must_use]
-    pub fn dropped_events(&self) -> usize {
-        self.events_replayed - self.log.len()
+    pub fn events_kept(&self) -> u64 {
+        self.view.events - self.view.compacted_events
     }
 }
 
-/// Replays `input` (JSON lines, as written by [`crate::JournalSink`] or
-/// [`EventLog::to_json_lines`]) and recovers the longest settled-round
-/// prefix. Never fails: an empty or immediately invalid journal recovers
-/// an empty log with the stop report explaining why.
-#[must_use]
-pub fn recover_json_lines(input: &str) -> Recovery {
-    let mut state = ProtocolState::new();
-    let mut events: Vec<MarketEvent> = Vec::new();
-    let mut boundary = 0usize;
-    let mut lines_read = 0usize;
-    let mut last_line_no = 0usize;
-    let mut stop = None;
+/// One replay of a journal history, fed one source at a time.
+#[derive(Debug)]
+pub(crate) struct Replay {
+    /// The history through the last settlement boundary, folded prefix
+    /// included; its `state` also holds the in-flight round, if any.
+    pub(crate) view: JournalView,
+    /// Events applied since the last settlement boundary.
+    in_flight: u64,
+    /// Non-empty lines read.
+    lines: usize,
+    /// Source bytes through the end of the last boundary's line.
+    covered: u64,
+    /// Bytes of the sources fed before the current one.
+    fed: u64,
+    /// Recovery's copy of the kept lines, with its length at the last
+    /// boundary. A strict replay copies no line.
+    text: Option<(String, usize)>,
+    stop: Option<RecoveryStop>,
+}
 
-    for (idx, raw) in input.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        lines_read += 1;
-        last_line_no = line_no;
-        let event = match codec::event_from_line(line) {
-            Ok(event) => event,
-            Err(reason) => {
-                stop = Some(RecoveryStop {
-                    line: line_no,
-                    reason,
-                });
-                break;
-            }
-        };
-        if let Err(e) = state.apply(&event) {
-            stop = Some(RecoveryStop {
-                line: line_no,
-                reason: format!("protocol violation: {e}"),
-            });
-            break;
-        }
-        let is_boundary = event.is_settlement_boundary();
-        events.push(event);
-        if is_boundary {
-            boundary = events.len();
+impl Replay {
+    /// A strict replay that resumes after `start` (an empty history, or
+    /// the one a checkpoint folded).
+    pub(crate) fn new(start: JournalView) -> Self {
+        Self {
+            view: start,
+            in_flight: 0,
+            lines: 0,
+            covered: 0,
+            fed: 0,
+            text: None,
+            stop: None,
         }
     }
 
-    let events_replayed = events.len();
-    if stop.is_none() && boundary < events_replayed {
-        stop = Some(RecoveryStop {
-            line: last_line_no,
-            reason: format!(
-                "journal ends mid-round ({} in-flight event{} discarded)",
-                events_replayed - boundary,
-                if events_replayed - boundary == 1 {
-                    ""
-                } else {
-                    "s"
+    /// A recovering replay that resumes after `start`.
+    pub(crate) fn recovering(start: JournalView) -> Self {
+        Self {
+            text: Some((String::new(), 0)),
+            ..Self::new(start)
+        }
+    }
+
+    /// Events applied so far, folded and in-flight ones included.
+    pub(crate) fn applied(&self) -> u64 {
+        self.view.events + self.in_flight
+    }
+
+    /// Whether replay has stopped: no further source may follow.
+    pub(crate) fn stopped(&self) -> bool {
+        self.stop.is_some()
+    }
+
+    /// Replays one source's bytes, stopping at the first line that does
+    /// not decode or apply: returns its 1-based line number in `bytes`
+    /// and why.
+    fn feed(&mut self, bytes: &[u8]) -> Result<(), (usize, String)> {
+        // The lines before the first byte that is not UTF-8 replay as
+        // text; the line holding that byte stops replay.
+        let (text, bad) = match std::str::from_utf8(bytes) {
+            Ok(text) => (text, None),
+            Err(e) => {
+                let valid = std::str::from_utf8(&bytes[..e.valid_up_to()]).unwrap_or_default();
+                (&valid[..valid.rfind('\n').map_or(0, |i| i + 1)], Some(e))
+            }
+        };
+        let (mut line_no, mut end) = (0, 0);
+        for raw in text.split_inclusive('\n') {
+            line_no += 1;
+            end += raw.len();
+            let line = raw.trim();
+            if line.is_empty() {
+                continue;
+            }
+            self.lines += 1;
+            let stop = |why: String| (line_no, why);
+            let event = codec::event_from_line(line).map_err(stop)?;
+            self.view
+                .state
+                .apply(&event)
+                .map_err(|e| stop(format!("protocol violation: {e}")))?;
+            self.in_flight += 1;
+            if let Some((text, _)) = &mut self.text {
+                text.push_str(line);
+                text.push('\n');
+            }
+            if event.is_settlement_boundary() {
+                self.view.events += std::mem::take(&mut self.in_flight);
+                self.covered = self.fed + end as u64;
+                if let Some((text, kept)) = &mut self.text {
+                    *kept = text.len();
                 }
+                if let MarketEvent::PaymentsSettled {
+                    round,
+                    consumer_payment,
+                    seller_payments,
+                } = event
+                {
+                    self.view.settlements.push(SettlementRow {
+                        round,
+                        consumer: consumer_payment,
+                        sellers: seller_payments,
+                    });
+                }
+            }
+        }
+        if let Some(e) = bad {
+            self.lines += 1;
+            return Err((line_no + 1, format!("bad event JSON: {e}")));
+        }
+        self.fed += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Replays one file strictly: the first stop is an error naming
+    /// `file` and the line within it.
+    pub(crate) fn strict(&mut self, bytes: &[u8], file: &str) -> Result<(), SegmentError> {
+        self.feed(bytes)
+            .map_err(|(line, why)| SegmentError::Corrupt(format!("{file} line {line}: {why}")))
+    }
+
+    /// Ends a strict replay. Every writer leaves a journal on a settlement
+    /// boundary, so one that ends mid-round is an error naming `file`.
+    pub(crate) fn finish(self, file: &str) -> Result<JournalView, SegmentError> {
+        let state = &self.view.state;
+        if !state.at_round_boundary() {
+            return Err(SegmentError::Corrupt(format!(
+                "{file}: journal ends mid-round (round {} in flight after {} settled); \
+                 run `cdt journal recover`",
+                state.current_round(),
+                state.settled_rounds()
+            )));
+        }
+        Ok(self.view)
+    }
+
+    /// Replays one source for recovery; its stops carry the name `file`
+    /// when there is one. A source that ends mid-round stops replay too:
+    /// the `last` one is the journal's torn tail, and any other is a
+    /// sealed segment, which every writer ends on a boundary.
+    pub(crate) fn recover(&mut self, bytes: &[u8], file: Option<&str>, last: bool) {
+        let why = match self.feed(bytes) {
+            Err((_, why)) => why,
+            Ok(()) if self.in_flight == 0 => return,
+            Ok(()) => format!(
+                "{} ends mid-round ({} in-flight event{} discarded)",
+                if last { "journal" } else { "sealed segment" },
+                self.in_flight,
+                if self.in_flight == 1 { "" } else { "s" }
             ),
+        };
+        self.halt(file, why);
+    }
+
+    /// Stops recovery: rolls back to the last settlement boundary and
+    /// records why, at the last line read.
+    pub(crate) fn halt(&mut self, file: Option<&str>, why: String) {
+        self.view.state.abandon_round();
+        if let Some((text, kept)) = &mut self.text {
+            text.truncate(*kept);
+        }
+        self.stop = Some(RecoveryStop {
+            line: self.lines,
+            reason: match file {
+                Some(file) => format!("{file}: {why}"),
+                None => why,
+            },
         });
     }
 
-    let mut log = EventLog::new();
-    for event in events.into_iter().take(boundary) {
-        log.append(event)
-            .expect("a validated prefix replays unchanged");
-    }
-    Recovery {
-        completed: log.state().is_completed(),
-        log,
-        lines_read,
-        events_replayed,
-        stop,
+    /// The recovered history and what recovery saw on the way.
+    pub(crate) fn into_recovery(self) -> JournalRecovery {
+        JournalRecovery {
+            events_replayed: self.view.events - self.view.compacted_events + self.in_flight,
+            lines_read: self.lines,
+            kept_text: self.text.map(|(text, _)| text).unwrap_or_default(),
+            source_bytes: self.covered,
+            stop: self.stop,
+            view: self.view,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::EventLog;
     use cdt_types::check::check_all;
     use cdt_types::{JobSpec, Round, SellerId};
+
+    /// Recovery of one file's text, as `recover_journal` runs it on a
+    /// single-file journal.
+    fn recover(text: &str) -> JournalRecovery {
+        let mut replay = Replay::recovering(JournalView::default());
+        replay.recover(text.as_bytes(), None, true);
+        replay.into_recovery()
+    }
+
+    /// Cleanly replayed events that were discarded because their round
+    /// never settled.
+    fn dropped(rec: &JournalRecovery) -> u64 {
+        rec.events_replayed - rec.events_kept()
+    }
 
     /// The first `n` lines of `text`, newline-terminated.
     fn take_lines(text: &str, n: usize) -> String {
@@ -189,11 +315,13 @@ mod tests {
     #[test]
     fn complete_journal_recovers_fully() {
         let text = journal_lines(3, true);
-        let rec = recover_json_lines(&text);
-        assert!(rec.completed);
-        assert_eq!(rec.settled_rounds(), 3);
-        assert_eq!(rec.dropped_events(), 0);
+        let rec = recover(&text);
+        assert!(rec.view.completed());
+        assert_eq!(rec.view.settled_rounds(), 3);
+        assert_eq!(dropped(&rec), 0);
         assert!(rec.stop.is_none());
+        assert_eq!(rec.kept_text, text);
+        assert_eq!(rec.source_bytes, text.len() as u64);
     }
 
     #[test]
@@ -202,24 +330,28 @@ mod tests {
         // Cut into round 2: keep publish + 2 full rounds + 3 events of the
         // third round.
         let cut = take_lines(&text, 1 + 2 * 5 + 3);
-        let rec = recover_json_lines(&cut);
-        assert_eq!(rec.settled_rounds(), 2);
-        assert_eq!(rec.log.len(), 11);
-        assert_eq!(rec.dropped_events(), 3);
+        let rec = recover(&cut);
+        assert_eq!(rec.view.settled_rounds(), 2);
+        assert_eq!(rec.events_kept(), 11);
+        assert_eq!(dropped(&rec), 3);
+        assert_eq!(rec.kept_text, take_lines(&text, 11));
         let stop = rec.stop.unwrap();
         assert_eq!(stop.line, 14);
-        assert!(stop.reason.contains("mid-round"), "{}", stop.reason);
+        assert_eq!(
+            stop.reason,
+            "journal ends mid-round (3 in-flight events discarded)"
+        );
     }
 
     #[test]
     fn garbage_line_stops_replay_at_last_boundary() {
         let mut text = journal_lines(2, false);
         text.push_str("{\"not\": \"an event\"}\n");
-        let rec = recover_json_lines(&text);
-        assert_eq!(rec.settled_rounds(), 2);
+        let rec = recover(&text);
+        assert_eq!(rec.view.settled_rounds(), 2);
         let stop = rec.stop.unwrap();
         assert_eq!(stop.line, 12);
-        assert!(stop.reason.contains("bad event JSON"), "{}", stop.reason);
+        assert!(stop.reason.starts_with("bad event JSON"), "{}", stop.reason);
     }
 
     #[test]
@@ -231,11 +363,11 @@ mod tests {
             sellers: vec![SellerId(0)],
         }));
         text.push('\n');
-        let rec = recover_json_lines(&text);
-        assert_eq!(rec.settled_rounds(), 1);
+        let rec = recover(&text);
+        assert_eq!(rec.view.settled_rounds(), 1);
         let stop = rec.stop.unwrap();
         assert!(
-            stop.reason.contains("protocol violation"),
+            stop.reason.starts_with("protocol violation: "),
             "{}",
             stop.reason
         );
@@ -243,11 +375,12 @@ mod tests {
 
     #[test]
     fn empty_input_recovers_empty_log() {
-        let rec = recover_json_lines("");
-        assert_eq!(rec.settled_rounds(), 0);
-        assert!(rec.log.is_empty());
+        let rec = recover("");
+        assert_eq!(rec.view.settled_rounds(), 0);
+        assert_eq!(rec.view.events, 0);
+        assert!(rec.kept_text.is_empty());
         assert!(rec.stop.is_none());
-        assert!(!rec.completed);
+        assert!(!rec.view.completed());
     }
 
     #[test]
@@ -256,10 +389,20 @@ mod tests {
         // Chop the last line in half: the torn JSON stops replay, the
         // settled prefix survives.
         let cut = &text[..text.len() - 8];
-        let rec = recover_json_lines(cut);
-        assert_eq!(rec.settled_rounds(), 2);
-        assert!(!rec.completed);
+        let rec = recover(cut);
+        assert_eq!(rec.view.settled_rounds(), 2);
+        assert!(!rec.view.completed());
         assert!(rec.stop.unwrap().reason.contains("bad event JSON"));
+        // Nor is a line that is not UTF-8 an event.
+        let mut bytes = journal_lines(1, false).into_bytes();
+        bytes.extend_from_slice(b"{\"JobCompleted\":\xff}\n");
+        let mut replay = Replay::recovering(JournalView::default());
+        replay.recover(&bytes, None, true);
+        let rec = replay.into_recovery();
+        assert_eq!(rec.view.settled_rounds(), 1);
+        let stop = rec.stop.unwrap();
+        assert_eq!(stop.line, 7);
+        assert!(stop.reason.contains("invalid utf-8"), "{}", stop.reason);
     }
 
     /// Truncating at ANY settlement boundary recovers exactly that
@@ -272,11 +415,12 @@ mod tests {
             let keep = keep.min(rounds);
             let text = journal_lines(rounds, false);
             let cut = take_lines(&text, 1 + keep * 5);
-            let rec = recover_json_lines(&cut);
-            assert_eq!(rec.settled_rounds(), keep);
-            assert_eq!(rec.log.len(), 1 + keep * 5);
-            assert_eq!(rec.dropped_events(), 0);
+            let rec = recover(&cut);
+            assert_eq!(rec.view.settled_rounds(), keep);
+            assert_eq!(rec.events_kept(), 1 + keep as u64 * 5);
+            assert_eq!(dropped(&rec), 0);
             assert!(rec.stop.is_none());
+            assert_eq!(rec.kept_text, cut);
         });
     }
 
@@ -291,9 +435,11 @@ mod tests {
             let keep = keep.min(rounds - 1);
             let text = journal_lines(rounds, false);
             let cut = take_lines(&text, 1 + keep * 5 + offset);
-            let rec = recover_json_lines(&cut);
-            assert_eq!(rec.settled_rounds(), keep);
-            assert_eq!(rec.dropped_events(), offset);
+            let rec = recover(&cut);
+            assert_eq!(rec.view.settled_rounds(), keep);
+            assert_eq!(dropped(&rec), offset as u64);
+            assert!(rec.view.state.at_round_boundary());
+            assert_eq!(rec.kept_text, take_lines(&text, 1 + keep * 5));
             assert!(rec.stop.is_some());
         });
     }

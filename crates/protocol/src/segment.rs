@@ -28,17 +28,19 @@
 //!   or the new generation fully intact (orphans are ignored; the index is
 //!   the source of truth).
 //!
-//! Loading reuses the [`crate::log::EventLog`] replay-verification idiom:
-//! the per-segment `state_after` snapshots and the checkpoint state are
+//! Every reader feeds the one replay of [`crate::recover`], and the
+//! readers differ only in which files they feed it. A single-file journal
+//! is a journal of one source. A segmented one resumes from its
+//! checkpoint and feeds the indexed segments; recovery goes on to the
+//! sealed segments the index never recorded and the active partial. The
+//! per-segment `state_after` snapshots and the checkpoint state are
 //! *cross-checked against replay*, so a forged index or tampered
-//! checkpoint is rejected exactly like a tampered event in a JSON-lines
+//! checkpoint is rejected exactly like a tampered event in a single-file
 //! journal.
 
 use crate::codec;
 use crate::diff::SettlementRow;
-use crate::event::MarketEvent;
-use crate::log::EventLog;
-use crate::recover::{recover_json_lines, RecoveryStop};
+use crate::recover::{JournalRecovery, Replay};
 use crate::state::ProtocolState;
 use cdt_types::json::{self, Codec as _};
 use std::fmt;
@@ -339,6 +341,17 @@ impl Checkpoint {
                 "checkpoint state is not a settlement boundary",
             ));
         }
+        // A settled prefix is `JobPublished`, five events per round and
+        // `JobCompleted` if completed. `rounds` is the row count here, so
+        // the sum cannot overflow.
+        let implied = 1 + 5 * self.rounds as u64 + u64::from(self.completed);
+        if self.events != implied {
+            return Err(SegmentError::corrupt(format!(
+                "checkpoint events {} disagree with its {} rounds (a settlement boundary \
+                 implies {implied})",
+                self.events, self.rounds
+            )));
+        }
         for (i, row) in self.settlements.iter().enumerate() {
             if row.round.index() != i {
                 return Err(SegmentError::corrupt(format!(
@@ -395,12 +408,15 @@ pub struct JournalIndex {
 
 impl JournalIndex {
     /// The sequence number the *next* segment (sealed or active) takes.
-    #[must_use]
-    pub fn next_seq(&self) -> u64 {
-        self.segments.last().map_or_else(
-            || self.checkpoint.as_ref().map_or(0, |c| c.segments_folded),
-            |e| e.seq + 1,
-        )
+    ///
+    /// # Errors
+    /// Returns [`SegmentError::Corrupt`] when the last segment's `seq` is
+    /// `u64::MAX`, which has no successor.
+    pub fn next_seq(&self) -> Result<u64, SegmentError> {
+        match self.segments.last() {
+            Some(entry) => successor(entry.seq),
+            None => Ok(self.checkpoint.as_ref().map_or(0, |c| c.segments_folded)),
+        }
     }
 
     fn to_json_lines(&self) -> Vec<u8> {
@@ -518,7 +534,10 @@ impl JournalIndex {
                             Some(format!("index line {line_no}: segment before header")),
                         );
                     }
-                    let expected = index.next_seq();
+                    let expected = match index.next_seq() {
+                        Ok(expected) => expected,
+                        Err(e) => return (index, Some(format!("index line {line_no}: {e}"))),
+                    };
                     if entry.seq != expected {
                         return (
                             index,
@@ -539,6 +558,13 @@ impl JournalIndex {
             (index, Some("index has no header line".to_owned()))
         }
     }
+}
+
+/// The segment sequence number after `seq`: a forged `u64::MAX` has none.
+fn successor(seq: u64) -> Result<u64, SegmentError> {
+    seq.checked_add(1).ok_or_else(|| {
+        SegmentError::corrupt(format!("segment seq {seq} overflows (it has no successor)"))
+    })
 }
 
 /// Writes `bytes` to `path` through a synced temp file and a rename, so
@@ -630,7 +656,7 @@ fn ledger_totals(rows: &[SettlementRow]) -> (f64, f64) {
 /// A strictly loaded journal history — from a single file, a segmented
 /// layout, or a compacted one — normalized to the data every `cdt
 /// journal` command needs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct JournalView {
     /// `true` when loaded from a `P.idx` segment layout.
     pub segmented: bool,
@@ -673,77 +699,47 @@ impl JournalView {
         ledger_totals(&self.settlements).1
     }
 
-    fn from_log(log: &EventLog) -> Self {
+    /// Where a segmented layout's replay starts: the history `ckpt`
+    /// folded, or an empty one without a checkpoint.
+    fn resume(ckpt: Option<Checkpoint>) -> Self {
+        let Some(ckpt) = ckpt else {
+            return Self {
+                segmented: true,
+                ..Self::default()
+            };
+        };
         Self {
-            segmented: false,
+            segmented: true,
             segments: 0,
-            compacted_rounds: 0,
-            compacted_events: 0,
-            events: log.len() as u64,
-            settlements: crate::diff::settlement_rows(log),
-            state: log.state().clone(),
+            compacted_rounds: ckpt.rounds,
+            compacted_events: ckpt.events,
+            events: ckpt.events,
+            settlements: ckpt.settlements,
+            state: ckpt.state,
         }
     }
 }
 
-/// Replays one segment's text strictly from `state`, appending settlement
-/// rows and returning the event count.
-fn replay_segment_strict(
-    state: &mut ProtocolState,
-    rows: &mut Vec<SettlementRow>,
-    text: &str,
-    label: &str,
-) -> Result<u64, SegmentError> {
-    let mut events = 0u64;
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let event = codec::event_from_line(line)
-            .map_err(|why| SegmentError::corrupt(format!("{label} line {line_no}: {why}")))?;
-        state.apply(&event).map_err(|e| {
-            SegmentError::corrupt(format!(
-                "{label} line {line_no}: protocol violation on replay: {e}"
-            ))
-        })?;
-        if let MarketEvent::PaymentsSettled {
-            round,
-            consumer_payment,
-            seller_payments,
-        } = &event
-        {
-            rows.push(SettlementRow {
-                round: *round,
-                consumer: *consumer_payment,
-                sellers: seller_payments.clone(),
-            });
-        }
-        events += 1;
-    }
-    Ok(events)
-}
-
-/// Verifies one indexed segment — digest, strict replay, and the
-/// `state_after` cross-check — folding its rows into `rows`.
+/// Replays one indexed segment strictly and cross-checks it against its
+/// entry: the byte digest, the event and round counts, the first round
+/// settled and `state_after`. Returns the segment's bytes.
 fn verify_segment_entry(
     base: &Path,
     entry: &SegmentEntry,
-    state: &mut ProtocolState,
-    rows: &mut Vec<SettlementRow>,
-) -> Result<String, SegmentError> {
+    replay: &mut Replay,
+) -> Result<Vec<u8>, SegmentError> {
     let path = base_dir(base).join(&entry.file);
-    let text = std::fs::read_to_string(&path).map_err(|e| SegmentError::io(&path, e))?;
-    if fnv1a(FNV_OFFSET, text.as_bytes()) != entry.digest {
+    let bytes = std::fs::read(&path).map_err(|e| SegmentError::io(&path, e))?;
+    if fnv1a(FNV_OFFSET, &bytes) != entry.digest {
         return Err(SegmentError::corrupt(format!(
             "{}: segment byte digest mismatch (tampered or torn segment)",
             path.display()
         )));
     }
-    let rounds_before = state.settled_rounds();
-    let rows_before = rows.len();
-    let events = replay_segment_strict(state, rows, &text, &entry.file)?;
+    let events_before = replay.applied();
+    let rows_before = replay.view.settlements.len();
+    replay.strict(&bytes, &entry.file)?;
+    let events = replay.applied() - events_before;
     if events != entry.events {
         return Err(SegmentError::corrupt(format!(
             "{}: index says {} events, replay found {events}",
@@ -751,15 +747,16 @@ fn verify_segment_entry(
             entry.events
         )));
     }
-    if state.settled_rounds() - rounds_before != entry.rounds {
+    let rows = &replay.view.settlements[rows_before..];
+    if rows.len() != entry.rounds {
         return Err(SegmentError::corrupt(format!(
             "{}: index says {} rounds, replay settled {}",
             path.display(),
             entry.rounds,
-            state.settled_rounds() - rounds_before
+            rows.len()
         )));
     }
-    let first_round = rows.get(rows_before).map(|row| row.round.index());
+    let first_round = rows.first().map(|row| row.round.index());
     if first_round != entry.first_round {
         let show = |r: Option<usize>| r.map_or_else(|| "none".to_owned(), |r| r.to_string());
         return Err(SegmentError::corrupt(format!(
@@ -769,20 +766,20 @@ fn verify_segment_entry(
             show(first_round)
         )));
     }
-    if *state != entry.state_after {
+    if replay.view.state != entry.state_after {
         return Err(SegmentError::corrupt(format!(
             "{}: index state_after disagrees with replay (forged index?)",
             path.display()
         )));
     }
-    Ok(text)
+    Ok(bytes)
 }
 
 /// Ensures a segmented journal is quiescent (no active partial, no sealed
 /// segment the index has not caught up with) — the precondition for strict
 /// loads and compaction.
 fn ensure_quiescent(base: &Path, index: &JournalIndex) -> Result<(), SegmentError> {
-    let next = index.next_seq();
+    let next = index.next_seq()?;
     let partial = segment_partial_path(base, next);
     if partial.exists() {
         return Err(SegmentError::corrupt(format!(
@@ -804,259 +801,83 @@ fn ensure_quiescent(base: &Path, index: &JournalIndex) -> Result<(), SegmentErro
     Ok(())
 }
 
-/// Loads a journal strictly: a single-file journal replays all-or-nothing
-/// (exactly [`EventLog::from_json_lines`]) and must end on a settlement
-/// boundary, as every writer leaves it; a segmented journal verifies
-/// the index, the checkpoint digest, and every segment's byte digest +
-/// replay + `state_after` cross-check.
+/// The no-journal error of a path that holds neither a file nor a layout.
+fn no_journal(path: &Path) -> SegmentError {
+    SegmentError::io(
+        path,
+        io::Error::new(
+            io::ErrorKind::NotFound,
+            "no journal file or segment index found",
+        ),
+    )
+}
+
+/// Loads a journal strictly. A single file is one source, loaded as
+/// [`load_journal_text`] loads its text. A segmented journal must be
+/// quiescent: replay resumes from the checkpoint, whose digest and index
+/// reference are checked, and cross-checks every indexed segment (byte
+/// digest, counts, first round, `state_after`). Either way the history
+/// must end on a settlement boundary, as every writer leaves it.
 ///
 /// # Errors
 /// Returns [`SegmentError::Io`] when nothing readable exists at `path`
 /// and [`SegmentError::Corrupt`] on any validation failure.
 pub fn load_journal(path: &Path) -> Result<JournalView, SegmentError> {
+    let file = path.display().to_string();
     if path.is_file() {
-        let text = std::fs::read_to_string(path).map_err(|e| SegmentError::io(path, e))?;
-        let log = EventLog::from_json_lines(&text)
-            .map_err(|e| SegmentError::corrupt(format!("{}: {e}", path.display())))?;
-        if !log.state().at_round_boundary() {
-            return Err(SegmentError::corrupt(format!(
-                "{}: journal ends mid-round (round {} in flight after {} settled); \
-                 run `cdt journal recover`",
-                path.display(),
-                log.state().current_round(),
-                log.state().settled_rounds()
-            )));
-        }
-        return Ok(JournalView::from_log(&log));
+        let bytes = std::fs::read(path).map_err(|e| SegmentError::io(path, e))?;
+        return load_journal_text(bytes, &file);
     }
     if !index_path(path).is_file() {
-        return Err(SegmentError::io(
-            path,
-            io::Error::new(
-                io::ErrorKind::NotFound,
-                "no journal file or segment index found",
-            ),
-        ));
+        return Err(no_journal(path));
     }
     let index = JournalIndex::read_strict(path)?;
     ensure_quiescent(path, &index)?;
-    let (mut state, mut rows, mut events, compacted_rounds, compacted_events) =
-        match &index.checkpoint {
-            Some(ckpt_ref) => {
-                let ckpt = load_checkpoint(path, ckpt_ref)?;
-                let rounds = ckpt.rounds;
-                let folded = ckpt.events;
-                (ckpt.state, ckpt.settlements, ckpt.events, rounds, folded)
-            }
-            None => (ProtocolState::new(), Vec::new(), 0, 0, 0),
-        };
+    let ckpt = index
+        .checkpoint
+        .as_ref()
+        .map(|ckpt_ref| load_checkpoint(path, ckpt_ref))
+        .transpose()?;
+    let mut replay = Replay::new(JournalView::resume(ckpt));
     for entry in &index.segments {
-        verify_segment_entry(path, entry, &mut state, &mut rows)?;
-        events += entry.events;
+        verify_segment_entry(path, entry, &mut replay)?;
     }
-    Ok(JournalView {
-        segmented: true,
-        segments: index.segments.len(),
-        compacted_rounds,
-        compacted_events,
-        events,
-        settlements: rows,
-        state,
-    })
+    replay.view.segments = index.segments.len();
+    replay.finish(&file)
 }
 
-/// The result of a truncation-tolerant recovery over any journal layout.
-#[derive(Debug)]
-pub struct JournalRecovery {
-    /// `true` when recovered from a segment layout.
-    pub segmented: bool,
-    /// Rounds folded into the checkpoint the recovery resumed from.
-    pub compacted_rounds: usize,
-    /// Events folded into that checkpoint.
-    pub compacted_events: u64,
-    /// Kept (boundary-terminated) events, excluding folded ones.
-    pub events_kept: usize,
-    /// Non-empty lines scanned across all source files.
-    pub lines_read: usize,
-    /// Events that parsed and replayed cleanly (kept or in-flight).
-    pub events_replayed: usize,
-    /// Every settlement row of the recovered history, in round order.
-    pub settlements: Vec<SettlementRow>,
-    /// The protocol state after the recovered prefix — always a
-    /// settlement boundary.
-    pub state: ProtocolState,
-    /// The kept event lines (excluding the folded prefix), concatenated —
-    /// a valid journal when no checkpoint is involved.
-    pub kept_text: String,
-    /// Bytes read from the event-bearing source files (segments and
-    /// partials; not the index or checkpoint).
-    pub source_bytes: u64,
-    /// `None` for a clean boundary-terminated history; otherwise where
-    /// and why replay stopped (line numbers are cumulative across
-    /// segments).
-    pub stop: Option<RecoveryStop>,
-}
-
-impl JournalRecovery {
-    /// Rounds settled in the recovered history (including compacted ones).
-    #[must_use]
-    pub fn settled_rounds(&self) -> usize {
-        self.state.settled_rounds()
-    }
-
-    /// Whether the recovered prefix ends with `JobCompleted`.
-    #[must_use]
-    pub fn completed(&self) -> bool {
-        self.state.is_completed()
-    }
-}
-
-/// Per-chunk bookkeeping for the tolerant replay chain.
-struct TolerantReplay {
-    state: ProtocolState,
-    rows: Vec<SettlementRow>,
-    kept_text: String,
-    events_kept: usize,
-    lines_read: usize,
-    events_replayed: usize,
-    stop: Option<RecoveryStop>,
-}
-
-impl TolerantReplay {
-    fn new(state: ProtocolState, rows: Vec<SettlementRow>) -> Self {
-        Self {
-            state,
-            rows,
-            kept_text: String::new(),
-            events_kept: 0,
-            lines_read: 0,
-            events_replayed: 0,
-            stop: None,
-        }
-    }
-
-    /// Replays one file's text, keeping the longest boundary-terminated
-    /// prefix; on any stop the state, rows, and kept text roll back to the
-    /// last boundary. Returns `false` when replay must not continue into
-    /// further files.
-    fn replay_chunk(&mut self, text: &str, label: &str, is_last: bool) -> bool {
-        let mut kept_state = self.state.clone();
-        let mut kept_rows = self.rows.len();
-        let mut kept_len = self.kept_text.len();
-        let mut kept_events = self.events_kept;
-        let mut last_line_no = self.lines_read;
-        for raw in text.lines() {
-            let line = raw.trim();
-            if line.is_empty() {
-                continue;
-            }
-            self.lines_read += 1;
-            last_line_no = self.lines_read;
-            let event = match codec::event_from_line(line) {
-                Ok(event) => event,
-                Err(why) => {
-                    self.stop = Some(RecoveryStop {
-                        line: last_line_no,
-                        reason: format!("{label}: {why}"),
-                    });
-                    break;
-                }
-            };
-            if let Err(e) = self.state.apply(&event) {
-                self.stop = Some(RecoveryStop {
-                    line: last_line_no,
-                    reason: format!("{label}: protocol violation: {e}"),
-                });
-                break;
-            }
-            self.events_replayed += 1;
-            self.kept_text.push_str(line);
-            self.kept_text.push('\n');
-            self.events_kept += 1;
-            if let MarketEvent::PaymentsSettled {
-                round,
-                consumer_payment,
-                seller_payments,
-            } = &event
-            {
-                self.rows.push(SettlementRow {
-                    round: *round,
-                    consumer: *consumer_payment,
-                    sellers: seller_payments.clone(),
-                });
-            }
-            if event.is_settlement_boundary() {
-                kept_state = self.state.clone();
-                kept_rows = self.rows.len();
-                kept_len = self.kept_text.len();
-                kept_events = self.events_kept;
-            }
-        }
-        let trailing_in_flight = self.events_kept - kept_events;
-        if self.stop.is_none() && trailing_in_flight > 0 && is_last {
-            self.stop = Some(RecoveryStop {
-                line: last_line_no,
-                reason: format!(
-                    "{label}: journal ends mid-round ({trailing_in_flight} in-flight event{} \
-                     discarded)",
-                    if trailing_in_flight == 1 { "" } else { "s" }
-                ),
-            });
-        }
-        let clean = self.stop.is_none() && trailing_in_flight == 0;
-        if !clean {
-            // Roll back to the last settlement boundary.
-            self.state = kept_state;
-            self.rows.truncate(kept_rows);
-            self.kept_text.truncate(kept_len);
-            self.events_kept = kept_events;
-        }
-        if !is_last && self.stop.is_none() && trailing_in_flight > 0 {
-            // A sealed segment that ends mid-round is torn: report it and
-            // stop the chain (healthy segments always end on a boundary).
-            self.stop = Some(RecoveryStop {
-                line: last_line_no,
-                reason: format!(
-                    "{label}: sealed segment ends mid-round ({trailing_in_flight} in-flight \
-                     event{} discarded)",
-                    if trailing_in_flight == 1 { "" } else { "s" }
-                ),
-            });
-        }
-        clean
-    }
+/// Loads one journal file's text strictly, as [`load_journal`] loads a
+/// single-file journal: every line must decode and apply, and the history
+/// must end on a settlement boundary.
+///
+/// # Errors
+/// Returns [`SegmentError::Corrupt`] naming `file` and the 1-based line
+/// of the first violation, or the in-flight round of a journal that ends
+/// mid-round.
+pub fn load_journal_text(text: impl AsRef<[u8]>, file: &str) -> Result<JournalView, SegmentError> {
+    let mut replay = Replay::new(JournalView::default());
+    replay.strict(text.as_ref(), file)?;
+    replay.finish(file)
 }
 
 /// Recovers the longest valid boundary-terminated prefix of any journal
-/// layout. A single file replays exactly like
-/// [`crate::recover_json_lines`]; a segmented layout replays the index's
-/// valid prefix, then any sealed-but-unindexed trailing segments (found by
-/// scanning), then the active partial — tolerating torn segments, a torn
-/// index, and interrupted compactions. Recovery always lands on a
-/// settlement boundary.
+/// layout. A single file is one source. A segmented layout resumes from
+/// its checkpoint and feeds the index's valid prefix, then the sealed
+/// segments the index never recorded (found by scanning), then the active
+/// partial — tolerating torn segments, a torn index, and interrupted
+/// compactions. Recovery always lands on a settlement boundary.
 ///
 /// # Errors
 /// Returns [`SegmentError::Io`] when nothing readable exists at `path`,
 /// or [`SegmentError::Corrupt`] when the history hinges on a checkpoint
 /// that no longer validates (its folded events are gone; nothing can be
-/// replayed past it).
+/// replayed past it) or on a segment `seq` without a successor.
 pub fn recover_journal(path: &Path) -> Result<JournalRecovery, SegmentError> {
     if path.is_file() {
-        let text = std::fs::read_to_string(path).map_err(|e| SegmentError::io(path, e))?;
-        let rec = recover_json_lines(&text);
-        return Ok(JournalRecovery {
-            segmented: false,
-            compacted_rounds: 0,
-            compacted_events: 0,
-            events_kept: rec.log.len(),
-            lines_read: rec.lines_read,
-            events_replayed: rec.events_replayed,
-            settlements: crate::diff::settlement_rows(&rec.log),
-            state: rec.log.state().clone(),
-            kept_text: rec.log.to_json_lines(),
-            source_bytes: text.len() as u64,
-            stop: rec.stop,
-        });
+        let bytes = std::fs::read(path).map_err(|e| SegmentError::io(path, e))?;
+        let mut replay = Replay::recovering(JournalView::default());
+        replay.recover(&bytes, None, true);
+        return Ok(replay.into_recovery());
     }
     let (index, torn) = JournalIndex::read_tolerant(path)?;
     let ckpt = match &index.checkpoint {
@@ -1072,103 +893,50 @@ pub fn recover_journal(path: &Path) -> Result<JournalRecovery, SegmentError> {
         && !segment_path(path, 0).exists()
         && !segment_partial_path(path, 0).exists()
     {
-        // Nothing at all to recover from.
-        return Err(SegmentError::io(
-            path,
-            io::Error::new(
-                io::ErrorKind::NotFound,
-                "no journal file or segment index found",
-            ),
-        ));
+        return Err(no_journal(path));
     }
-    let (start_state, start_rows, compacted_rounds, compacted_events) = match &ckpt {
-        Some(c) => (c.state.clone(), c.settlements.clone(), c.rounds, c.events),
-        None => (ProtocolState::new(), Vec::new(), 0, 0),
-    };
-    let mut replay = TolerantReplay::new(start_state, start_rows);
-    let mut source_bytes = 0u64;
     let mut seq = ckpt.as_ref().map_or(0, |c| c.segments_folded);
-
-    // Phase 1: the indexed segments.
+    let mut replay = Replay::recovering(JournalView::resume(ckpt));
     for entry in &index.segments {
-        let seg = base_dir(path).join(&entry.file);
-        match std::fs::read_to_string(&seg) {
-            Ok(text) => {
-                source_bytes += text.len() as u64;
-                seq = entry.seq + 1;
-                if !replay.replay_chunk(&text, &entry.file, false) {
-                    break;
-                }
-            }
-            Err(e) => {
-                replay.stop = Some(RecoveryStop {
-                    line: replay.lines_read,
-                    reason: format!("{}: segment unreadable: {e}", entry.file),
-                });
-                break;
-            }
-        }
-    }
-
-    // Phase 2: sealed segments the (possibly torn) index never recorded.
-    while replay.stop.is_none() {
-        let seg = segment_path(path, seq);
-        if !seg.is_file() {
+        if replay.stopped() {
             break;
         }
-        match std::fs::read_to_string(&seg) {
-            Ok(text) => {
-                source_bytes += text.len() as u64;
-                seq += 1;
-                let label = file_name_of(&seg);
-                if !replay.replay_chunk(&text, &label, false) {
-                    break;
-                }
-            }
-            Err(e) => {
-                replay.stop = Some(RecoveryStop {
-                    line: replay.lines_read,
-                    reason: format!("{}: segment unreadable: {e}", seg.display()),
-                });
-                break;
-            }
+        seq = successor(entry.seq)
+            .map_err(|e| SegmentError::corrupt(format!("{}: {e}", index_path(path).display())))?;
+        recover_file(
+            &mut replay,
+            &base_dir(path).join(&entry.file),
+            &entry.file,
+            false,
+        );
+    }
+    // Sealed segments the (possibly torn) index never recorded.
+    while !replay.stopped() && segment_path(path, seq).is_file() {
+        let seg = segment_path(path, seq);
+        recover_file(&mut replay, &seg, &file_name_of(&seg), false);
+        seq = successor(seq)?;
+    }
+    // The active partial, if the run died mid-segment.
+    let partial = segment_partial_path(path, seq);
+    if !replay.stopped() && partial.is_file() {
+        recover_file(&mut replay, &partial, &file_name_of(&partial), true);
+    }
+    Ok(replay.into_recovery())
+}
+
+/// Feeds one segment file to recovery: a sealed one, or the `last`, the
+/// active partial. A file that cannot be read stops replay.
+fn recover_file(replay: &mut Replay, path: &Path, file: &str, last: bool) {
+    match std::fs::read(path) {
+        Ok(bytes) => {
+            replay.view.segments += usize::from(!last);
+            replay.recover(&bytes, Some(file), last);
+        }
+        Err(e) => {
+            let kind = if last { "partial" } else { "segment" };
+            replay.halt(Some(file), format!("{kind} unreadable: {e}"));
         }
     }
-
-    // Phase 3: the active partial, if the run died mid-segment.
-    if replay.stop.is_none() {
-        let partial = segment_partial_path(path, seq);
-        if partial.is_file() {
-            match std::fs::read_to_string(&partial) {
-                Ok(text) => {
-                    source_bytes += text.len() as u64;
-                    let label = file_name_of(&partial);
-                    replay.replay_chunk(&text, &label, true);
-                }
-                Err(e) => {
-                    replay.stop = Some(RecoveryStop {
-                        line: replay.lines_read,
-                        reason: format!("{}: partial unreadable: {e}", partial.display()),
-                    });
-                }
-            }
-        }
-    }
-
-    debug_assert!(replay.state.at_round_boundary() || !replay.state.is_published());
-    Ok(JournalRecovery {
-        segmented: true,
-        compacted_rounds,
-        compacted_events,
-        events_kept: replay.events_kept,
-        lines_read: replay.lines_read,
-        events_replayed: replay.events_replayed,
-        settlements: replay.rows,
-        state: replay.state,
-        kept_text: replay.kept_text,
-        source_bytes,
-        stop: replay.stop,
-    })
 }
 
 /// The result of [`replay_to_round`]: one round's settlement plus where it
@@ -1237,7 +1005,7 @@ pub fn replay_to_round(path: &Path, round: usize) -> Result<RoundLookup, Segment
             continue;
         }
         // Resume from the previous segment's state (or the checkpoint).
-        let mut state = if i > 0 {
+        let state = if i > 0 {
             index.segments[i - 1].state_after.clone()
         } else {
             match &index.checkpoint {
@@ -1245,9 +1013,14 @@ pub fn replay_to_round(path: &Path, round: usize) -> Result<RoundLookup, Segment
                 None => ProtocolState::new(),
             }
         };
-        let mut rows = Vec::new();
-        verify_segment_entry(path, entry, &mut state, &mut rows)?;
-        let row = rows
+        let mut replay = Replay::new(JournalView {
+            state,
+            ..JournalView::default()
+        });
+        verify_segment_entry(path, entry, &mut replay)?;
+        let row = replay
+            .view
+            .settlements
             .into_iter()
             .find(|r| r.round.index() == round)
             .ok_or_else(|| {
@@ -1297,8 +1070,9 @@ pub struct CompactReport {
 ///
 /// # Errors
 /// Returns [`SegmentError::Corrupt`] when `path` is not a quiescent
-/// segmented journal or any folded segment fails validation, and
-/// [`SegmentError::Io`] on file failures.
+/// segmented journal, any folded segment fails validation, or a count the
+/// new checkpoint carries forward overflows, and [`SegmentError::Io`] on
+/// file failures.
 pub fn compact_journal(
     path: &Path,
     keep_segments: usize,
@@ -1319,18 +1093,12 @@ pub fn compact_journal(
         None => None,
     };
     let fold_count = index.segments.len().saturating_sub(keep_segments);
-    let (mut state, mut rows, mut events, mut bytes_digest, old_generation, old_folded) =
-        match &old_ckpt {
-            Some(c) => (
-                c.state.clone(),
-                c.settlements.clone(),
-                c.events,
-                c.bytes_digest,
-                c.generation,
-                c.segments_folded,
-            ),
-            None => (ProtocolState::new(), Vec::new(), 0, FNV_OFFSET, 0, 0),
-        };
+    let (mut bytes_digest, old_generation, old_folded) =
+        old_ckpt.as_ref().map_or((FNV_OFFSET, 0, 0), |c| {
+            (c.bytes_digest, c.generation, c.segments_folded)
+        });
+    let mut replay = Replay::new(JournalView::resume(old_ckpt));
+    let (rounds_before, events_before) = (replay.view.settled_rounds(), replay.view.events);
     if fold_count == 0 {
         return Ok(CompactReport {
             folded_segments: 0,
@@ -1338,29 +1106,37 @@ pub fn compact_journal(
             folded_events: 0,
             kept_segments: index.segments.len(),
             generation: old_generation,
-            checkpoint_rounds: state.settled_rounds(),
+            checkpoint_rounds: rounds_before,
         });
     }
-    let rounds_before = state.settled_rounds();
-    let events_before = events;
     for entry in &index.segments[..fold_count] {
-        let text = verify_segment_entry(path, entry, &mut state, &mut rows)?;
-        bytes_digest = fnv1a(bytes_digest, text.as_bytes());
-        events += entry.events;
+        let bytes = verify_segment_entry(path, entry, &mut replay)?;
+        bytes_digest = fnv1a(bytes_digest, &bytes);
     }
-    let (consumer_total, seller_total) = ledger_totals(&rows);
+    let view = replay.finish(&path.display().to_string())?;
+    let generation = old_generation.checked_add(1).ok_or_else(|| {
+        SegmentError::corrupt(format!(
+            "checkpoint generation {old_generation} overflows (it has no successor)"
+        ))
+    })?;
+    let segments_folded = old_folded.checked_add(fold_count as u64).ok_or_else(|| {
+        SegmentError::corrupt(format!(
+            "checkpoint segments_folded {old_folded} overflows when {fold_count} more fold"
+        ))
+    })?;
+    let (consumer_total, seller_total) = ledger_totals(&view.settlements);
     let mut ckpt = Checkpoint {
         format: SEGMENT_FORMAT_VERSION,
-        generation: old_generation + 1,
-        segments_folded: old_folded + fold_count as u64,
-        events,
-        rounds: state.settled_rounds(),
-        completed: state.is_completed(),
+        generation,
+        segments_folded,
+        events: view.events,
+        rounds: view.settled_rounds(),
+        completed: view.completed(),
         consumer_total,
         seller_total,
         bytes_digest,
-        state,
-        settlements: rows,
+        state: view.state,
+        settlements: view.settlements,
         digest: 0,
     };
     ckpt.digest = ckpt.content_digest();
@@ -1385,7 +1161,7 @@ pub fn compact_journal(
     for entry in &index.segments[..fold_count] {
         let _ = std::fs::remove_file(base_dir(path).join(&entry.file));
     }
-    if let Some(old) = &old_ckpt {
+    if let Some(old) = &index.checkpoint {
         let _ = std::fs::remove_file(checkpoint_path(path, old.generation));
     }
 
@@ -1414,6 +1190,7 @@ pub fn compact_journal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::MarketEvent;
 
     #[test]
     fn fnv1a_matches_reference_vectors() {
@@ -1472,7 +1249,7 @@ mod tests {
         let (back, why) = JournalIndex::parse(&text);
         assert!(why.is_none(), "{why:?}");
         assert_eq!(back, index);
-        assert_eq!(back.next_seq(), 2);
+        assert_eq!(back.next_seq().unwrap(), 2);
 
         // A gap in the sequence stops the parse at the valid prefix.
         let gapped = JournalIndex {

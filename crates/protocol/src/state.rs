@@ -139,6 +139,16 @@ impl ProtocolState {
         self.phase == Phase::AwaitSelection
     }
 
+    /// Drops the in-flight round: recovery's rollback to the settlement
+    /// boundary it started from. Only a settlement boundary event moves
+    /// the other fields, so these four are all a round in flight changed.
+    pub(crate) fn abandon_round(&mut self) {
+        self.phase = Phase::AwaitSelection;
+        self.selection_len = None;
+        self.strategy = None;
+        self.taus.clear();
+    }
+
     fn expect_round(&self, round: Round, got: &MarketEvent) -> Result<(), ProtocolError> {
         if round != self.current_round {
             return Err(ProtocolError::OutOfOrder {

@@ -8,10 +8,10 @@
 //! ```
 
 use cdt_core::{CmabHs, Scenario};
-use cdt_protocol::{events_for_round, EventLog, MarketEvent};
+use cdt_protocol::{events_for_round, load_journal_text, EventLog, MarketEvent};
 use cdt_types::SimRng;
 
-fn main() -> cdt_types::Result<()> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = SimRng::new(99);
     let scenario = Scenario::paper_defaults(20, 5, 4, 25, &mut rng)?;
     let mut mech = CmabHs::new(scenario.config.clone())?;
@@ -41,19 +41,19 @@ fn main() -> cdt_types::Result<()> {
         log.len(),
         log.state().settled_rounds()
     );
-    println!(
-        "audit totals: consumer spent {:.2}, sellers received {:.2}, platform margin+costs {:.2}",
-        log.total_consumer_spend(),
-        log.total_seller_payout(),
-        log.total_consumer_spend() - log.total_seller_payout(),
-    );
 
     // --- 2. Serialize and replay — the honest journal validates. ---
     let journal = log.to_json_lines();
-    let replayed = EventLog::from_json_lines(&journal)?;
+    let replayed = load_journal_text(&journal, "journal")?;
     println!(
-        "\nreplay of the honest journal: OK ({} events)",
-        replayed.len()
+        "replay of the honest journal: OK ({} events)",
+        replayed.events
+    );
+    println!(
+        "audit totals: consumer spent {:.2}, sellers received {:.2}, platform margin+costs {:.2}\n",
+        replayed.consumer_total(),
+        replayed.seller_total(),
+        replayed.consumer_total() - replayed.seller_total(),
     );
 
     // --- 3. Tamper: a dishonest platform edits a settlement downward. ---
@@ -62,7 +62,7 @@ fn main() -> cdt_types::Result<()> {
         "\"consumer_payment\":0.5e1,\"x\":",
         1,
     );
-    match EventLog::from_json_lines(&tampered) {
+    match load_journal_text(&tampered, "tampered") {
         Err(e) => println!("tampered journal rejected, as it must be:\n  {e}"),
         Ok(_) => println!("!! tampered journal was accepted — protocol bug"),
     }
@@ -70,7 +70,7 @@ fn main() -> cdt_types::Result<()> {
     // --- 4. Reorder: swap two workflow phases. ---
     let mut lines: Vec<&str> = journal.lines().collect();
     lines.swap(2, 3);
-    match EventLog::from_json_lines(&lines.join("\n")) {
+    match load_journal_text(lines.join("\n"), "reordered") {
         Err(e) => println!("reordered journal rejected, as it must be:\n  {e}"),
         Ok(_) => println!("!! reordered journal was accepted — protocol bug"),
     }

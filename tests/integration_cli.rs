@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 fn cdt(args: &[&str]) -> Output {
@@ -248,4 +248,126 @@ fn cli_outputs_match_their_goldens() {
     for dir in scenes {
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// `cdt ARGS` run in `dir`, so the paths it prints are the relative ones
+/// it was given.
+fn cdt_in(dir: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_cdt"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("cdt runs")
+}
+
+/// Single-file `journal recover` on two torn copies of a finished
+/// journal prints what it kept and where replay stopped; a single file
+/// has no segment to name, so the stop reasons carry no file label.
+#[test]
+fn torn_single_file_recovery_reports_its_stop() {
+    let dir = temp_path("torn_single");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = cdt_in(
+        &dir,
+        &[
+            "run",
+            "--m",
+            "8",
+            "--k",
+            "2",
+            "--l",
+            "3",
+            "--n",
+            "6",
+            "--journal",
+            "j.jsonl",
+        ],
+    );
+    assert!(run.status.success(), "{}", stderr(&run));
+    let bytes = std::fs::read(dir.join("j.jsonl")).unwrap();
+    // The first 23 lines: JobPublished, 4 settled rounds and 2 events of
+    // round 4. The first 2000 bytes: the same, then half of line 23.
+    let lines = bytes
+        .split_inclusive(|&b| b == b'\n')
+        .take(23)
+        .flatten()
+        .copied()
+        .collect::<Vec<u8>>();
+    std::fs::write(dir.join("lines.jsonl"), lines).unwrap();
+    std::fs::write(dir.join("bytes.jsonl"), &bytes[..2000]).unwrap();
+    for (file, stop) in [
+        (
+            "lines.jsonl",
+            "journal ends mid-round (2 in-flight events discarded)",
+        ),
+        (
+            "bytes.jsonl",
+            "bad event JSON: expected `,` or `}` at line 1 column 58",
+        ),
+    ] {
+        let out = cdt_in(&dir, &["journal", "recover", file]);
+        assert!(out.status.success(), "{file}: {}", stderr(&out));
+        assert_eq!(
+            stdout(&out),
+            format!(
+                "{file}: recovered 4 settled rounds (21 events kept of 23 lines)\n\
+                 replay stopped at line 23: {stop}\n"
+            )
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that closes stdout early ends `cdt` quietly with status 0; a
+/// stdout that refuses the write is an error, never a panic.
+#[test]
+fn a_closed_or_full_stdout_ends_cdt_without_a_panic() {
+    let journal = temp_path("closed_stdout.jsonl");
+    let run = cdt(&[
+        "run",
+        "--m",
+        "8",
+        "--k",
+        "2",
+        "--l",
+        "3",
+        "--n",
+        "30",
+        "--journal",
+        journal.to_str().unwrap(),
+    ]);
+    assert!(run.status.success(), "{}", stderr(&run));
+    for args in [
+        &["game"][..],
+        &["journal", "audit", journal.to_str().unwrap()],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cdt"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("cdt runs");
+        // Close the read end before cdt writes its first line.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        assert_eq!(stderr(&out), "", "{args:?}");
+    }
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_cdt"))
+        .arg("game")
+        .stdout(full)
+        .output()
+        .expect("cdt runs");
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).starts_with("error: cannot write to stdout: "),
+        "{}",
+        stderr(&out)
+    );
+    std::fs::remove_file(journal).ok();
 }

@@ -16,7 +16,8 @@
 use cdt_core::{BudgetedCmabHs, CmabHs, LedgerMode, Scenario, StopReason};
 use cdt_obs::{ObsConfig, Session};
 use cdt_protocol::{
-    events_for_round, recover_json_lines, EventLog, JournalObserver, JournalSink, MarketEvent,
+    events_for_round, load_journal, load_journal_text, recover_journal, EventLog, JournalObserver,
+    JournalSink, MarketEvent,
 };
 use cdt_types::SimRng;
 
@@ -177,15 +178,14 @@ fn killed_run_leaves_recoverable_partial() {
     assert!(!path.exists(), "no finished journal should appear");
     assert!(partial.exists(), "the kill must leave the partial behind");
 
-    let text = std::fs::read_to_string(&partial).unwrap();
-    let rec = recover_json_lines(&text);
-    assert_eq!(rec.settled_rounds(), 5);
-    assert!(!rec.completed);
-    assert_eq!(rec.dropped_events(), 2);
+    let rec = recover_journal(&partial).unwrap();
+    assert_eq!(rec.view.settled_rounds(), 5);
+    assert!(!rec.view.completed());
+    assert_eq!(rec.events_replayed - rec.events_kept(), 2);
     let stop = rec.stop.expect("mid-round truncation must be reported");
     assert!(stop.reason.contains("mid-round"), "{}", stop.reason);
     // The recovered prefix is itself a valid journal.
-    EventLog::from_json_lines(&rec.log.to_json_lines()).unwrap();
+    load_journal_text(&rec.kept_text, "recovered.jsonl").unwrap();
     std::fs::remove_file(&partial).unwrap();
 }
 
@@ -247,11 +247,9 @@ fn budget_journal_records_only_settled_rounds() {
 
     assert!(report.completed);
     assert_eq!(report.settled_rounds, run.ledger.rounds());
-    let text = std::fs::read_to_string(&path).unwrap();
-    let log = EventLog::from_json_lines(&text).unwrap();
     // The journal's settled money equals the ledger's spend: the rejected
     // round is absent from both.
-    let journaled: f64 = log.settlements().map(|(_, c, _)| c).sum();
+    let journaled = load_journal(&path).unwrap().consumer_total();
     assert!((journaled - run.spent).abs() < 1e-9);
     std::fs::remove_file(&path).unwrap();
 }

@@ -16,14 +16,18 @@
 //! 4. **Format stability** — a journal written before the in-tree codec
 //!    (`tests/fixtures/golden.jsonl.*`) still verifies, seeks, and
 //!    re-encodes byte for byte.
+//! 5. **One replay, two layouts** — a crash at every line of a journal
+//!    recovers alike from the single file and from the rotated layout.
+//! 6. **Readers never panic** — on a damaged store or single file, every
+//!    reader refuses or recovers, and recovery lands on a boundary.
 
 use cdt_obs::Session;
 use cdt_protocol::segment::{
     checkpoint_path, index_path, segment_partial_path, segment_path, Checkpoint, JournalIndex,
 };
 use cdt_protocol::{
-    compact_journal, diff_settlement_rows, load_journal, recover_journal, replay_to_round,
-    EventLog, JournalReport, JournalSink, MarketEvent, RotationConfig,
+    compact_journal, diff_settlement_rows, load_journal, load_journal_text, recover_journal,
+    replay_to_round, JournalReport, JournalSink, MarketEvent, RotationConfig,
 };
 use cdt_types::json;
 use cdt_types::{JobSpec, Round, SellerId};
@@ -198,15 +202,15 @@ fn kill_mid_segment_recovers_to_settlement_boundary() {
 
     // …and recovery lands exactly on the round-2 settlement boundary.
     let rec = recover_journal(&base).unwrap();
-    assert!(rec.segmented);
-    assert_eq!(rec.settled_rounds(), 3);
-    assert!(rec.state.at_round_boundary());
-    assert!(!rec.completed());
+    assert!(rec.view.segmented);
+    assert_eq!(rec.view.settled_rounds(), 3);
+    assert!(rec.view.state.at_round_boundary());
+    assert!(!rec.view.completed());
     let stop = rec.stop.expect("the in-flight round must be reported");
     assert!(stop.reason.contains("mid-round"), "{}", stop.reason);
     // The kept prefix is itself a valid journal ending at the boundary.
-    let log = EventLog::from_json_lines(&rec.kept_text).unwrap();
-    assert_eq!(log.state().settled_rounds(), 3);
+    let kept = load_journal_text(&rec.kept_text, "kept.jsonl").unwrap();
+    assert_eq!(kept.settled_rounds(), 3);
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -220,8 +224,8 @@ fn torn_partial_write_recovers_to_settlement_boundary() {
     truncate_tail(&segment_partial_path(&base, 1), 7);
 
     let rec = recover_journal(&base).unwrap();
-    assert_eq!(rec.settled_rounds(), 3);
-    assert!(rec.state.at_round_boundary());
+    assert_eq!(rec.view.settled_rounds(), 3);
+    assert!(rec.view.state.at_round_boundary());
     assert!(rec.stop.is_some(), "the torn tail must be reported");
 
     std::fs::remove_dir_all(&dir).ok();
@@ -241,9 +245,9 @@ fn truncated_sealed_segment_fails_strict_load_but_recovers_prefix() {
     // Recovery keeps rounds 0-2 (round 3's settlement was torn off) and
     // refuses to leap the hole to the still-valid seg-0002.
     let rec = recover_journal(&base).unwrap();
-    assert_eq!(rec.settled_rounds(), 3);
-    assert!(rec.state.at_round_boundary());
-    assert!(!rec.completed());
+    assert_eq!(rec.view.settled_rounds(), 3);
+    assert!(rec.view.state.at_round_boundary());
+    assert!(!rec.view.completed());
     assert!(rec.stop.is_some(), "the torn segment must be reported");
 
     std::fs::remove_dir_all(&dir).ok();
@@ -265,8 +269,8 @@ fn lost_index_is_rebuilt_by_segment_scan() {
     // Phase-2 recovery walks seg-0000, seg-0001, … by sequence number and
     // gets the whole history back without any index at all.
     let rec = recover_journal(&base).unwrap();
-    assert_eq!(rec.settled_rounds(), 5);
-    assert!(rec.completed());
+    assert_eq!(rec.view.settled_rounds(), 5);
+    assert!(rec.view.completed());
     assert!(rec.stop.is_none(), "{:?}", rec.stop);
 
     std::fs::remove_dir_all(&dir).ok();
@@ -282,8 +286,8 @@ fn torn_index_recovers_from_its_valid_prefix_plus_scan() {
     truncate_tail(&index_path(&base), 15);
 
     let rec = recover_journal(&base).unwrap();
-    assert_eq!(rec.settled_rounds(), 5);
-    assert!(rec.completed());
+    assert_eq!(rec.view.settled_rounds(), 5);
+    assert!(rec.view.completed());
     assert!(rec.stop.is_none(), "{:?}", rec.stop);
 
     std::fs::remove_dir_all(&dir).ok();
@@ -308,8 +312,8 @@ fn sealed_but_unindexed_segment_is_detected_and_recovered() {
     assert!(err.contains("journal recover"), "{err}");
 
     let rec = recover_journal(&base).unwrap();
-    assert_eq!(rec.settled_rounds(), 5);
-    assert!(rec.completed());
+    assert_eq!(rec.view.settled_rounds(), 5);
+    assert!(rec.view.completed());
     assert!(rec.stop.is_none(), "{:?}", rec.stop);
 
     std::fs::remove_dir_all(&dir).ok();
@@ -370,7 +374,7 @@ fn compaction_preserves_answers_and_survives_its_crash_windows() {
     assert_eq!(orphaned.compacted_rounds, 0, "orphan checkpoint ignored");
     assert_eq!(orphaned.settlements, before.settlements);
     let rec = recover_journal(&pristine).unwrap();
-    assert_eq!(rec.settled_rounds(), 5);
+    assert_eq!(rec.view.settled_rounds(), 5);
     assert!(rec.stop.is_none(), "{:?}", rec.stop);
 
     // Crash window B: index flipped, folded segments never deleted. The
@@ -381,8 +385,8 @@ fn compaction_preserves_answers_and_survives_its_crash_windows() {
     let leftover = load_journal(&compacted).unwrap();
     assert_eq!(leftover.settlements, before.settlements);
     let rec = recover_journal(&compacted).unwrap();
-    assert_eq!(rec.settled_rounds(), 5);
-    assert!(rec.completed());
+    assert_eq!(rec.view.settled_rounds(), 5);
+    assert!(rec.view.completed());
     assert!(rec.stop.is_none(), "{:?}", rec.stop);
 
     // Generations chain: a second compaction folds the kept segment into
@@ -520,5 +524,315 @@ fn golden_journal_verifies_seeks_and_reencodes_byte_for_byte() {
         .write(&copy)
         .unwrap();
     assert_eq!(read(index_path(&copy)), read(index_path(&base)));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Lays out one crash state of a rotated journal at `base`: `sealed`
+/// whole segments, the first `indexed` of them in the index (none without
+/// an index), and, if any, the active segment's bytes as its `.partial`.
+fn lay_out(
+    base: &Path,
+    index: &JournalIndex,
+    segments: &[&[u8]],
+    (sealed, indexed): (usize, usize),
+    partial: Option<&[u8]>,
+) {
+    for (seq, bytes) in segments[..sealed].iter().enumerate() {
+        std::fs::write(segment_path(base, seq as u64), bytes).unwrap();
+    }
+    if indexed > 0 {
+        let index = JournalIndex {
+            checkpoint: None,
+            segments: index.segments[..indexed].to_vec(),
+        };
+        index.write(base).unwrap();
+    }
+    if let Some(bytes) = partial {
+        std::fs::write(segment_partial_path(base, sealed as u64), bytes).unwrap();
+    }
+}
+
+/// The crash invariant over every prefix, in both layouts: a run killed
+/// after writing its first `c` bytes leaves either a single file `P.partial`
+/// holding them, or the segments sealed by then, the index listing them
+/// and the rest as the active partial. Both recover to the same settled
+/// rounds, rows, state and stop line; the rows are a prefix of the whole
+/// run's; the kept text is the journal up to the last settlement boundary
+/// whose line the cut left whole. At a segment boundary the segment may
+/// also be sealed but not yet indexed, or not yet sealed.
+#[test]
+fn every_prefix_recovers_alike_in_both_layouts() {
+    let dir = scratch_dir("every_prefix");
+    let (full, rotated) = (dir.join("full.jsonl"), dir.join("rotated.jsonl"));
+    write_journal(&full, 6, None);
+    let report = write_journal(&rotated, 6, Some(RotationConfig { segment_rounds: 2 }));
+    assert_eq!(report.segments, 4);
+    let bytes = std::fs::read(&full).unwrap();
+    let rows = load_journal(&full).unwrap().settlements;
+    let index = JournalIndex::read_strict(&rotated).unwrap();
+    let segment_bytes: Vec<Vec<u8>> = (0..4)
+        .map(|seq| std::fs::read(segment_path(&rotated, seq)).unwrap())
+        .collect();
+    let segments: Vec<&[u8]> = segment_bytes.iter().map(Vec::as_slice).collect();
+    assert_eq!(segments.concat(), bytes);
+    let ends: Vec<usize> = segments
+        .iter()
+        .scan(0, |end, seg| {
+            *end += seg.len();
+            Some(*end)
+        })
+        .collect();
+    // The cuts: the start, one byte into each line, its middle, its end
+    // without its newline and with it. Every other cut inside a line
+    // recovers as the middle one does. A settlement boundary's line also
+    // records where it ends, without and with its newline.
+    let (mut cuts, mut boundaries, mut start) = (vec![0], Vec::new(), 0);
+    for line in bytes.split_inclusive(|&b| b == b'\n') {
+        let end = start + line.len();
+        cuts.extend([start + 1, (start + end) / 2, end - 1, end]);
+        let event: MarketEvent = json::from_str(std::str::from_utf8(line).unwrap()).unwrap();
+        if event.is_settlement_boundary() {
+            boundaries.push((end - 1, end));
+        }
+        start = end;
+    }
+
+    cdt_types::check::check_all(cuts, |&c| {
+        let case = dir.join("case");
+        std::fs::remove_dir_all(&case).ok();
+        std::fs::create_dir_all(&case).unwrap();
+        let single_file = case.join("single.jsonl.partial");
+        std::fs::write(&single_file, &bytes[..c]).unwrap();
+        let single = recover_journal(&single_file).unwrap();
+        let kept = boundaries
+            .iter()
+            .rfind(|&&(content_end, _)| content_end <= c)
+            .map_or(0, |&(_, line_end)| line_end);
+        assert_eq!(single.kept_text.as_bytes(), &bytes[..kept]);
+        assert_eq!(single.source_bytes, kept.min(c) as u64);
+        let settled = single.view.settled_rounds();
+        assert_eq!(single.view.settlements, rows[..settled]);
+        assert!(single.view.state.at_round_boundary());
+
+        let sealed = ends.iter().filter(|&&end| end <= c).count();
+        let start = sealed.checked_sub(1).map_or(0, |last| ends[last]);
+        let active = (sealed < segments.len()).then(|| &bytes[start..c]);
+        let mut layouts = vec![((sealed, sealed), active)];
+        if sealed > 0 && start == c {
+            let seg = segments[sealed - 1];
+            // Sealed, but the index was not rewritten yet…
+            layouts.push(((sealed, sealed - 1), None));
+            // …or not even sealed: the bytes are still the active partial.
+            layouts.push(((sealed - 1, sealed - 1), Some(seg)));
+        }
+        for (i, (counts, partial)) in layouts.into_iter().enumerate() {
+            // The index names its segments by file: keep the base name.
+            let layout = case.join(format!("layout{i}"));
+            std::fs::create_dir(&layout).unwrap();
+            let base = layout.join("rotated.jsonl");
+            lay_out(&base, &index, &segments, counts, partial);
+            let rec = recover_journal(&base).unwrap();
+            assert_eq!(rec.view.settlements, single.view.settlements, "{counts:?}");
+            assert_eq!(rec.view.state, single.view.state, "{counts:?}");
+            assert_eq!(rec.kept_text, single.kept_text, "{counts:?}");
+            assert_eq!(
+                rec.stop.map(|stop| stop.line),
+                single.stop.as_ref().map(|stop| stop.line),
+                "{counts:?}"
+            );
+        }
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The index, checkpoint and segment fields that hold counts, and the
+/// paired forgery of the checkpoint reference's `segments_folded` with
+/// the first segment's `seq`.
+const COUNTS: [&str; 13] = [
+    "seg.seq",
+    "seg.first_round",
+    "seg.rounds",
+    "seg.events",
+    "ref.generation",
+    "ref.rounds",
+    "ref.events",
+    "ref.segments_folded",
+    "ckpt.generation",
+    "ckpt.segments_folded",
+    "ckpt.events",
+    "ckpt.rounds",
+    "paired",
+];
+
+/// One edit of one journal file.
+#[derive(Debug)]
+enum Edit {
+    Flip {
+        at: usize,
+        mask: u8,
+    },
+    Truncate {
+        at: usize,
+    },
+    Insert {
+        at: usize,
+        bytes: Vec<u8>,
+    },
+    DuplicateLine(usize),
+    SwapLines(usize, usize),
+    DeleteLine(usize),
+    DeleteFile,
+    /// Sets one of [`COUNTS`], recomputing the checkpoint's digest.
+    Count(&'static str, u64),
+}
+
+/// Sets `field` of the compacted store at `base` to `value`, keeping the
+/// checkpoint self-validating and the index reference in step with it.
+fn forge_count(base: &Path, field: &str, value: u64) {
+    let mut index = JournalIndex::read_strict(base).unwrap();
+    let ckpt_file = checkpoint_path(base, 1);
+    let mut ckpt: Checkpoint =
+        json::from_str(&std::fs::read_to_string(&ckpt_file).unwrap()).unwrap();
+    let n = usize::try_from(value).unwrap();
+    let reference = index.checkpoint.as_mut().unwrap();
+    let segment = &mut index.segments[0];
+    match field {
+        "seg.seq" => segment.seq = value,
+        "seg.first_round" => segment.first_round = Some(n),
+        "seg.rounds" => segment.rounds = n,
+        "seg.events" => segment.events = value,
+        "ref.generation" => reference.generation = value,
+        "ref.rounds" => reference.rounds = n,
+        "ref.events" => reference.events = value,
+        "ref.segments_folded" => reference.segments_folded = value,
+        "ckpt.generation" => (ckpt.generation, reference.generation) = (value, value),
+        "ckpt.segments_folded" => {
+            (ckpt.segments_folded, reference.segments_folded) = (value, value)
+        }
+        "ckpt.events" => (ckpt.events, reference.events) = (value, value),
+        "ckpt.rounds" => (ckpt.rounds, reference.rounds) = (n, n),
+        _ => (reference.segments_folded, segment.seq) = (value, value),
+    }
+    ckpt.digest = ckpt.content_digest();
+    reference.digest = ckpt.digest;
+    std::fs::write(&ckpt_file, json::to_string(&ckpt)).unwrap();
+    index.write(base).unwrap();
+}
+
+/// Applies `edit` to `file` (a store at `base`, for a count).
+fn apply_edit(base: &Path, file: &Path, edit: &Edit) {
+    if let Edit::Count(field, value) = edit {
+        return forge_count(base, field, *value);
+    }
+    if let Edit::DeleteFile = edit {
+        return std::fs::remove_file(file).unwrap();
+    }
+    let mut bytes = std::fs::read(file).unwrap();
+    let mut lines: Vec<Vec<u8>> = bytes
+        .split_inclusive(|&b| b == b'\n')
+        .map(<[u8]>::to_vec)
+        .collect();
+    let line = |i: usize| i % lines.len().max(1);
+    match edit {
+        Edit::Flip { at, mask } => {
+            let at = at % bytes.len();
+            bytes[at] ^= mask;
+        }
+        Edit::Truncate { at } => bytes.truncate(at % bytes.len()),
+        Edit::Insert { at, bytes: extra } => {
+            let at = at % (bytes.len() + 1);
+            bytes.splice(at..at, extra.iter().copied());
+        }
+        Edit::DuplicateLine(i) => {
+            let i = line(*i);
+            lines.insert(i, lines[i].clone());
+            bytes = lines.concat();
+        }
+        Edit::SwapLines(a, b) => {
+            let (a, b) = (line(*a), line(*b));
+            lines.swap(a, b);
+            bytes = lines.concat();
+        }
+        Edit::DeleteLine(i) => {
+            lines.remove(line(*i));
+            bytes = lines.concat();
+        }
+        Edit::DeleteFile | Edit::Count(..) => unreachable!(),
+    }
+    std::fs::write(file, bytes).unwrap();
+}
+
+/// "Readers never panic": one edit of one file of a compacted store (the
+/// golden fixture) or of a single-file journal, then every reader over
+/// both. A reader may refuse, but none may panic (the debug build checks
+/// every addition), every recovery that succeeds lands on a settlement
+/// boundary, and a compaction that succeeds leaves a journal that loads.
+/// Besides 300 seeded byte and line edits, each count is forged to 0 and
+/// to `u64::MAX`.
+#[test]
+fn journal_readers_never_panic_on_a_damaged_journal() {
+    const STORE: [&str; 4] = [
+        "golden.jsonl.idx",
+        "golden.jsonl.ckpt-0001",
+        "golden.jsonl.seg-0002",
+        "golden.jsonl.seg-0003",
+    ];
+    let dir = scratch_dir("never_panic");
+    let single = dir.join("single.jsonl");
+    write_journal(&single, 6, None);
+    let forged = COUNTS
+        .iter()
+        .flat_map(|&field| [0, u64::MAX].map(|value| (0, Edit::Count(field, value))));
+    let seeded = (0..300).map(|seed| {
+        let mut rng = cdt_types::SimRng::new(seed);
+        let mut at = || rng.below(1 << 16) as usize;
+        let (kind, file, a, b) = (at() % 7, at() % (STORE.len() + 1), at(), at());
+        let edit = match kind {
+            0 => Edit::Flip {
+                at: a,
+                mask: 1 << (b % 8),
+            },
+            1 => Edit::Truncate { at: a },
+            2 => Edit::Insert {
+                at: a,
+                bytes: b.to_le_bytes()[..1 + b % 4].to_vec(),
+            },
+            3 => Edit::DuplicateLine(a),
+            4 => Edit::SwapLines(a, b),
+            5 => Edit::DeleteLine(a),
+            _ => Edit::DeleteFile,
+        };
+        (file, edit)
+    });
+    cdt_types::check::check_all(forged.chain(seeded), |(file, edit)| {
+        let case = dir.join("case");
+        std::fs::remove_dir_all(&case).ok();
+        std::fs::create_dir_all(&case).unwrap();
+        let fixtures = golden_base().parent().unwrap().to_path_buf();
+        for name in STORE {
+            std::fs::copy(fixtures.join(name), case.join(name)).unwrap();
+        }
+        let (base, flat) = (case.join("golden.jsonl"), case.join("single.jsonl"));
+        std::fs::copy(&single, &flat).unwrap();
+        let target = STORE
+            .get(*file)
+            .map_or_else(|| flat.clone(), |name| case.join(name));
+        apply_edit(&base, &target, edit);
+        for path in [&base, &flat] {
+            if let Ok(rec) = recover_journal(path) {
+                assert!(rec.view.state.at_round_boundary(), "{rec:?}");
+            }
+            for round in 0..=6 {
+                let _ = replay_to_round(path, round);
+            }
+        }
+        if let (Ok(a), Ok(b)) = (load_journal(&base), load_journal(&flat)) {
+            let d = diff_settlement_rows(&a.settlements, &b.settlements);
+            assert!(d.rounds_compared <= d.rounds_a.min(d.rounds_b), "{d:?}");
+        }
+        if compact_journal(&base, 0, &Session::disabled()).is_ok() {
+            load_journal(&base).unwrap();
+        }
+    });
     std::fs::remove_dir_all(&dir).ok();
 }
