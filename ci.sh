@@ -167,8 +167,8 @@ done <<'PROBES'
 --obs-spans journal seek /tmp/cdt_strict.jsonl --round 0 --obs-spans
 --watchdog-ms journal diff /tmp/cdt_strict.jsonl /tmp/cdt_strict.jsonl --watchdog-ms 1
 PROBES
-# An obs flag that tunes another one is refused without it, by name,
-# before anything runs: nothing is observed there to tune.
+# A flag that tunes another one is refused without it, by name, before
+# anything runs: nothing is observed (or journaled) there to tune.
 while read -r missing cmd; do
     set +e
     # shellcheck disable=SC2086  # $cmd is a deliberate word-split argument list
@@ -185,6 +185,7 @@ done <<'PROBES'
 --watchdog-ms run --m 10 --k 3 --l 4 --n 40 --watchdog-slow-round-ns 1 --obs-events /tmp/cdt_strict_t.jsonl
 --obs-events run --m 10 --k 3 --l 4 --n 40 --obs-events-sample 5 --obs-summary
 --obs-events run --m 10 --k 3 --l 4 --n 40 --obs-spans
+--journal run --m 10 --k 3 --l 4 --n 40 --journal-segment-rounds 2
 PROBES
 # An unknown experiment id is refused by name before anything runs.
 set +e
@@ -247,6 +248,13 @@ grep -q '^== observability summary ==' /tmp/cdt_obs_summary.txt
 grep -q '^rounds: ' /tmp/cdt_obs_summary.txt
 grep -q '^throughput: ' /tmp/cdt_obs_summary.txt
 
+echo "==> budget observability smoke (a budgeted run is observed like cdt run)"
+# `cdt budget` runs the loop of `cdt run`: the summary counts every round
+# the engine ran, the one refused at settlement included (6 settle here).
+cdt budget --m 8 --k 2 --l 3 --n 20 --budget 3000 --obs-summary \
+    | tee /tmp/cdt_budget_summary.txt
+grep -q '^rounds: 7 ' /tmp/cdt_budget_summary.txt
+
 echo "==> span tracing smoke (flame + critical path over a traced run)"
 rm -f /tmp/cdt_obs_spans.jsonl
 cdt run \
@@ -302,6 +310,20 @@ head -c -1 /tmp/cdt_journal.jsonl > /tmp/cdt_journal_nonl.jsonl
 cdt journal recover /tmp/cdt_journal_nonl.jsonl --out /tmp/cdt_journal_nonl_out.jsonl
 cdt journal verify /tmp/cdt_journal_nonl_out.jsonl
 cmp /tmp/cdt_journal_nonl_out.jsonl /tmp/cdt_journal.jsonl
+# A journal is never replaced: a second run to the finished journal exits
+# 2 and leaves it byte for byte as it was.
+cp /tmp/cdt_journal.jsonl /tmp/cdt_journal_before.jsonl
+set +e
+cdt run --m 8 --k 2 --l 3 --n 6 --journal /tmp/cdt_journal.jsonl \
+    > /tmp/cdt_journal_again.txt 2>&1
+status=$?
+set -e
+if [ "$status" -ne 2 ] || ! grep -q 'refusing to start journal' /tmp/cdt_journal_again.txt; then
+    echo "ERROR: a second run to a finished journal exited $status:" >&2
+    cat /tmp/cdt_journal_again.txt >&2
+    exit 1
+fi
+cmp /tmp/cdt_journal.jsonl /tmp/cdt_journal_before.jsonl
 
 echo "==> journal rotation smoke (segments, compaction checkpoint, seek)"
 rm -f /tmp/cdt_journal_seg.jsonl /tmp/cdt_journal_seg.jsonl.seg-* \
@@ -319,6 +341,18 @@ test ! -e /tmp/cdt_journal_seg.jsonl
 test -s /tmp/cdt_journal_seg.jsonl.idx
 # …and cat(segments) == the single-file journal, byte for byte.
 cat /tmp/cdt_journal_seg.jsonl.seg-* | cmp - /tmp/cdt_journal.jsonl
+# A single-file run to the rotated base exits 2 and creates no base file
+# that would shadow the segments.
+set +e
+cdt run --m 8 --k 2 --l 3 --n 6 --journal /tmp/cdt_journal_seg.jsonl \
+    > /tmp/cdt_journal_again.txt 2>&1
+status=$?
+set -e
+if [ "$status" -ne 2 ] || [ -e /tmp/cdt_journal_seg.jsonl ]; then
+    echo "ERROR: a single-file run over a rotated journal exited $status:" >&2
+    cat /tmp/cdt_journal_again.txt >&2
+    exit 1
+fi
 cdt journal verify /tmp/cdt_journal_seg.jsonl \
     | tee /tmp/cdt_journal_seg_verify.txt
 grep -q 'segments: 4 sealed' /tmp/cdt_journal_seg_verify.txt

@@ -1,9 +1,10 @@
 //! Implementations of the `cdt` subcommands.
 
 use crate::args::{env_positive, parse_flags, FlagMap};
-use cdt_core::{BudgetedCmabHs, CmabHs, LedgerMode, Scenario, StopReason, TradingLedger};
+use cdt_core::{Budget, CmabHs, NullObserver, RoundOutcome, Scenario, TradingLedger};
 use cdt_game::{solve_equilibrium, verify_equilibrium, welfare_report};
 use cdt_obs::{ObsConfig, Session};
+use cdt_protocol::{JournalSink, MarketEvent};
 use cdt_quality::SellerProfile;
 use cdt_sim::experiments::{all_experiment_ids, game_curves, run_experiment, Scale};
 use cdt_sim::{
@@ -12,7 +13,7 @@ use cdt_sim::{
 };
 use cdt_trace::{csv, generate_trace, trace_stats, TraceConfig, TripRecord};
 use cdt_types::json::{push_f64, push_str, push_usize};
-use cdt_types::{mix_seed, SimRng};
+use cdt_types::{mix_seed, CdtError, SimRng};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Write as _};
@@ -92,9 +93,10 @@ PROTOCOL JOURNAL:
   writer flushes at each settlement boundary, and bytes accumulate in
   FILE.partial until an atomic rename publishes the finished journal. A
   killed run therefore leaves FILE.partial with at most the in-flight
-  round unsettled. `journal verify` is the strict all-or-nothing replay
-  check, `journal audit` additionally prints the per-round settlement
-  money flow, and `journal recover` replays a (possibly truncated)
+  round unsettled, and a journal already at FILE, in either layout, is
+  refused, never replaced. `journal verify` is the strict all-or-nothing
+  replay check, `journal audit` additionally prints the per-round
+  settlement money flow, and `journal recover` replays a (possibly truncated)
   journal up to its last settlement boundary — `--out FILE` writes the
   recovered prefix back out as a valid journal (refusing to overwrite an
   existing file or to trust a source that shrank while it was read).
@@ -561,8 +563,9 @@ pub fn journal_audit_cmd(path: &str) -> Result<(), Failure> {
 /// # Errors
 /// Returns a message on I/O failure (recovery itself never fails).
 pub fn journal_recover_cmd(path: &str, out: Option<&str>) -> Result<(), Failure> {
-    let rec =
-        cdt_protocol::recover_journal(std::path::Path::new(path)).map_err(|e| e.to_string())?;
+    // Only `--out` writes the kept lines, so only it has them copied.
+    let rec = cdt_protocol::recover_journal(std::path::Path::new(path), out.is_some())
+        .map_err(|e| e.to_string())?;
     let view = &rec.view;
     writeln!(
         Out,
@@ -939,58 +942,9 @@ fn scenario_from_flags(flags: &FlagMap) -> Result<(Scenario, SimRng, u64), Strin
 /// Returns a message on flag, run, or I/O failure.
 pub fn run_mechanism(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
     let (scenario, mut rng, _) = scenario_from_flags(flags)?;
-    let mut mech = CmabHs::new(scenario.config.clone()).map_err(|e| e.to_string())?;
-    let observer = scenario.observer();
     // Created before the run, so a bad path fails before any round trades.
     let json_out = flags.get("json").map(create_output).transpose()?;
-
-    // With --journal, attach a streaming JournalObserver: each Fig. 2
-    // event is validated, written, and flushed as its round settles, so a
-    // killed run still leaves a recoverable `<path>.partial` behind. When
-    // the session observes the run, the journal rides alongside its
-    // observer via the pair observer.
-    let ledger = if let Some(path) = flags.get("journal") {
-        let rotation = journal_rotation(flags, &cfg.obs)?;
-        let mut journal = cdt_protocol::JournalObserver::create_with(
-            path,
-            scenario.config.job.clone(),
-            rotation,
-            &cfg.obs,
-        )
-        .map_err(|e| e.to_string())?;
-        let ledger = match cfg.obs.observer_for_run("cmab-hs") {
-            Some(pipeline) => {
-                let mut pair = (journal, pipeline);
-                let ledger = mech
-                    .run_with_mode_observed(&observer, &mut rng, LedgerMode::Summary, &mut pair)
-                    .map_err(|e| e.to_string())?;
-                journal = pair.0;
-                ledger
-            }
-            None => mech
-                .run_with_mode_observed(&observer, &mut rng, LedgerMode::Summary, &mut journal)
-                .map_err(|e| e.to_string())?,
-        };
-        let report = journal.finish().map_err(|e| e.to_string())?;
-        writeln!(
-            Out,
-            "journaled {} events over {} rounds to {path} (streamed, replay-validated)",
-            report.events, report.settled_rounds
-        )?;
-        if report.segments > 0 {
-            writeln!(Out, "journal rotated into {} segments", report.segments)?;
-        }
-        ledger
-    } else {
-        match cfg.obs.observer_for_run("cmab-hs") {
-            Some(mut round_obs) => mech
-                .run_with_mode_observed(&observer, &mut rng, LedgerMode::Summary, &mut round_obs)
-                .map_err(|e| e.to_string())?,
-            None => mech
-                .run_with_mode(&observer, &mut rng, LedgerMode::Summary)
-                .map_err(|e| e.to_string())?,
-        }
-    };
+    let ledger = trade(flags, cfg, &scenario, &mut rng, |_| true)?;
     print_ledger(&scenario, &ledger)?;
     if let Some((path, mut file)) = json_out {
         file.write_all(&ledger_json(&ledger))
@@ -1000,19 +954,94 @@ pub fn run_mechanism(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
     Ok(())
 }
 
+/// Runs CMAB-HS on `scenario` through the mechanism's one trading loop,
+/// for `run` and `budget`: each round is stepped, then settled by
+/// `settle`, and the first round it refuses ends the run.
+///
+/// The command's session, when enabled, observes every round the loop
+/// runs; without obs flags the round runs on the static [`NullObserver`].
+/// With `--journal FILE` every settled round is streamed to the journal:
+/// each Fig. 2 event is validated, written, and flushed as its round
+/// settles, so a killed run still leaves a recoverable `FILE.partial`
+/// behind, and a journal write error ends the run at that round. The
+/// journal publishes its job before the run's observer exists and
+/// completes after that observer is dropped, so a traced round's
+/// `journal_write` span nests in its `round` span.
+///
+/// # Errors
+/// Returns a message on a bad journal flag, or a run or journal failure.
+fn trade(
+    flags: &FlagMap,
+    cfg: &RunConfig,
+    scenario: &Scenario,
+    rng: &mut SimRng,
+    mut settle: impl FnMut(&RoundOutcome) -> bool,
+) -> Result<TradingLedger, Failure> {
+    let mut mech = CmabHs::new(scenario.config.clone()).map_err(|e| e.to_string())?;
+    let Some(path) = flags.get("journal") else {
+        if flags.get("journal-segment-rounds").is_some() {
+            return Err(
+                "--journal-segment-rounds requires --journal FILE (it rotates that journal)".into(),
+            );
+        }
+        return observed(&mut mech, scenario, rng, &cfg.obs, |o| {
+            Ok::<_, CdtError>(settle(o))
+        })
+        .map_err(|e| e.to_string().into());
+    };
+    let rotation = journal_rotation(flags, &cfg.obs)?;
+    let mut sink = JournalSink::create_with(path, rotation, &cfg.obs).map_err(|e| e.to_string())?;
+    sink.append(&MarketEvent::JobPublished {
+        job: scenario.config.job.clone(),
+    })
+    .map_err(|e| e.to_string())?;
+    let ledger = observed(&mut mech, scenario, rng, &cfg.obs, |outcome| {
+        if !settle(outcome) {
+            return Ok(false);
+        }
+        sink.append_round(outcome)?;
+        Ok::<_, Box<dyn std::error::Error>>(true)
+    })
+    .map_err(|e| e.to_string())?;
+    let rounds = sink.state().settled_rounds();
+    sink.append(&MarketEvent::JobCompleted { rounds })
+        .map_err(|e| e.to_string())?;
+    let report = sink.finish().map_err(|e| e.to_string())?;
+    writeln!(
+        Out,
+        "journaled {} events over {} rounds to {path} (streamed, replay-validated)",
+        report.events, report.settled_rounds
+    )?;
+    if report.segments > 0 {
+        writeln!(Out, "journal rotated into {} segments", report.segments)?;
+    }
+    Ok(ledger)
+}
+
+/// `mech.run` observed by the session's observer for the run, which is
+/// dropped when the run ends, or by [`NullObserver`] when the session is
+/// disabled.
+fn observed<E: From<CdtError>>(
+    mech: &mut CmabHs,
+    scenario: &Scenario,
+    rng: &mut SimRng,
+    obs: &Session,
+    settle: impl FnMut(&RoundOutcome) -> Result<bool, E>,
+) -> Result<TradingLedger, E> {
+    let observer = scenario.observer();
+    match obs.observer_for_run("cmab-hs") {
+        Some(mut pipeline) => mech.run(&observer, rng, &mut pipeline, settle),
+        None => mech.run(&observer, rng, &mut NullObserver, settle),
+    }
+}
+
 /// The `--json` file of a summary ledger: its fields in serde_json's
 /// pretty layout (two-space indent, `"key": value`, no final newline),
 /// floats in shortest round-trip form.
 fn ledger_json(ledger: &TradingLedger) -> Vec<u8> {
-    // A summary ledger keeps no outcomes; only `cdt run` writes one.
-    debug_assert!(ledger.outcomes().is_empty());
-    let mode = match ledger.mode() {
-        LedgerMode::Full => "Full",
-        LedgerMode::Summary => "Summary",
-    };
-    let mut out = b"{\n  \"mode\": ".to_vec();
-    push_str(&mut out, mode);
-    out.extend_from_slice(b",\n  \"outcomes\": [],\n  \"rounds\": ");
+    // The ledger keeps totals only; the `mode` and the empty `outcomes`
+    // stay, because the file's bytes are a format.
+    let mut out = b"{\n  \"mode\": \"Summary\",\n  \"outcomes\": [],\n  \"rounds\": ".to_vec();
     push_usize(&mut out, ledger.rounds());
     for (name, value) in [
         ("total_observed_revenue", ledger.total_observed_revenue()),
@@ -1031,8 +1060,8 @@ fn ledger_json(ledger: &TradingLedger) -> Vec<u8> {
     out
 }
 
-/// `cdt budget` — budget-constrained trading: stop when the consumer's
-/// spend ceiling binds.
+/// `cdt budget` — budget-constrained trading: the run of `cdt run`, with
+/// a settle rule that stops it when the consumer's spend ceiling binds.
 ///
 /// # Errors
 /// Returns a message on flag or run failure.
@@ -1043,69 +1072,28 @@ pub fn budget(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
         .parse::<f64>()
         .map_err(|_| "--budget expects a number".to_owned())?;
     let (scenario, mut rng, _) = scenario_from_flags(flags)?;
-    let mut mech = BudgetedCmabHs::new(scenario.config.clone(), cap).map_err(|e| e.to_string())?;
-
-    // With --journal, stream every *settled* round through the protocol
-    // sink; the budget-rejected final round never reaches the callback,
-    // so the journal records exactly what the consumer paid for.
-    let run = if let Some(path) = flags.get("journal") {
-        let rotation = journal_rotation(flags, &cfg.obs)?;
-        let mut sink = cdt_protocol::JournalSink::create_with(path, rotation, &cfg.obs)
-            .map_err(|e| e.to_string())?;
-        sink.append(&cdt_protocol::MarketEvent::JobPublished {
-            job: scenario.config.job.clone(),
-        })
-        .map_err(|e| e.to_string())?;
-        let mut journal_err: Option<String> = None;
-        let run = mech
-            .run_with(&scenario.observer(), &mut rng, |outcome| {
-                if journal_err.is_some() {
-                    return;
-                }
-                for event in cdt_protocol::events_for_round(outcome) {
-                    if let Err(e) = sink.append(&event) {
-                        journal_err = Some(e.to_string());
-                        return;
-                    }
-                }
-            })
-            .map_err(|e| e.to_string())?;
-        if let Some(e) = journal_err {
-            return Err(e.into());
-        }
-        let rounds = sink.state().settled_rounds();
-        sink.append(&cdt_protocol::MarketEvent::JobCompleted { rounds })
-            .map_err(|e| e.to_string())?;
-        let report = sink.finish().map_err(|e| e.to_string())?;
-        writeln!(
-            Out,
-            "journaled {} events over {} rounds to {path} (streamed, replay-validated)",
-            report.events, report.settled_rounds
-        )?;
-        if report.segments > 0 {
-            writeln!(Out, "journal rotated into {} segments", report.segments)?;
-        }
-        run
-    } else {
-        mech.run(&scenario.observer(), &mut rng)
-            .map_err(|e| e.to_string())?
-    };
+    let mut budget = Budget::new(cap).map_err(|e| e.to_string())?;
+    let ledger = trade(flags, cfg, &scenario, &mut rng, |outcome| {
+        budget.admit(outcome)
+    })?;
     writeln!(
         Out,
         "budgeted run: {} rounds, spent {:.1} of {:.1} ({})",
-        run.ledger.rounds(),
-        run.spent,
+        ledger.rounds(),
+        budget.spent(),
         cap,
-        match run.stop_reason {
-            StopReason::HorizonReached => "horizon reached",
-            StopReason::BudgetExhausted => "budget exhausted",
+        // A refused round is the only way to settle fewer than N.
+        if ledger.rounds() < scenario.config.n() {
+            "budget exhausted"
+        } else {
+            "horizon reached"
         }
     )?;
     writeln!(
         Out,
         "observed revenue {:.1}, mean PoC {:.2}",
-        run.ledger.total_observed_revenue(),
-        run.ledger.mean_consumer_profit()
+        ledger.total_observed_revenue(),
+        ledger.mean_consumer_profit()
     )?;
     Ok(())
 }
@@ -1376,6 +1364,8 @@ mod tests {
     #[test]
     fn run_with_journal_writes_valid_log() {
         let dir = std::env::temp_dir().join("cdt_cli_journal_test");
+        // A journal refuses to replace one left by an earlier test run.
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("journal.jsonl");
         let path_str = path.to_str().unwrap();
@@ -1390,6 +1380,7 @@ mod tests {
     #[test]
     fn budget_with_journal_streams_valid_log() {
         let dir = std::env::temp_dir().join("cdt_cli_budget_journal_test");
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("budget-journal.jsonl");
         let path_str = path.to_str().unwrap();
@@ -1397,12 +1388,14 @@ mod tests {
         // Cap at half of what the same scenario spends uncapped, so the
         // cap binds mid-run whatever the random stream.
         let (scenario, mut rng, _) = scenario_from_flags(&flags("budget", &shape)).unwrap();
-        let uncapped = BudgetedCmabHs::new(scenario.config.clone(), f64::MAX)
+        let uncapped = CmabHs::new(scenario.config.clone())
             .unwrap()
-            .run(&scenario.observer(), &mut rng)
+            .run(&scenario.observer(), &mut rng, &mut NullObserver, |_| {
+                Ok::<_, CdtError>(true)
+            })
             .unwrap();
-        assert_eq!(uncapped.stop_reason, StopReason::HorizonReached);
-        let cap = (uncapped.spent / 2.0).to_string();
+        assert_eq!(uncapped.rounds(), 200);
+        let cap = (uncapped.total_consumer_payment() / 2.0).to_string();
         let args = with(&with(&["budget"], &shape), &["--budget", &cap]);
         cdt(&with(&args, &["--journal", path_str])).unwrap();
         let view = cdt_protocol::load_journal(&path).unwrap();
@@ -1417,6 +1410,7 @@ mod tests {
     #[test]
     fn journal_commands_verify_audit_and_recover() {
         let dir = std::env::temp_dir().join("cdt_cli_journal_cmds_test");
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("journal.jsonl");
         let path_str = path.to_str().unwrap();
@@ -1435,9 +1429,6 @@ mod tests {
         let partial_str = partial.to_str().unwrap();
         assert!(journal_verify_cmd(partial_str).is_err());
         let out = dir.join("recovered.jsonl");
-        // A crashed previous test run may have left the out file behind;
-        // recover refuses to overwrite, so clear it first.
-        std::fs::remove_file(&out).ok();
         let out_str = out.to_str().unwrap();
         cdt(&["journal", "recover", partial_str, "--out", out_str]).unwrap();
         let recovered = std::fs::read_to_string(&out).unwrap();
@@ -1508,6 +1499,17 @@ mod tests {
         cdt(&with(&shape, &["--journal", flat_str])).unwrap();
         let rotated = ["--journal", seg_str, "--journal-segment-rounds", "2"];
         cdt(&with(&shape, &rotated)).unwrap();
+        // A second run to either journal, in either layout, refuses and
+        // leaves it as it was.
+        let flat_bytes = std::fs::read(&flat).unwrap();
+        for journal in [flat_str, seg_str] {
+            for extra in [&[][..], &rotated[2..]] {
+                let argv = with(&with(&shape, &["--journal", journal]), extra);
+                let err = cdt(&argv).unwrap_err();
+                assert!(err.contains("refusing to start journal"), "{err}");
+            }
+        }
+        assert_eq!(std::fs::read(&flat).unwrap(), flat_bytes);
         // Rotation writes segments + index, never the base file.
         assert!(!seg.exists());
         assert!(dir.join("seg.jsonl.idx").exists());
@@ -1608,6 +1610,9 @@ mod tests {
     #[test]
     fn orphaned_obs_flags_are_refused_by_name() {
         let run = ["run", "--m", "6", "--k", "2", "--l", "3", "--n", "2"];
+        let budget = [
+            "budget", "--m", "6", "--k", "2", "--l", "3", "--budget", "1e9",
+        ];
         for (extra, missing) in [
             (&["--obs-spans"][..], "--obs-events"),
             (
@@ -1615,12 +1620,16 @@ mod tests {
                 "--obs-events",
             ),
             (&["--watchdog-slow-round-ns", "1"], "--watchdog-ms"),
+            // The journal's tuning flag, too.
+            (&["--journal-segment-rounds", "2"], "--journal"),
         ] {
-            let err = cdt(&with(&run, extra)).unwrap_err();
-            assert!(
-                err.contains(&format!("requires {missing}")),
-                "{extra:?}: {err}"
-            );
+            for command in [&run[..], &budget[..]] {
+                let err = cdt(&with(command, extra)).unwrap_err();
+                assert!(
+                    err.starts_with(&format!("{} requires {missing} ", extra[0])),
+                    "{extra:?}: {err}"
+                );
+            }
         }
     }
 

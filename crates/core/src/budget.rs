@@ -2,128 +2,64 @@
 //! job (`N` rounds) to a *monetary* budget.
 //!
 //! The paper's consumer buys `N` rounds outright; real procurement often
-//! fixes a spend ceiling instead. [`BudgetedCmabHs`] wraps the mechanism
-//! and stops as soon as the next round's payment would exceed the
-//! remaining budget, giving the consumer a hard spend guarantee while the
-//! round-level behaviour (UCB selection + Stackelberg pricing) is
-//! unchanged — the related budgeted-CMAB line of work the paper cites
-//! (`[25]`, `[33]`–`[35]`) motivates exactly this stopping rule.
+//! fixes a spend ceiling instead. A [`Budget`] is a settle rule for
+//! [`crate::CmabHs::run`]: it admits a round while its payment fits in
+//! what is left and refuses the first one that does not, which ends the
+//! run. The consumer gets a hard spend guarantee while the round-level
+//! behaviour (UCB selection + Stackelberg pricing) is unchanged — the
+//! related budgeted-CMAB line of work the paper cites (`[25]`,
+//! `[33]`–`[35]`) motivates exactly this stopping rule.
 
-use crate::ledger::{LedgerMode, TradingLedger};
-use crate::mechanism::CmabHs;
 use crate::round::RoundOutcome;
-use cdt_quality::QualityObserver;
-use cdt_types::{Result, SimRng, SystemConfig};
+use cdt_types::{CdtError, Result};
 
-/// Why a budgeted run stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// All `N` configured rounds ran within budget.
-    HorizonReached,
-    /// The next round's payment would have exceeded the remaining budget.
-    BudgetExhausted,
-}
-
-/// Result of a budget-constrained run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BudgetedRun {
-    /// The per-round ledger (Summary mode).
-    pub ledger: TradingLedger,
-    /// Total consumer spend (≤ budget).
-    pub spent: f64,
-    /// Why the run ended.
-    pub stop_reason: StopReason,
-}
-
-/// CMAB-HS under a consumer spend ceiling.
-pub struct BudgetedCmabHs {
-    mechanism: CmabHs,
-    budget: f64,
+/// A consumer spend ceiling and the spend settled against it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Budget {
+    cap: f64,
     spent: f64,
 }
 
-impl BudgetedCmabHs {
-    /// Creates a budgeted mechanism.
+impl Budget {
+    /// A budget of `cap`, nothing spent yet.
     ///
     /// # Errors
-    /// Propagates configuration errors; rejects a non-positive budget.
-    pub fn new(config: SystemConfig, budget: f64) -> Result<Self> {
-        if !(budget.is_finite() && budget > 0.0) {
-            return Err(cdt_types::CdtError::invalid(
-                "budget",
-                budget,
-                "must be finite and > 0",
-            ));
+    /// Rejects a cap that is not finite and positive.
+    pub fn new(cap: f64) -> Result<Self> {
+        if !(cap.is_finite() && cap > 0.0) {
+            return Err(CdtError::invalid("budget", cap, "must be finite and > 0"));
         }
-        Ok(Self {
-            mechanism: CmabHs::new(config)?,
-            budget,
-            spent: 0.0,
-        })
+        Ok(Self { cap, spent: 0.0 })
     }
 
-    /// Remaining budget.
+    /// Total consumer spend on the admitted rounds (≤ the cap).
     #[must_use]
-    pub fn remaining(&self) -> f64 {
-        self.budget - self.spent
+    pub fn spent(&self) -> f64 {
+        self.spent
     }
 
-    /// Runs until the horizon or the budget binds.
-    ///
-    /// Budget semantics: a round is *committed* before its stochastic data
-    /// arrives, but its payment `p^J · Στ` is known at strategy time, so
-    /// the mechanism peeks at the payment and refuses rounds it cannot
-    /// afford. The consumer therefore never overspends.
-    ///
-    /// # Errors
-    /// Propagates round-execution errors.
-    pub fn run(&mut self, observer: &QualityObserver, rng: &mut SimRng) -> Result<BudgetedRun> {
-        self.run_with(observer, rng, |_| {})
-    }
-
-    /// As [`BudgetedCmabHs::run`], invoking `on_settled` for every round
-    /// that actually settles within budget. The budget-rejected final
-    /// round never reaches the callback — a journal written from it sees
-    /// only the rounds the consumer paid for.
-    ///
-    /// # Errors
-    /// Propagates round-execution errors.
-    pub fn run_with<F: FnMut(&RoundOutcome)>(
-        &mut self,
-        observer: &QualityObserver,
-        rng: &mut SimRng,
-        mut on_settled: F,
-    ) -> Result<BudgetedRun> {
-        let mut ledger = TradingLedger::new(LedgerMode::Summary);
-        let mut stop_reason = StopReason::HorizonReached;
-        while !self.mechanism.is_finished() {
-            // Tentatively run the round; its payment is deterministic given
-            // the estimator state, so we can roll forward and check.
-            let outcome: RoundOutcome = self.mechanism.step(observer, rng)?;
-            let payment = outcome.strategy.consumer_payment();
-            if self.spent + payment > self.budget {
-                // The round's data was collected but the consumer cannot
-                // settle it; in a deployed system the platform would not
-                // have dispatched it — we simply do not account it.
-                stop_reason = StopReason::BudgetExhausted;
-                break;
-            }
-            self.spent += payment;
-            on_settled(&outcome);
-            ledger.record(outcome);
+    /// Settles `outcome` when its payment `p^J · Στ` fits in what is left,
+    /// and refuses it otherwise. The round ran in full before it reaches
+    /// settlement; a refused round is simply not paid for (a deployed
+    /// platform would not have dispatched it).
+    pub fn admit(&mut self, outcome: &RoundOutcome) -> bool {
+        let payment = outcome.strategy.consumer_payment();
+        if self.spent + payment > self.cap {
+            return false;
         }
-        Ok(BudgetedRun {
-            ledger,
-            spent: self.spent,
-            stop_reason,
-        })
+        self.spent += payment;
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::CmabHs;
     use crate::scenario::Scenario;
+    use crate::TradingLedger;
+    use cdt_obs::NullObserver;
+    use cdt_types::SimRng;
 
     fn scenario(n: usize, seed: u64) -> (Scenario, SimRng) {
         let mut rng = SimRng::new(seed);
@@ -131,75 +67,95 @@ mod tests {
         (s, rng)
     }
 
+    /// Runs `s` with every round settled, returning the ledger and every
+    /// outcome.
+    fn accept_all(s: &Scenario, mut rng: SimRng) -> (TradingLedger, Vec<RoundOutcome>) {
+        let mut outcomes = Vec::new();
+        let ledger = CmabHs::new(s.config.clone())
+            .unwrap()
+            .run(&s.observer(), &mut rng, &mut NullObserver, |o| {
+                outcomes.push(o.clone());
+                Ok::<_, CdtError>(true)
+            })
+            .unwrap();
+        (ledger, outcomes)
+    }
+
+    /// Runs `s` under `budget`, returning the ledger and the outcomes the
+    /// budget admitted.
+    fn budgeted(
+        s: &Scenario,
+        mut rng: SimRng,
+        budget: &mut Budget,
+    ) -> (TradingLedger, Vec<RoundOutcome>) {
+        let mut settled = Vec::new();
+        let ledger = CmabHs::new(s.config.clone())
+            .unwrap()
+            .run(&s.observer(), &mut rng, &mut NullObserver, |o| {
+                let admitted = budget.admit(o);
+                if admitted {
+                    settled.push(o.clone());
+                }
+                Ok::<_, CdtError>(admitted)
+            })
+            .unwrap();
+        (ledger, settled)
+    }
+
     #[test]
     fn generous_budget_reaches_horizon() {
-        let (s, mut rng) = scenario(30, 1);
-        let mut b = BudgetedCmabHs::new(s.config.clone(), 1e12).unwrap();
-        let run = b.run(&s.observer(), &mut rng).unwrap();
-        assert_eq!(run.stop_reason, StopReason::HorizonReached);
-        assert_eq!(run.ledger.rounds(), 30);
-        assert!(run.spent > 0.0);
+        let (s, rng) = scenario(30, 1);
+        let mut budget = Budget::new(1e12).unwrap();
+        let (ledger, _) = budgeted(&s, rng, &mut budget);
+        assert_eq!(ledger.rounds(), 30);
+        assert!(budget.spent() > 0.0);
     }
 
     #[test]
     fn tight_budget_stops_early_and_never_overspends() {
-        let (s, mut rng) = scenario(500, 2);
+        let (s, rng) = scenario(500, 2);
         // First find a typical per-round payment, then set a ~10-round cap.
-        let mut probe = BudgetedCmabHs::new(s.config.clone(), 1e12).unwrap();
-        let full = probe.run(&s.observer(), &mut rng).unwrap();
-        let per_round = full.spent / full.ledger.rounds() as f64;
-
-        let (s2, mut rng2) = scenario(500, 2);
-        let budget = per_round * 10.0;
-        let mut b = BudgetedCmabHs::new(s2.config.clone(), budget).unwrap();
-        let run = b.run(&s2.observer(), &mut rng2).unwrap();
-        assert_eq!(run.stop_reason, StopReason::BudgetExhausted);
+        let (full, _) = accept_all(&s, rng.clone());
+        let per_round = full.total_consumer_payment() / full.rounds() as f64;
+        let cap = per_round * 10.0;
+        let mut budget = Budget::new(cap).unwrap();
+        let (ledger, _) = budgeted(&s, rng, &mut budget);
         assert!(
-            run.spent <= budget + 1e-9,
-            "overspent: {} > {budget}",
-            run.spent
+            budget.spent() <= cap,
+            "overspent: {} > {cap}",
+            budget.spent()
         );
-        assert!(run.ledger.rounds() < 500);
-        assert!(run.ledger.rounds() >= 2, "should afford a few rounds");
+        assert!(ledger.rounds() < 500);
+        assert!(ledger.rounds() >= 2, "should afford a few rounds");
     }
 
-    #[test]
-    fn remaining_decreases_monotonically() {
-        let (s, mut rng) = scenario(20, 3);
-        let mut b = BudgetedCmabHs::new(s.config.clone(), 1e9).unwrap();
-        let before = b.remaining();
-        b.run(&s.observer(), &mut rng).unwrap();
-        assert!(b.remaining() < before);
-        // ulp(1e9) ≈ 1.2e-7 bounds the subtraction error at this scale.
-        assert!((before - b.remaining() - b.spent).abs() < 1e-6);
-    }
-
+    /// The rounds a budget admits are exactly the ledger's: the first
+    /// rounds of the unbudgeted run of the same scenario and seed, bit for
+    /// bit. The next round, whose payment would cross the cap, is refused
+    /// and reaches neither, and the spend is the ledger's consumer
+    /// payment, bit for bit: the same sums in the same order.
     #[test]
     fn settled_callback_sees_exactly_the_accounted_rounds() {
-        let (s, mut rng) = scenario(500, 2);
-        let mut probe = BudgetedCmabHs::new(s.config.clone(), 1e12).unwrap();
-        let full = probe.run(&s.observer(), &mut rng).unwrap();
-        let per_round = full.spent / full.ledger.rounds() as f64;
-
-        let (s2, mut rng2) = scenario(500, 2);
-        let mut b = BudgetedCmabHs::new(s2.config.clone(), per_round * 10.0).unwrap();
-        let mut seen = Vec::new();
-        let run = b
-            .run_with(&s2.observer(), &mut rng2, |o| seen.push(o.round))
-            .unwrap();
-        assert_eq!(run.stop_reason, StopReason::BudgetExhausted);
-        // The budget-rejected final round must not reach the callback.
-        assert_eq!(seen.len(), run.ledger.rounds());
-        for (i, round) in seen.iter().enumerate() {
-            assert_eq!(round.index(), i);
-        }
+        let (s, rng) = scenario(500, 2);
+        let (full, every) = accept_all(&s, rng.clone());
+        let cap = full.total_consumer_payment() / full.rounds() as f64 * 10.0;
+        let mut budget = Budget::new(cap).unwrap();
+        let (ledger, settled) = budgeted(&s, rng, &mut budget);
+        let n = ledger.rounds();
+        assert!((1..500).contains(&n), "settled {n}");
+        assert_eq!(settled[..], every[..n]);
+        assert!(budget.spent() + every[n].strategy.consumer_payment() > cap);
+        assert_eq!(
+            budget.spent().to_bits(),
+            ledger.total_consumer_payment().to_bits()
+        );
     }
 
     #[test]
     fn rejects_non_positive_budget() {
-        let (s, _) = scenario(10, 4);
-        assert!(BudgetedCmabHs::new(s.config.clone(), 0.0).is_err());
-        assert!(BudgetedCmabHs::new(s.config.clone(), -5.0).is_err());
-        assert!(BudgetedCmabHs::new(s.config, f64::INFINITY).is_err());
+        assert!(Budget::new(0.0).is_err());
+        assert!(Budget::new(-5.0).is_err());
+        assert!(Budget::new(f64::INFINITY).is_err());
+        assert!(Budget::new(f64::NAN).is_err());
     }
 }

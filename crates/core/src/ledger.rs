@@ -1,26 +1,15 @@
-//! The trading ledger: per-round and cumulative accounting of revenues,
-//! strategies, payments, and profits.
+//! The trading ledger: cumulative accounting of revenues, payments, and
+//! profits over the rounds a run settled.
 //!
-//! Long-horizon experiments run up to `N = 2·10⁵` rounds; storing every
-//! [`RoundOutcome`] is convenient for analysis but unnecessary for sweeps,
-//! so the ledger supports two modes.
+//! Long-horizon experiments run up to `N = 2·10⁵` rounds, so the ledger
+//! keeps totals only. A caller that wants every [`RoundOutcome`] collects
+//! it in the run's `settle` step (see [`crate::CmabHs::run`]).
 
 use crate::round::RoundOutcome;
 
-/// What the ledger retains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LedgerMode {
-    /// Keep every [`RoundOutcome`] (examples, small-N analysis).
-    Full,
-    /// Keep only cumulative aggregates (long-horizon sweeps).
-    Summary,
-}
-
-/// Cumulative and (optionally) per-round trading records.
-#[derive(Debug, Clone, PartialEq)]
+/// Cumulative trading records of the settled rounds.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TradingLedger {
-    mode: LedgerMode,
-    outcomes: Vec<RoundOutcome>,
     rounds: usize,
     total_observed_revenue: f64,
     total_consumer_profit: f64,
@@ -31,42 +20,9 @@ pub struct TradingLedger {
 }
 
 impl TradingLedger {
-    /// An empty ledger.
-    #[must_use]
-    pub fn new(mode: LedgerMode) -> Self {
-        Self {
-            mode,
-            outcomes: Vec::new(),
-            rounds: 0,
-            total_observed_revenue: 0.0,
-            total_consumer_profit: 0.0,
-            total_platform_profit: 0.0,
-            total_seller_profit: 0.0,
-            total_consumer_payment: 0.0,
-            total_seller_payment: 0.0,
-        }
-    }
-
-    /// Records one round, taking ownership (no clone in either mode).
-    pub fn record(&mut self, outcome: RoundOutcome) {
-        self.accumulate(&outcome);
-        if self.mode == LedgerMode::Full {
-            self.outcomes.push(outcome);
-        }
-    }
-
-    /// Records one round by reference. In [`LedgerMode::Summary`] this never
-    /// clones — the hot evaluation loop hands in the same reused
-    /// [`crate::RoundScratch`] outcome every round; only [`LedgerMode::Full`]
-    /// pays for a clone to retain the round.
-    pub fn record_ref(&mut self, outcome: &RoundOutcome) {
-        self.accumulate(outcome);
-        if self.mode == LedgerMode::Full {
-            self.outcomes.push(outcome.clone());
-        }
-    }
-
-    fn accumulate(&mut self, outcome: &RoundOutcome) {
+    /// Records one settled round. Never clones: the trading loop hands in
+    /// the same reused [`crate::RoundScratch`] outcome every round.
+    pub fn record(&mut self, outcome: &RoundOutcome) {
         self.rounds += 1;
         self.total_observed_revenue += outcome.observed_revenue;
         self.total_consumer_profit += outcome.strategy.profits.consumer;
@@ -76,22 +32,10 @@ impl TradingLedger {
         self.total_seller_payment += outcome.strategy.seller_payment();
     }
 
-    /// What the ledger retains.
-    #[must_use]
-    pub fn mode(&self) -> LedgerMode {
-        self.mode
-    }
-
     /// Number of recorded rounds.
     #[must_use]
     pub fn rounds(&self) -> usize {
         self.rounds
-    }
-
-    /// All stored outcomes (empty in [`LedgerMode::Summary`]).
-    #[must_use]
-    pub fn outcomes(&self) -> &[RoundOutcome] {
-        &self.outcomes
     }
 
     /// Total realized revenue `Σ_t Σ_i Σ_l q_{i,l}^t χ_i^t` (Eq. 1).
@@ -202,32 +146,22 @@ mod tests {
     }
 
     #[test]
-    fn full_mode_stores_outcomes() {
-        let mut l = TradingLedger::new(LedgerMode::Full);
-        l.record(outcome(0, 4.0, 1.0));
-        l.record(outcome(1, 6.0, 3.0));
-        assert_eq!(l.rounds(), 2);
-        assert_eq!(l.outcomes().len(), 2);
-        assert!((l.total_observed_revenue() - 10.0).abs() < 1e-12);
-        assert!((l.total_consumer_profit() - 4.0).abs() < 1e-12);
-        assert!((l.mean_consumer_profit() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn summary_mode_discards_outcomes_but_keeps_totals() {
-        let mut l = TradingLedger::new(LedgerMode::Summary);
+        let mut l = TradingLedger::default();
         for t in 0..100 {
-            l.record(outcome(t, 1.0, 0.5));
+            l.record(&outcome(t, 1.0, 0.5));
         }
-        assert_eq!(l.rounds(), 100);
-        assert!(l.outcomes().is_empty());
-        assert!((l.total_observed_revenue() - 100.0).abs() < 1e-12);
+        l.record(&outcome(100, 4.0, 50.5));
+        assert_eq!(l.rounds(), 101);
+        assert!((l.total_observed_revenue() - 104.0).abs() < 1e-12);
+        assert!((l.total_consumer_profit() - 100.5).abs() < 1e-12);
+        assert!((l.mean_consumer_profit() - 100.5 / 101.0).abs() < 1e-12);
     }
 
     #[test]
     fn payments_accumulate() {
-        let mut l = TradingLedger::new(LedgerMode::Summary);
-        l.record(outcome(0, 1.0, 1.0));
+        let mut l = TradingLedger::default();
+        l.record(&outcome(0, 1.0, 1.0));
         // consumer payment = pJ·Στ = 2·3 = 6; seller payment = p·Στ = 3.
         assert!((l.total_consumer_payment() - 6.0).abs() < 1e-12);
         assert!((l.total_seller_payment() - 3.0).abs() < 1e-12);
@@ -235,7 +169,7 @@ mod tests {
 
     #[test]
     fn empty_ledger_means_are_zero() {
-        let l = TradingLedger::new(LedgerMode::Full);
+        let l = TradingLedger::default();
         assert_eq!(l.mean_consumer_profit(), 0.0);
         assert_eq!(l.mean_platform_profit(), 0.0);
         assert_eq!(l.mean_seller_profit(), 0.0);

@@ -12,8 +12,10 @@
 //! - incentive strategy: the three-stage hierarchical Stackelberg game
 //!   ([`cdt_game::solve_equilibrium`], Theorems 14–16 / step 11);
 //! - the initial exploration round (steps 2–5);
-//! - a per-round trading ledger with revenues, strategies, payments, and
-//!   profits.
+//! - the trading loop ([`CmabHs::run`]): every round is stepped, then
+//!   settled by the caller's rule — every round for the paper's job, a
+//!   spend ceiling for a [`Budget`] — into a ledger of revenues, payments,
+//!   and profits.
 //!
 //! # Quickstart
 //!
@@ -27,7 +29,10 @@
 //! let scenario = Scenario::paper_defaults(20, 5, 4, 50, &mut rng).unwrap();
 //! let mut mechanism = CmabHs::new(scenario.config.clone()).unwrap();
 //! let observer = scenario.observer();
-//! let ledger = mechanism.run_to_completion(&observer, &mut rng).unwrap();
+//! // Settle every round: the paper's job of N rounds.
+//! let ledger = mechanism
+//!     .run(&observer, &mut rng, &mut NullObserver, |_| Ok::<_, CdtError>(true))
+//!     .unwrap();
 //! assert_eq!(ledger.rounds(), 50);
 //! assert!(ledger.total_observed_revenue() > 0.0);
 //! ```
@@ -41,8 +46,8 @@ pub mod mechanism;
 pub mod round;
 pub mod scenario;
 
-pub use budget::{BudgetedCmabHs, BudgetedRun, StopReason};
-pub use ledger::{LedgerMode, TradingLedger};
+pub use budget::Budget;
+pub use ledger::TradingLedger;
 pub use mechanism::CmabHs;
 pub use round::{
     execute_round, execute_round_into, execute_round_observed_into, RoundOutcome, RoundScratch,
@@ -50,13 +55,15 @@ pub use round::{
 pub use scenario::Scenario;
 
 // Observability surface: downstream users implement `RoundObserver` (or use
-// the built-in recorder/pipeline observers) against the `*_observed_*` entry
-// points above; `NullObserver` is the statically disabled default.
+// the built-in recorder/pipeline observers) and pass it to `CmabHs::run`,
+// `CmabHs::step` or `execute_round_observed_into`; `NullObserver` is the
+// statically disabled default.
 pub use cdt_obs::{NullObserver, RecordingObserver, RoundObserver};
 
 /// Convenient re-exports for downstream users and examples.
 pub mod prelude {
-    pub use crate::ledger::{LedgerMode, TradingLedger};
+    pub use crate::budget::Budget;
+    pub use crate::ledger::TradingLedger;
     pub use crate::mechanism::CmabHs;
     pub use crate::round::{execute_round, execute_round_into, RoundOutcome, RoundScratch};
     pub use crate::scenario::Scenario;
@@ -64,9 +71,10 @@ pub mod prelude {
         CmabUcbPolicy, EpsilonFirstPolicy, OraclePolicy, RandomPolicy, SelectionPolicy,
     };
     pub use cdt_game::{solve_equilibrium, GameContext, SelectedSeller, StackelbergSolution};
+    pub use cdt_obs::{NullObserver, RoundObserver};
     pub use cdt_quality::{QualityObserver, SellerPopulation};
     pub use cdt_types::{
-        JobSpec, PlatformCostParams, PriceBounds, Round, SellerCostParams, SellerId, SystemConfig,
-        ValuationParams,
+        CdtError, JobSpec, PlatformCostParams, PriceBounds, Round, SellerCostParams, SellerId,
+        SystemConfig, ValuationParams,
     };
 }

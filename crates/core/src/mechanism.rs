@@ -1,9 +1,9 @@
 //! The CMAB-HS mechanism — Algorithm 1 of the paper, end to end.
 
-use crate::ledger::{LedgerMode, TradingLedger};
-use crate::round::{execute_round, execute_round_observed_into, RoundOutcome, RoundScratch};
+use crate::ledger::TradingLedger;
+use crate::round::{execute_round_observed_into, RoundOutcome, RoundScratch};
 use cdt_bandit::CmabUcbPolicy;
-use cdt_obs::{NullObserver, RoundObserver};
+use cdt_obs::RoundObserver;
 use cdt_quality::QualityObserver;
 use cdt_types::{CdtError, Result, Round, SimRng, SystemConfig};
 
@@ -63,49 +63,15 @@ impl CmabHs {
         self.next_round.index() >= self.config.n()
     }
 
-    /// Executes the next round.
+    /// Executes the next round into `scratch`, reusing its buffers (after
+    /// the first round a step allocates nothing), and emits structured
+    /// round events to `obs` (statically dispatched: [`cdt_obs::NullObserver`]
+    /// compiles to the plain path).
     ///
     /// # Errors
     /// Returns [`CdtError::HorizonExhausted`] after the `N`-th round, and
     /// propagates game-construction errors.
-    pub fn step(&mut self, observer: &QualityObserver, rng: &mut SimRng) -> Result<RoundOutcome> {
-        if self.is_finished() {
-            return Err(CdtError::HorizonExhausted { n: self.config.n() });
-        }
-        let outcome = execute_round(
-            &mut self.policy,
-            &self.config,
-            observer,
-            self.next_round,
-            rng,
-        )?;
-        self.next_round = self.next_round.next();
-        Ok(outcome)
-    }
-
-    /// Executes the next round into reusable scratch buffers (the
-    /// allocation-free hot path; same RNG stream and results as
-    /// [`CmabHs::step`]).
-    ///
-    /// # Errors
-    /// Returns [`CdtError::HorizonExhausted`] after the `N`-th round, and
-    /// propagates game-construction errors.
-    pub fn step_into<'a>(
-        &mut self,
-        observer: &QualityObserver,
-        rng: &mut SimRng,
-        scratch: &'a mut RoundScratch,
-    ) -> Result<&'a RoundOutcome> {
-        self.step_observed_into(observer, rng, scratch, &mut NullObserver)
-    }
-
-    /// As [`CmabHs::step_into`], but emits structured round events to `obs`
-    /// (statically dispatched; [`NullObserver`] compiles to the plain path).
-    ///
-    /// # Errors
-    /// Returns [`CdtError::HorizonExhausted`] after the `N`-th round, and
-    /// propagates game-construction errors.
-    pub fn step_observed_into<'a, O: RoundObserver>(
+    pub fn step<'a, O: RoundObserver>(
         &mut self,
         observer: &QualityObserver,
         rng: &mut SimRng,
@@ -128,50 +94,35 @@ impl CmabHs {
         Ok(outcome)
     }
 
-    /// Runs all remaining rounds into a full ledger.
+    /// Runs the remaining rounds — Algorithm 1's loop, with each round
+    /// closed by a settlement (Fig. 2) — and returns the ledger of the
+    /// settled ones.
+    ///
+    /// Each round is stepped (observed by `obs`) and handed to `settle`:
+    /// `Ok(true)` settles it into the ledger, `Ok(false)` refuses it and
+    /// ends the run, and an error ends the run with that error. The
+    /// refused round ran in full: the mechanism has learned from it, and
+    /// [`CmabHs::next_round`] is past it. A rule that settles every round
+    /// runs the paper's job of `N` rounds; a [`crate::Budget`] refuses the
+    /// first round it cannot pay for.
     ///
     /// # Errors
-    /// Propagates the first round error encountered.
-    pub fn run_to_completion(
+    /// Propagates the first round error, or the first error of `settle`.
+    pub fn run<O: RoundObserver, E: From<CdtError>>(
         &mut self,
         observer: &QualityObserver,
         rng: &mut SimRng,
-    ) -> Result<TradingLedger> {
-        self.run_with_mode(observer, rng, LedgerMode::Full)
-    }
-
-    /// Runs all remaining rounds, controlling what the ledger retains.
-    ///
-    /// # Errors
-    /// Propagates the first round error encountered.
-    pub fn run_with_mode(
-        &mut self,
-        observer: &QualityObserver,
-        rng: &mut SimRng,
-        mode: LedgerMode,
-    ) -> Result<TradingLedger> {
-        self.run_with_mode_observed(observer, rng, mode, &mut NullObserver)
-    }
-
-    /// As [`CmabHs::run_with_mode`], but emits structured round events to
-    /// `obs` for every round executed.
-    ///
-    /// # Errors
-    /// Propagates the first round error encountered.
-    pub fn run_with_mode_observed<O: RoundObserver>(
-        &mut self,
-        observer: &QualityObserver,
-        rng: &mut SimRng,
-        mode: LedgerMode,
         obs: &mut O,
-    ) -> Result<TradingLedger> {
-        // One scratch for the run: rounds after the first allocate nothing,
-        // and only a full ledger clones the outcomes it keeps.
-        let mut ledger = TradingLedger::new(mode);
+        mut settle: impl FnMut(&RoundOutcome) -> std::result::Result<bool, E>,
+    ) -> std::result::Result<TradingLedger, E> {
+        let mut ledger = TradingLedger::default();
         let mut scratch = RoundScratch::new();
         while !self.is_finished() {
-            let outcome = self.step_observed_into(observer, rng, &mut scratch, obs)?;
-            ledger.record_ref(outcome);
+            let outcome = self.step(observer, rng, &mut scratch, obs)?;
+            if !settle(outcome)? {
+                break;
+            }
+            ledger.record(outcome);
         }
         Ok(ledger)
     }
@@ -181,6 +132,7 @@ impl CmabHs {
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use cdt_obs::NullObserver;
 
     fn scenario(m: usize, k: usize, l: usize, n: usize, seed: u64) -> (Scenario, SimRng) {
         let mut rng = SimRng::new(seed);
@@ -188,11 +140,19 @@ mod tests {
         (s, rng)
     }
 
+    /// Runs every remaining round, settling each.
+    fn run_all(mech: &mut CmabHs, s: &Scenario, rng: &mut SimRng) -> TradingLedger {
+        mech.run(&s.observer(), rng, &mut NullObserver, |_| {
+            Ok::<_, CdtError>(true)
+        })
+        .unwrap()
+    }
+
     #[test]
     fn runs_the_configured_horizon() {
         let (s, mut rng) = scenario(10, 3, 4, 25, 1);
         let mut mech = CmabHs::new(s.config.clone()).unwrap();
-        let ledger = mech.run_to_completion(&s.observer(), &mut rng).unwrap();
+        let ledger = run_all(&mut mech, &s, &mut rng);
         assert_eq!(ledger.rounds(), 25);
         assert!(mech.is_finished());
     }
@@ -202,21 +162,21 @@ mod tests {
         let (s, mut rng) = scenario(8, 2, 4, 5, 2);
         let mut mech = CmabHs::new(s.config.clone()).unwrap();
         let obs = s.observer();
-        let r0 = mech.step(&obs, &mut rng).unwrap();
-        assert_eq!(r0.selection_size(), 8);
-        let r1 = mech.step(&obs, &mut rng).unwrap();
-        assert_eq!(r1.selection_size(), 2);
+        let mut scratch = RoundScratch::new();
+        let r0 = mech.step(&obs, &mut rng, &mut scratch, &mut NullObserver);
+        assert_eq!(r0.unwrap().selection_size(), 8);
+        let r1 = mech.step(&obs, &mut rng, &mut scratch, &mut NullObserver);
+        assert_eq!(r1.unwrap().selection_size(), 2);
     }
 
     #[test]
     fn stepping_past_horizon_errors() {
         let (s, mut rng) = scenario(5, 2, 3, 2, 3);
         let mut mech = CmabHs::new(s.config.clone()).unwrap();
-        let obs = s.observer();
-        mech.step(&obs, &mut rng).unwrap();
-        mech.step(&obs, &mut rng).unwrap();
+        run_all(&mut mech, &s, &mut rng);
+        let mut scratch = RoundScratch::new();
         assert!(matches!(
-            mech.step(&obs, &mut rng),
+            mech.step(&s.observer(), &mut rng, &mut scratch, &mut NullObserver),
             Err(CdtError::HorizonExhausted { n: 2 })
         ));
     }
@@ -226,7 +186,7 @@ mod tests {
         let run = |seed| {
             let (s, mut rng) = scenario(10, 3, 4, 30, seed);
             let mut mech = CmabHs::new(s.config.clone()).unwrap();
-            let ledger = mech.run_to_completion(&s.observer(), &mut rng).unwrap();
+            let ledger = run_all(&mut mech, &s, &mut rng);
             (
                 ledger.total_observed_revenue(),
                 ledger.total_consumer_profit(),
@@ -236,13 +196,32 @@ mod tests {
         assert_ne!(run(7), run(8));
     }
 
+    /// A `settle` error ends the run with that error; the mechanism is
+    /// past the round that failed to settle.
+    #[test]
+    fn settle_error_stops_the_run() {
+        let (s, mut rng) = scenario(10, 3, 4, 30, 4);
+        let mut mech = CmabHs::new(s.config.clone()).unwrap();
+        let mut seen = 0;
+        let err = mech
+            .run(&s.observer(), &mut rng, &mut NullObserver, |o| {
+                seen += 1;
+                if o.round.index() == 3 {
+                    return Err(CdtError::config("settlement failed"));
+                }
+                Ok(true)
+            })
+            .unwrap_err();
+        assert_eq!(err, CdtError::config("settlement failed"));
+        assert_eq!(seen, 4);
+        assert_eq!(mech.next_round().index(), 4);
+    }
+
     #[test]
     fn mechanism_learns_qualities() {
         let (s, mut rng) = scenario(10, 3, 10, 400, 5);
         let mut mech = CmabHs::new(s.config.clone()).unwrap();
-        let obs = s.observer();
-        mech.run_with_mode(&obs, &mut rng, LedgerMode::Summary)
-            .unwrap();
+        run_all(&mut mech, &s, &mut rng);
         // After 400 rounds the UCB estimates of the true top-K sellers
         // should be close to their true qualities.
         use cdt_bandit::SelectionPolicy as _;
@@ -262,7 +241,7 @@ mod tests {
     fn all_parties_profit_over_the_run() {
         let (s, mut rng) = scenario(12, 4, 5, 40, 6);
         let mut mech = CmabHs::new(s.config.clone()).unwrap();
-        let ledger = mech.run_to_completion(&s.observer(), &mut rng).unwrap();
+        let ledger = run_all(&mut mech, &s, &mut rng);
         assert!(ledger.total_consumer_profit() > 0.0);
         assert!(ledger.total_platform_profit() >= -1e-9);
         assert!(ledger.total_seller_profit() > 0.0);

@@ -156,43 +156,6 @@ impl RoundObserver for NullObserver {
     const ENABLED: bool = false;
 }
 
-/// Two observers driven in lockstep — e.g. a protocol journal alongside
-/// the metrics pipeline. Enabled when either member is; each hook fans
-/// out to both, first member first.
-impl<A: RoundObserver, B: RoundObserver> RoundObserver for (A, B) {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    fn round_start(&mut self, round: Round) {
-        self.0.round_start(round);
-        self.1.round_start(round);
-    }
-
-    fn selection(&mut self, round: Round, event: &SelectionEvent<'_>) {
-        self.0.selection(round, event);
-        self.1.selection(round, event);
-    }
-
-    fn equilibrium(&mut self, round: Round, event: &EquilibriumEvent<'_>) {
-        self.0.equilibrium(round, event);
-        self.1.equilibrium(round, event);
-    }
-
-    fn observation(&mut self, round: Round, event: &ObservationEvent) {
-        self.0.observation(round, event);
-        self.1.observation(round, event);
-    }
-
-    fn round_end(&mut self, round: Round, event: &RoundEndEvent) {
-        self.0.round_end(round, event);
-        self.1.round_end(round, event);
-    }
-
-    fn regret(&mut self, round: Round, cumulative_regret: f64, account_ns: u64) {
-        self.0.regret(round, cumulative_regret, account_ns);
-        self.1.regret(round, cumulative_regret, account_ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,38 +169,6 @@ mod tests {
     fn phase_names_are_stable() {
         let names: Vec<&str> = Phase::ALL.iter().map(|p| p.as_str()).collect();
         assert_eq!(names, ["selection", "solve", "observe", "account"]);
-    }
-
-    #[test]
-    fn pair_observer_fans_out_to_both_members() {
-        #[derive(Default)]
-        struct Counting(usize);
-        impl RoundObserver for Counting {
-            fn round_start(&mut self, _round: Round) {
-                self.0 += 1;
-            }
-            fn round_end(&mut self, _round: Round, _event: &RoundEndEvent) {
-                self.0 += 1;
-            }
-        }
-        let mut pair = (Counting::default(), Counting::default());
-        pair.round_start(Round(0));
-        pair.round_end(
-            Round(0),
-            &RoundEndEvent {
-                observed_revenue: 1.0,
-                consumer_profit: 0.5,
-                platform_profit: 0.3,
-                seller_profit: 0.2,
-                selection_ns: 1,
-                solve_ns: 2,
-                observe_ns: 3,
-            },
-        );
-        assert_eq!(pair.0 .0, 2);
-        assert_eq!(pair.1 .0, 2);
-        const { assert!(<(Counting, NullObserver) as RoundObserver>::ENABLED) };
-        const { assert!(!<(NullObserver, NullObserver) as RoundObserver>::ENABLED) };
     }
 
     #[test]

@@ -13,11 +13,15 @@
 //!   in-memory [`crate::EventLog::to_json_lines`] serialization;
 //! - a *killed* run leaves `<path>.partial`, whose settled-round prefix is
 //!   recoverable with [`crate::recover_journal`] — at most the in-flight
-//!   round is lost.
+//!   round is lost;
+//! - a journal already at the path, in either layout, is never replaced
+//!   or shadowed: [`JournalSink::create_with`] refuses to start.
 //!
-//! [`JournalObserver`] adapts the sink to the engine's
-//! [`cdt_obs::RoundObserver`] hooks so `cdt run` can journal through the
-//! same observer plumbing as the metrics pipeline.
+//! [`JournalSink::append_round`] writes one settled round of the
+//! mechanism's trading loop ([`cdt_core::CmabHs::run`]) as its five Fig. 2
+//! events, so `cdt run` and `cdt budget` journal from their `settle` step:
+//! a round reaches the journal only once it settles.
+//!
 //! Like every obs sink, the journal batches its metrics locally and
 //! publishes once (`cdt_obs_protocol_events_total`,
 //! `cdt_obs_protocol_settled_rounds`, `cdt_obs_protocol_violations_total`,
@@ -38,13 +42,11 @@ use crate::codec;
 use crate::event::MarketEvent;
 use crate::segment::{self, SegmentEntry};
 use crate::state::{ProtocolError, ProtocolState};
+use cdt_core::RoundOutcome;
 use cdt_obs::span::now_ns;
-use cdt_obs::{
-    EquilibriumEvent, LatencyHistogram, ObservationEvent, RoundObserver, SelectionEvent, Session,
-    SpanBuffer, SpanRecord,
-};
+use cdt_obs::{LatencyHistogram, Session, SpanBuffer, SpanRecord};
 use cdt_types::json::Codec as _;
-use cdt_types::{JobSpec, Round, SellerId};
+use cdt_types::SellerId;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
@@ -190,6 +192,8 @@ pub struct JournalSink {
     published_metrics: bool,
     /// `Some` when the sink rotates into `<path>.seg-NNNN` segments.
     rotation: Option<RotationState>,
+    /// The vectors of [`JournalSink::append_round`]'s events.
+    round_buffers: RoundBuffers,
 }
 
 fn partial_path_for(path: &Path) -> PathBuf {
@@ -204,9 +208,7 @@ impl JournalSink {
     /// into place.
     ///
     /// # Errors
-    /// Returns [`JournalError::StaleArtifact`] when a previous run left a
-    /// recoverable `<path>.partial` at the target, or the I/O error when
-    /// the partial file cannot be created.
+    /// As [`JournalSink::create_with`].
     pub fn create(path: impl AsRef<Path>) -> Result<Self, JournalError> {
         Self::create_with(path, None, &Session::disabled())
     }
@@ -216,9 +218,9 @@ impl JournalSink {
     /// settled rounds (see the [module docs](self)), reporting to `obs`.
     ///
     /// # Errors
-    /// Returns [`JournalError::StaleArtifact`] when a previous run's
-    /// partial (or, under rotation, any segment/index/checkpoint sibling
-    /// or a same-named single-file journal) already exists, and
+    /// Returns [`JournalError::StaleArtifact`] when a journal of either
+    /// layout is already at `path`: a file at `path` itself, or a partial,
+    /// segment, index or checkpoint beside it. Returns
     /// [`JournalError::Io`] when the first file cannot be created or
     /// `rotation.segment_rounds` is 0.
     pub fn create_with(
@@ -227,34 +229,28 @@ impl JournalSink {
         obs: &Session,
     ) -> Result<Self, JournalError> {
         let final_path = path.as_ref().to_path_buf();
+        if rotation.is_some_and(|cfg| cfg.segment_rounds == 0) {
+            return Err(JournalError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "journal segment-rounds threshold must be at least 1",
+            )));
+        }
+        // Either layout refuses a journal already at the path: a finished
+        // single file would be replaced by the final rename, and a file
+        // beside a segmented journal (or segments beside a file) would
+        // shadow the other layout on every later load.
+        if final_path.exists() {
+            return Err(JournalError::StaleArtifact(final_path));
+        }
+        if let Some(stray) = segment::stray_artifact(&final_path)? {
+            return Err(JournalError::StaleArtifact(stray));
+        }
         let (partial_path, rotation) = match rotation {
-            None => {
-                let partial_path = partial_path_for(&final_path);
-                if partial_path.exists() {
-                    return Err(JournalError::StaleArtifact(partial_path));
-                }
-                (partial_path, None)
-            }
-            Some(cfg) => {
-                if cfg.segment_rounds == 0 {
-                    return Err(JournalError::Io(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "journal segment-rounds threshold must be at least 1",
-                    )));
-                }
-                // A same-named single-file journal would shadow the
-                // segment layout on every later load.
-                if final_path.exists() {
-                    return Err(JournalError::StaleArtifact(final_path));
-                }
-                if let Some(stray) = segment::stray_artifact(&final_path)? {
-                    return Err(JournalError::StaleArtifact(stray));
-                }
-                (
-                    segment::segment_partial_path(&final_path, 0),
-                    Some(RotationState::new(cfg.segment_rounds)),
-                )
-            }
+            None => (partial_path_for(&final_path), None),
+            Some(cfg) => (
+                segment::segment_partial_path(&final_path, 0),
+                Some(RotationState::new(cfg.segment_rounds)),
+            ),
         };
         let file = File::create(&partial_path)?;
         Ok(Self {
@@ -271,6 +267,7 @@ impl JournalSink {
             renamed: false,
             published_metrics: false,
             rotation,
+            round_buffers: RoundBuffers::default(),
         })
     }
 
@@ -371,6 +368,24 @@ impl JournalSink {
             self.rotate()?;
         }
         Ok(())
+    }
+
+    /// Appends one settled round of the trading loop as its five Fig. 2
+    /// events, in protocol order: `SellersSelected`, `StrategyDetermined`,
+    /// `DataCollected`, `StatisticsDelivered` and `PaymentsSettled`, each
+    /// through [`JournalSink::append`]. The settlement pays `p^J · Στ` and
+    /// `p · τ_i`, the expressions of [`cdt_game::StackelbergSolution`]'s
+    /// payments. The events' vectors are buffers the sink keeps, so a
+    /// round allocates nothing once they have grown to `K`.
+    ///
+    /// # Errors
+    /// As [`JournalSink::append`], for the first event that fails; the
+    /// events after it are not written.
+    pub fn append_round(&mut self, outcome: &RoundOutcome) -> Result<(), JournalError> {
+        let events = self.round_buffers.events(outcome);
+        let appended = events.iter().try_for_each(|event| self.append(event));
+        self.round_buffers.reclaim(events);
+        appended
     }
 
     /// Seals the active segment: flush + best-effort sync, atomic rename
@@ -505,157 +520,64 @@ impl Drop for JournalSink {
     }
 }
 
-/// A [`RoundObserver`] that journals every executed round through a
-/// [`JournalSink`], reconstructing the five Fig. 2 events per round from
-/// the engine's selection/equilibrium/observation/round-end hooks.
-///
-/// The settlement amounts are recomputed with exactly the expressions
-/// [`crate::events_for_round`] uses (`p^J · Στ` and `p · τ_i` over the
-/// equilibrium hook's borrowed values), so a streamed journal is
-/// byte-identical to the buffered [`crate::EventLog`] path for the same
-/// run.
-///
-/// Observer hooks cannot return errors, so the first journal failure is
-/// stashed and later appends become no-ops; [`JournalObserver::finish`]
-/// surfaces the stashed error.
-///
-/// The events' vectors are buffers the observer keeps across rounds: each
-/// event borrows them for its append and hands them back, so a round
-/// allocates nothing once the buffers have grown to `K`.
-#[derive(Debug)]
-pub struct JournalObserver {
-    sink: JournalSink,
-    /// `⟨p^J, p⟩` of the in-flight round, for settlement reconstruction;
-    /// its `τ` are in `taus`.
-    pending: Option<(f64, f64)>,
+/// The vectors of a round's events, kept across rounds: each round's
+/// events take them and hand them back.
+#[derive(Debug, Default)]
+struct RoundBuffers {
     sellers: Vec<SellerId>,
-    taus: Vec<f64>,
-    payments: Vec<f64>,
-    error: Option<JournalError>,
+    sensing_times: Vec<f64>,
+    seller_payments: Vec<f64>,
 }
 
-impl JournalObserver {
-    /// Opens the journal at `path` and writes the `JobPublished` event.
-    ///
-    /// # Errors
-    /// Propagates sink creation or first-write failures.
-    pub fn create(path: impl AsRef<Path>, job: JobSpec) -> Result<Self, JournalError> {
-        Self::create_with(path, job, None, &Session::disabled())
-    }
-
-    /// Like [`JournalObserver::create`], but with optional segment
-    /// rotation, reporting to `obs` (see [`JournalSink::create_with`]).
-    ///
-    /// # Errors
-    /// Propagates sink creation or first-write failures.
-    pub fn create_with(
-        path: impl AsRef<Path>,
-        job: JobSpec,
-        rotation: Option<RotationConfig>,
-        obs: &Session,
-    ) -> Result<Self, JournalError> {
-        let mut sink = JournalSink::create_with(path, rotation, obs)?;
-        sink.append(&MarketEvent::JobPublished { job })?;
-        Ok(Self {
-            sink,
-            pending: None,
-            sellers: Vec::new(),
-            taus: Vec::new(),
-            payments: Vec::new(),
-            error: None,
-        })
-    }
-
-    /// The underlying sink (state, counts, partial path).
-    #[must_use]
-    pub fn sink(&self) -> &JournalSink {
-        &self.sink
-    }
-
-    /// Appends `event` (unless a hook already failed) and hands it back,
-    /// so its buffers can be reused.
-    fn record(&mut self, event: MarketEvent) -> MarketEvent {
-        if self.error.is_none() {
-            if let Err(e) = self.sink.append(&event) {
-                self.error = Some(e);
-            }
-        }
-        event
-    }
-
-    /// Appends `JobCompleted` and atomically finalizes the journal.
-    ///
-    /// # Errors
-    /// Surfaces the first error any hook hit, or the completion-write /
-    /// rename failure.
-    pub fn finish(mut self) -> Result<JournalReport, JournalError> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        let rounds = self.sink.state().settled_rounds();
-        self.sink.append(&MarketEvent::JobCompleted { rounds })?;
-        self.sink.finish()
-    }
-}
-
-/// `buf`, emptied and refilled from `items`, keeping its allocation.
-fn refill<T: Copy>(buf: &mut Vec<T>, items: impl IntoIterator<Item = T>) -> Vec<T> {
-    let mut v = std::mem::take(buf);
-    v.clear();
-    v.extend(items);
-    v
-}
-
-impl RoundObserver for JournalObserver {
-    fn selection(&mut self, round: Round, event: &SelectionEvent<'_>) {
-        let sellers = refill(&mut self.sellers, event.selected.iter().copied());
-        if let MarketEvent::SellersSelected { sellers, .. } =
-            self.record(MarketEvent::SellersSelected { round, sellers })
-        {
-            self.sellers = sellers;
-        }
-    }
-
-    fn equilibrium(&mut self, round: Round, event: &EquilibriumEvent<'_>) {
-        self.pending = Some((event.service_price, event.collection_price));
-        let sensing_times = refill(&mut self.taus, event.sensing_times.iter().copied());
-        if let MarketEvent::StrategyDetermined { sensing_times, .. } =
-            self.record(MarketEvent::StrategyDetermined {
+impl RoundBuffers {
+    /// The five events of one settled round, built over the buffers.
+    fn events(&mut self, outcome: &RoundOutcome) -> [MarketEvent; 5] {
+        let (round, strategy) = (outcome.round, &outcome.strategy);
+        let mut sellers = std::mem::take(&mut self.sellers);
+        sellers.clone_from(&outcome.selected);
+        let mut sensing_times = std::mem::take(&mut self.sensing_times);
+        sensing_times.clone_from(&strategy.sensing_times);
+        let mut seller_payments = std::mem::take(&mut self.seller_payments);
+        seller_payments.clear();
+        seller_payments.extend(
+            strategy
+                .sensing_times
+                .iter()
+                .map(|&tau| strategy.collection_price * tau),
+        );
+        [
+            MarketEvent::SellersSelected { round, sellers },
+            MarketEvent::StrategyDetermined {
                 round,
-                service_price: event.service_price,
-                collection_price: event.collection_price,
+                service_price: strategy.service_price,
+                collection_price: strategy.collection_price,
                 sensing_times,
-            })
-        {
-            self.taus = sensing_times;
-        }
-    }
-
-    fn observation(&mut self, round: Round, event: &ObservationEvent) {
-        self.record(MarketEvent::DataCollected {
-            round,
-            observed_revenue: event.observed_revenue,
-        });
-    }
-
-    fn round_end(&mut self, round: Round, _event: &cdt_obs::RoundEndEvent) {
-        self.record(MarketEvent::StatisticsDelivered { round });
-        if let Some((service_price, collection_price)) = self.pending.take() {
-            // Bit-for-bit the expressions of `events_for_round` /
-            // `StackelbergSolution::consumer_payment`.
-            let consumer_payment = service_price * self.taus.iter().sum::<f64>();
-            let seller_payments = refill(
-                &mut self.payments,
-                self.taus.iter().map(|&tau| collection_price * tau),
-            );
-            if let MarketEvent::PaymentsSettled {
-                seller_payments, ..
-            } = self.record(MarketEvent::PaymentsSettled {
+            },
+            MarketEvent::DataCollected {
                 round,
-                consumer_payment,
+                observed_revenue: outcome.observed_revenue,
+            },
+            MarketEvent::StatisticsDelivered { round },
+            MarketEvent::PaymentsSettled {
+                round,
+                consumer_payment: strategy.consumer_payment(),
                 seller_payments,
-            }) {
-                self.payments = seller_payments;
+            },
+        ]
+    }
+
+    /// Takes the buffers back from `events`.
+    fn reclaim(&mut self, events: [MarketEvent; 5]) {
+        for event in events {
+            match event {
+                MarketEvent::SellersSelected { sellers, .. } => self.sellers = sellers,
+                MarketEvent::StrategyDetermined { sensing_times, .. } => {
+                    self.sensing_times = sensing_times;
+                }
+                MarketEvent::PaymentsSettled {
+                    seller_payments, ..
+                } => self.seller_payments = seller_payments,
+                _ => {}
             }
         }
     }
@@ -666,7 +588,9 @@ mod tests {
     use super::*;
     use crate::log::EventLog;
     use crate::segment::{load_journal, recover_journal};
-    use cdt_types::SellerId;
+    use cdt_core::{CmabHs, Scenario};
+    use cdt_obs::NullObserver;
+    use cdt_types::{JobSpec, Round, SimRng};
 
     fn temp_journal(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -771,7 +695,7 @@ mod tests {
             sink.append(&round_events(1)[0]).unwrap();
         }
         assert!(!path.exists());
-        let rec = recover_journal(&partial_path_for(&path)).unwrap();
+        let rec = recover_journal(&partial_path_for(&path), false).unwrap();
         assert_eq!(rec.view.settled_rounds(), 1);
         assert!(rec.stop.is_some());
         let _ = std::fs::remove_file(partial_path_for(&path));
@@ -801,26 +725,32 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("at least 1"), "{err}");
-        let stray = crate::segment::segment_path(&path, 3);
-        std::fs::write(&stray, "old segment\n").unwrap();
-        let err = JournalSink::create_with(
-            &path,
-            Some(RotationConfig { segment_rounds: 2 }),
-            &Session::disabled(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, JournalError::StaleArtifact(_)), "{err}");
-        let _ = std::fs::remove_file(&stray);
-        // A same-named single-file journal is refused too.
-        std::fs::write(&path, "single-file journal\n").unwrap();
-        let err = JournalSink::create_with(
-            &path,
-            Some(RotationConfig { segment_rounds: 2 }),
-            &Session::disabled(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, JournalError::StaleArtifact(ref p) if *p == path));
-        let _ = std::fs::remove_file(&path);
+        // Either layout refuses a journal of either layout at the path,
+        // and leaves it as it was: a segment or an index beside the path,
+        // or a finished single file at it.
+        let rotated = Some(RotationConfig { segment_rounds: 2 });
+        let stray_seg = crate::segment::segment_path(&path, 3);
+        let stray_idx = crate::segment::index_path(&path);
+        for (stray, text) in [
+            (&stray_seg, "old segment\n"),
+            (&stray_idx, "old index\n"),
+            (&path, "single-file journal\n"),
+        ] {
+            std::fs::write(stray, text).unwrap();
+            for rotation in [None, rotated] {
+                let err =
+                    JournalSink::create_with(&path, rotation, &Session::disabled()).unwrap_err();
+                assert!(
+                    matches!(err, JournalError::StaleArtifact(ref p) if p == stray),
+                    "{rotation:?}: {err}"
+                );
+                assert_eq!(std::fs::read_to_string(stray).unwrap(), text);
+                assert!(!partial_path_for(&path).exists());
+                assert!(!crate::segment::segment_partial_path(&path, 0).exists());
+            }
+            assert_eq!(path.exists(), stray == &path, "no base file is created");
+            std::fs::remove_file(stray).unwrap();
+        }
     }
 
     #[test]
@@ -943,7 +873,7 @@ mod tests {
         }
         assert!(crate::segment::segment_path(&path, 0).exists());
         assert!(crate::segment::segment_partial_path(&path, 1).exists());
-        let rec = recover_journal(&path).unwrap();
+        let rec = recover_journal(&path, false).unwrap();
         assert!(rec.view.segmented);
         assert_eq!(rec.view.settled_rounds(), 1);
         assert!(rec.view.state.at_round_boundary());
@@ -953,58 +883,95 @@ mod tests {
         let _ = std::fs::remove_file(crate::segment::index_path(&path));
     }
 
+    /// Runs the mechanism on a paper-default scenario, journaling every
+    /// settled round to `path`, and returns the run's outcomes.
+    fn journal_a_run(path: &Path, seed: u64, shape: [usize; 4]) -> Vec<RoundOutcome> {
+        let [m, k, l, n] = shape;
+        let mut rng = SimRng::new(seed);
+        let scenario = Scenario::paper_defaults(m, k, l, n, &mut rng).unwrap();
+        let mut mech = CmabHs::new(scenario.config.clone()).unwrap();
+        let mut sink = JournalSink::create(path).unwrap();
+        sink.append(&MarketEvent::JobPublished {
+            job: scenario.config.job.clone(),
+        })
+        .unwrap();
+        let mut outcomes = Vec::new();
+        mech.run(&scenario.observer(), &mut rng, &mut NullObserver, |o| {
+            outcomes.push(o.clone());
+            sink.append_round(o)?;
+            Ok::<_, Box<dyn std::error::Error>>(true)
+        })
+        .unwrap();
+        let rounds = sink.state().settled_rounds();
+        sink.append(&MarketEvent::JobCompleted { rounds }).unwrap();
+        sink.finish().unwrap();
+        outcomes
+    }
+
     #[test]
-    fn observer_reconstructs_the_round_events() {
-        let path = temp_journal("observer");
-        let mut obs = JournalObserver::create(&path, JobSpec::new(4, 2, 10.0).unwrap()).unwrap();
-        let selected = [SellerId(0), SellerId(1)];
-        let scores = [0.9, 0.8];
-        let taus = [2.0, 3.0];
-        obs.round_start(Round(0));
-        obs.selection(
-            Round(0),
-            &SelectionEvent {
-                selected: &selected,
-                scores: &scores,
-            },
-        );
-        obs.equilibrium(
-            Round(0),
-            &EquilibriumEvent {
-                service_price: 4.0,
-                collection_price: 1.5,
-                sensing_times: &taus,
-                consumer_profit: 1.0,
-                platform_profit: 1.0,
-                seller_profit: 1.0,
-            },
-        );
-        obs.observation(
-            Round(0),
-            &ObservationEvent {
-                observed_revenue: 5.5,
-                samples: 4,
-            },
-        );
-        obs.round_end(
-            Round(0),
-            &cdt_obs::RoundEndEvent {
-                observed_revenue: 5.5,
-                consumer_profit: 1.0,
-                platform_profit: 1.0,
-                seller_profit: 1.0,
-                selection_ns: 0,
-                solve_ns: 0,
-                observe_ns: 0,
-            },
-        );
-        let report = obs.finish().unwrap();
-        assert_eq!(report.events, 7); // publish + 5 round events + complete
-        assert_eq!(report.settled_rounds, 1);
-        assert!(report.completed);
-        let row = &load_journal(&path).unwrap().settlements[0];
-        assert_eq!(row.consumer, 4.0 * (2.0 + 3.0));
-        assert_eq!(row.sellers, [3.0, 4.5]);
+    fn full_mechanism_run_journals_cleanly() {
+        // Every round the real mechanism produces must pass the protocol
+        // state machine — selection arity, strategy arity, and settlement
+        // amounts all line up by construction.
+        let path = temp_journal("mechanism");
+        let outcomes = journal_a_run(&path, 1, [10, 3, 4, 15]);
+        let view = load_journal(&path).unwrap();
+        assert!(view.completed());
+        assert_eq!(view.settled_rounds(), 15);
+        assert_eq!(view.events, 2 + 5 * 15);
+        // The journal's audit totals match the economics of the run.
+        let paid: f64 = outcomes.iter().map(|o| o.strategy.consumer_payment()).sum();
+        assert!((view.consumer_total() - paid).abs() < 1e-6 * paid);
+        assert!(view.seller_total() > 0.0);
+        assert!(view.consumer_total() > view.seller_total());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Each round's five events carry the outcome's values, the payments
+    /// bit for bit as `p^J · Στ` and `p · τ_i`, and no buffer keeps a
+    /// value of the round before (round 0 selects all `M`, round 1 `K`).
+    #[test]
+    fn events_match_outcome_amounts() {
+        let path = temp_journal("amounts");
+        let outcomes = journal_a_run(&path, 2, [6, 2, 3, 3]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let events: Vec<MarketEvent> = text
+            .lines()
+            .map(|line| codec::event_from_line(line).unwrap())
+            .collect();
+        assert_eq!(events.len(), 2 + 5 * outcomes.len());
+        for (o, round) in outcomes.iter().zip(events[1..].chunks(5)) {
+            let (t, s) = (o.round, &o.strategy);
+            let expected = [
+                MarketEvent::SellersSelected {
+                    round: t,
+                    sellers: o.selected.clone(),
+                },
+                MarketEvent::StrategyDetermined {
+                    round: t,
+                    service_price: s.service_price,
+                    collection_price: s.collection_price,
+                    sensing_times: s.sensing_times.clone(),
+                },
+                MarketEvent::DataCollected {
+                    round: t,
+                    observed_revenue: o.observed_revenue,
+                },
+                MarketEvent::StatisticsDelivered { round: t },
+                MarketEvent::PaymentsSettled {
+                    round: t,
+                    consumer_payment: s.service_price * s.sensing_times.iter().sum::<f64>(),
+                    seller_payments: s
+                        .sensing_times
+                        .iter()
+                        .map(|&tau| s.collection_price * tau)
+                        .collect(),
+                },
+            ];
+            assert_eq!(round, expected);
+        }
+        assert_eq!(outcomes[0].selection_size(), 6);
+        assert_eq!(outcomes[1].selection_size(), 2);
         let _ = std::fs::remove_file(&path);
     }
 }

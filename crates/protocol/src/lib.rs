@@ -23,13 +23,12 @@
 //! - `codec`: the layouts of the journal's files (event lines, index
 //!   lines, checkpoints) on the workspace codec [`cdt_types::json`],
 //!   writing into reused byte buffers and reading with a cursor parser;
-//! - [`bridge`]: adapters from [`cdt_core::RoundOutcome`] to the event
-//!   stream, so a mechanism run can be journaled with one call per round;
-//! - [`journal`]: a crash-safe streaming [`JournalSink`] (validate →
-//!   buffered append → flush on settlement → atomic rename on completion)
-//!   plus a [`JournalObserver`] that journals through the engine's
-//!   `cdt_obs::RoundObserver` hooks and publishes `cdt_obs_protocol_*`
-//!   metrics;
+//! - [`journal`]: the one journal writer, a crash-safe streaming
+//!   [`JournalSink`] (validate → buffered append → flush on settlement →
+//!   atomic rename on completion) that publishes `cdt_obs_protocol_*`
+//!   metrics. [`JournalSink::append_round`] writes one settled
+//!   [`cdt_core::RoundOutcome`] as its five events, so a mechanism run is
+//!   journaled from its `settle` step, one call per round;
 //! - [`recover`]: the one replay every journal reader runs — strict, or
 //!   truncation-tolerant, recovering the longest settled-round prefix of
 //!   a crashed run's journal;
@@ -47,7 +46,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod bridge;
 mod codec;
 pub mod diff;
 pub mod event;
@@ -57,10 +55,9 @@ pub mod recover;
 pub mod segment;
 pub mod state;
 
-pub use bridge::events_for_round;
 pub use diff::{diff_settlement_rows, SettlementDiff, SettlementRow};
 pub use event::MarketEvent;
-pub use journal::{JournalError, JournalObserver, JournalReport, JournalSink, RotationConfig};
+pub use journal::{JournalError, JournalReport, JournalSink, RotationConfig};
 pub use log::EventLog;
 pub use recover::{JournalRecovery, RecoveryStop};
 pub use segment::{

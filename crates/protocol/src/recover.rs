@@ -41,7 +41,7 @@ pub struct JournalRecovery {
     pub events_replayed: u64,
     /// The kept event lines (the folded prefix excluded), each as written
     /// and newline-terminated: a valid journal when no checkpoint is
-    /// involved.
+    /// involved. Empty unless recovery was asked to keep the text.
     pub kept_text: String,
     /// Bytes of the source files that the kept lines cover, through the
     /// end of the last kept line.
@@ -74,7 +74,8 @@ pub(crate) struct Replay {
     /// Bytes of the sources fed before the current one.
     fed: u64,
     /// Recovery's copy of the kept lines, with its length at the last
-    /// boundary. A strict replay copies no line.
+    /// boundary, when its caller writes them out. A strict replay copies
+    /// no line.
     text: Option<(String, usize)>,
     stop: Option<RecoveryStop>,
 }
@@ -94,10 +95,11 @@ impl Replay {
         }
     }
 
-    /// A recovering replay that resumes after `start`.
-    pub(crate) fn recovering(start: JournalView) -> Self {
+    /// A recovering replay that resumes after `start`, copying the kept
+    /// lines when `keep_text` is set.
+    pub(crate) fn recovering(start: JournalView, keep_text: bool) -> Self {
         Self {
-            text: Some((String::new(), 0)),
+            text: keep_text.then(|| (String::new(), 0)),
             ..Self::new(start)
         }
     }
@@ -250,11 +252,24 @@ mod tests {
     use cdt_types::{JobSpec, Round, SellerId};
 
     /// Recovery of one file's text, as `recover_journal` runs it on a
-    /// single-file journal.
+    /// single-file journal, keeping the text. Recovery that does not keep
+    /// it must agree on everything else.
     fn recover(text: &str) -> JournalRecovery {
-        let mut replay = Replay::recovering(JournalView::default());
-        replay.recover(text.as_bytes(), None, true);
-        replay.into_recovery()
+        let [kept, bare] = [true, false].map(|keep_text| {
+            let mut replay = Replay::recovering(JournalView::default(), keep_text);
+            replay.recover(text.as_bytes(), None, true);
+            replay.into_recovery()
+        });
+        assert!(bare.kept_text.is_empty());
+        assert_eq!(
+            (&bare.view, bare.lines_read, bare.events_replayed),
+            (&kept.view, kept.lines_read, kept.events_replayed)
+        );
+        assert_eq!(
+            (bare.source_bytes, &bare.stop),
+            (kept.source_bytes, &kept.stop)
+        );
+        kept
     }
 
     /// Cleanly replayed events that were discarded because their round
@@ -396,7 +411,7 @@ mod tests {
         // Nor is a line that is not UTF-8 an event.
         let mut bytes = journal_lines(1, false).into_bytes();
         bytes.extend_from_slice(b"{\"JobCompleted\":\xff}\n");
-        let mut replay = Replay::recovering(JournalView::default());
+        let mut replay = Replay::recovering(JournalView::default(), true);
         replay.recover(&bytes, None, true);
         let rec = replay.into_recovery();
         assert_eq!(rec.view.settled_rounds(), 1);

@@ -865,17 +865,19 @@ pub fn load_journal_text(text: impl AsRef<[u8]>, file: &str) -> Result<JournalVi
 /// its checkpoint and feeds the index's valid prefix, then the sealed
 /// segments the index never recorded (found by scanning), then the active
 /// partial — tolerating torn segments, a torn index, and interrupted
-/// compactions. Recovery always lands on a settlement boundary.
+/// compactions. Recovery always lands on a settlement boundary. With
+/// `keep_text` it also copies the kept lines into
+/// [`JournalRecovery::kept_text`], for a caller that writes them out.
 ///
 /// # Errors
 /// Returns [`SegmentError::Io`] when nothing readable exists at `path`,
 /// or [`SegmentError::Corrupt`] when the history hinges on a checkpoint
 /// that no longer validates (its folded events are gone; nothing can be
 /// replayed past it) or on a segment `seq` without a successor.
-pub fn recover_journal(path: &Path) -> Result<JournalRecovery, SegmentError> {
+pub fn recover_journal(path: &Path, keep_text: bool) -> Result<JournalRecovery, SegmentError> {
     if path.is_file() {
         let bytes = std::fs::read(path).map_err(|e| SegmentError::io(path, e))?;
-        let mut replay = Replay::recovering(JournalView::default());
+        let mut replay = Replay::recovering(JournalView::default(), keep_text);
         replay.recover(&bytes, None, true);
         return Ok(replay.into_recovery());
     }
@@ -896,7 +898,7 @@ pub fn recover_journal(path: &Path) -> Result<JournalRecovery, SegmentError> {
         return Err(no_journal(path));
     }
     let mut seq = ckpt.as_ref().map_or(0, |c| c.segments_folded);
-    let mut replay = Replay::recovering(JournalView::resume(ckpt));
+    let mut replay = Replay::recovering(JournalView::resume(ckpt), keep_text);
     for entry in &index.segments {
         if replay.stopped() {
             break;

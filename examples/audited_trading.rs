@@ -1,49 +1,49 @@
 //! Audited trading: journal a full CMAB-HS run through the Fig. 2
-//! workflow protocol, serialize the journal, tamper with it, and watch
-//! the replay validation catch the fraud.
+//! workflow protocol, tamper with the journal, and watch the replay
+//! validation catch the fraud.
 //!
 //! Run with:
 //! ```sh
 //! cargo run --release -p cdt-protocol --example audited_trading
 //! ```
 
-use cdt_core::{CmabHs, Scenario};
-use cdt_protocol::{events_for_round, load_journal_text, EventLog, MarketEvent};
+use cdt_core::{CmabHs, NullObserver, Scenario};
+use cdt_protocol::{load_journal_text, JournalSink, MarketEvent};
 use cdt_types::SimRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = SimRng::new(99);
     let scenario = Scenario::paper_defaults(20, 5, 4, 25, &mut rng)?;
     let mut mech = CmabHs::new(scenario.config.clone())?;
-    let observer = scenario.observer();
 
-    // --- 1. Trade, journaling every event. ---
-    let mut log = EventLog::new();
-    log.append(MarketEvent::JobPublished {
+    // --- 1. Trade, journaling every round as it settles. ---
+    let path = std::env::temp_dir().join(format!("cdt-audited-{}.jsonl", std::process::id()));
+    let mut sink = JournalSink::create(&path)?;
+    sink.append(&MarketEvent::JobPublished {
         job: scenario.config.job.clone(),
-    })
-    .expect("fresh log accepts the job");
-    let mut rounds = 0;
-    while !mech.is_finished() {
-        let outcome = mech.step(&observer, &mut rng)?;
-        for event in events_for_round(&outcome) {
-            log.append(event)
-                .expect("mechanism rounds are protocol-legal");
-        }
-        rounds += 1;
-    }
-    log.append(MarketEvent::JobCompleted { rounds })
-        .expect("all rounds settled");
+    })?;
+    mech.run(
+        &scenario.observer(),
+        &mut rng,
+        &mut NullObserver,
+        |outcome| {
+            sink.append_round(outcome)?;
+            Ok::<_, Box<dyn std::error::Error>>(true)
+        },
+    )?;
+    let rounds = sink.state().settled_rounds();
+    sink.append(&MarketEvent::JobCompleted { rounds })?;
+    let report = sink.finish()?;
+    let journal = std::fs::read_to_string(&path)?;
+    std::fs::remove_file(&path)?;
 
     println!("=== audited CMAB-HS run: 25 rounds, K = 5 ===\n");
     println!(
         "journal: {} events, {} settled rounds",
-        log.len(),
-        log.state().settled_rounds()
+        report.events, report.settled_rounds
     );
 
-    // --- 2. Serialize and replay — the honest journal validates. ---
-    let journal = log.to_json_lines();
+    // --- 2. Replay — the honest journal validates. ---
     let replayed = load_journal_text(&journal, "journal")?;
     println!(
         "replay of the honest journal: OK ({} events)",

@@ -48,8 +48,9 @@ fn main() -> cdt_types::Result<()> {
     println!("=== CMAB-HS quickstart: 3 sellers, 4 PoIs, 10 rounds, K = 2 ===\n");
     println!("hidden expected qualities: {hidden_qualities:?}\n");
 
-    while !mechanism.is_finished() {
-        let outcome = mechanism.step(&observer, &mut rng)?;
+    // Algorithm 1's loop; every round settles, and each is printed as it
+    // does.
+    mechanism.run(&observer, &mut rng, &mut NullObserver, |outcome| {
         let sel: Vec<String> = outcome.selected.iter().map(ToString::to_string).collect();
         let taus: Vec<String> = outcome
             .strategy
@@ -72,7 +73,8 @@ fn main() -> cdt_types::Result<()> {
             outcome.strategy.profits.platform,
             outcome.strategy.profits.total_seller(),
         );
-    }
+        Ok::<_, CdtError>(true)
+    })?;
 
     println!("\nlearned quality estimates after 10 rounds:");
     for i in 0..3 {

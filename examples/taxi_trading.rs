@@ -12,8 +12,6 @@
 //! ```
 
 use cdt_core::prelude::*;
-use cdt_core::LedgerMode;
-use cdt_core::Scenario;
 use cdt_trace::{csv, Dataset, TraceConfig};
 use cdt_types::SimRng;
 
@@ -49,7 +47,9 @@ fn main() -> cdt_types::Result<()> {
     // --- 3. Trade. ---
     let observer = scenario.observer();
     let mut mechanism = CmabHs::new(scenario.config.clone())?;
-    let ledger = mechanism.run_with_mode(&observer, &mut rng, LedgerMode::Summary)?;
+    let ledger = mechanism.run(&observer, &mut rng, &mut NullObserver, |_| {
+        Ok::<_, CdtError>(true)
+    })?;
 
     // --- 4. Settlement summary. ---
     println!("\n=== settlement after {} rounds ===", ledger.rounds());

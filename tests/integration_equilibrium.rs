@@ -135,10 +135,18 @@ fn mechanism_rounds_play_equilibria() {
     let mut rng = SimRng::new(11);
     let scenario = Scenario::paper_defaults(10, 3, 4, 12, &mut rng).unwrap();
     let mut mech = cdt_core::CmabHs::new(scenario.config.clone()).unwrap();
-    let ledger = mech
-        .run_to_completion(&scenario.observer(), &mut rng)
-        .unwrap();
-    for o in &ledger.outcomes()[1..] {
+    let mut outcomes = Vec::new();
+    mech.run(
+        &scenario.observer(),
+        &mut rng,
+        &mut cdt_core::NullObserver,
+        |o| {
+            outcomes.push(o.clone());
+            Ok::<_, cdt_types::CdtError>(true)
+        },
+    )
+    .unwrap();
+    for o in &outcomes[1..] {
         // Rebuild the context the round was played under (same estimates).
         let sellers: Vec<SelectedSeller> = o
             .strategy

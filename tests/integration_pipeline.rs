@@ -2,9 +2,25 @@
 //! sellers → scenario → CMAB-HS trading → settlement, across crates.
 
 use cdt_core::prelude::*;
-use cdt_core::{LedgerMode, Scenario};
 use cdt_trace::{csv, Dataset, TraceConfig};
 use cdt_types::SimRng;
+
+/// Runs every round of `scenario`, settling each, and returns the ledger
+/// with every round's outcome, collected as it settles.
+fn run_all(
+    mech: &mut CmabHs,
+    scenario: &Scenario,
+    rng: &mut SimRng,
+) -> (TradingLedger, Vec<RoundOutcome>) {
+    let mut outcomes = Vec::new();
+    let ledger = mech
+        .run(&scenario.observer(), rng, &mut NullObserver, |o| {
+            outcomes.push(o.clone());
+            Ok::<_, CdtError>(true)
+        })
+        .unwrap();
+    (ledger, outcomes)
+}
 
 #[test]
 fn trace_to_trading_pipeline() {
@@ -15,16 +31,14 @@ fn trace_to_trading_pipeline() {
 
     let scenario = Scenario::from_dataset(&dataset, 4, 100, &mut rng).unwrap();
     let mut mech = CmabHs::new(scenario.config.clone()).unwrap();
-    let ledger = mech
-        .run_with_mode(&scenario.observer(), &mut rng, LedgerMode::Full)
-        .unwrap();
+    let (ledger, outcomes) = run_all(&mut mech, &scenario, &mut rng);
 
     assert_eq!(ledger.rounds(), 100);
-    assert_eq!(ledger.outcomes().len(), 100);
+    assert_eq!(outcomes.len(), 100);
     assert!(ledger.total_observed_revenue() > 0.0);
     // Round 0 selects all M; every other round selects K = 4.
-    assert_eq!(ledger.outcomes()[0].selection_size(), dataset.m());
-    for o in &ledger.outcomes()[1..] {
+    assert_eq!(outcomes[0].selection_size(), dataset.m());
+    for o in &outcomes[1..] {
         assert_eq!(o.selection_size(), 4);
     }
 }
@@ -39,9 +53,7 @@ fn full_run_is_deterministic_across_processes() {
         let dataset = Dataset::build(&TraceConfig::small(), 5, 30, &mut rng);
         let scenario = Scenario::from_dataset(&dataset, 3, 60, &mut rng).unwrap();
         let mut mech = CmabHs::new(scenario.config.clone()).unwrap();
-        let ledger = mech
-            .run_with_mode(&scenario.observer(), &mut rng, LedgerMode::Summary)
-            .unwrap();
+        let (ledger, _) = run_all(&mut mech, &scenario, &mut rng);
         (
             ledger.total_observed_revenue(),
             ledger.total_consumer_profit(),
@@ -74,10 +86,8 @@ fn money_flows_are_conserved_each_round() {
     let theta = scenario.config.platform_cost.theta;
     let lambda = scenario.config.platform_cost.lambda;
     let mut mech = CmabHs::new(scenario.config.clone()).unwrap();
-    let ledger = mech
-        .run_to_completion(&scenario.observer(), &mut rng)
-        .unwrap();
-    for o in ledger.outcomes() {
+    let (_, outcomes) = run_all(&mut mech, &scenario, &mut rng);
+    for o in &outcomes {
         let total_tau = o.strategy.total_sensing_time();
         let aggregation_cost = theta * total_tau * total_tau + lambda * total_tau;
         let lhs = o.strategy.consumer_payment();
@@ -95,8 +105,7 @@ fn estimates_converge_to_truth_with_long_horizons() {
     let mut rng = SimRng::new(5);
     let scenario = Scenario::paper_defaults(12, 4, 8, 600, &mut rng).unwrap();
     let mut mech = CmabHs::new(scenario.config.clone()).unwrap();
-    mech.run_with_mode(&scenario.observer(), &mut rng, LedgerMode::Summary)
-        .unwrap();
+    run_all(&mut mech, &scenario, &mut rng);
     let truth = scenario.population.expected_qualities();
     // The top-K sellers are selected almost every round; their estimates
     // must be tight.
@@ -115,9 +124,7 @@ fn selection_concentrates_on_true_top_k() {
     let mut rng = SimRng::new(6);
     let scenario = Scenario::paper_defaults(12, 3, 6, 1_000, &mut rng).unwrap();
     let mut mech = CmabHs::new(scenario.config.clone()).unwrap();
-    let ledger = mech
-        .run_to_completion(&scenario.observer(), &mut rng)
-        .unwrap();
+    let (ledger, outcomes) = run_all(&mut mech, &scenario, &mut rng);
     let optimal: std::collections::HashSet<usize> = scenario
         .population
         .ranking_by_true_quality()
@@ -129,7 +136,7 @@ fn selection_concentrates_on_true_top_k() {
     // is Eq. 19's design), so the *exact* optimal set is not selected every
     // round at small N. Measure the mean overlap with S* instead — it must
     // be high in the late rounds.
-    let late = &ledger.outcomes()[ledger.rounds() / 2..];
+    let late = &outcomes[ledger.rounds() / 2..];
     let mean_overlap: f64 = late
         .iter()
         .map(|o| {

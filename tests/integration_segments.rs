@@ -201,7 +201,7 @@ fn kill_mid_segment_recovers_to_settlement_boundary() {
     assert!(err.contains("journal recover"), "{err}");
 
     // …and recovery lands exactly on the round-2 settlement boundary.
-    let rec = recover_journal(&base).unwrap();
+    let rec = recover_journal(&base, true).unwrap();
     assert!(rec.view.segmented);
     assert_eq!(rec.view.settled_rounds(), 3);
     assert!(rec.view.state.at_round_boundary());
@@ -223,7 +223,7 @@ fn torn_partial_write_recovers_to_settlement_boundary() {
     // The crash also tore the last buffered line in half.
     truncate_tail(&segment_partial_path(&base, 1), 7);
 
-    let rec = recover_journal(&base).unwrap();
+    let rec = recover_journal(&base, false).unwrap();
     assert_eq!(rec.view.settled_rounds(), 3);
     assert!(rec.view.state.at_round_boundary());
     assert!(rec.stop.is_some(), "the torn tail must be reported");
@@ -244,7 +244,7 @@ fn truncated_sealed_segment_fails_strict_load_but_recovers_prefix() {
 
     // Recovery keeps rounds 0-2 (round 3's settlement was torn off) and
     // refuses to leap the hole to the still-valid seg-0002.
-    let rec = recover_journal(&base).unwrap();
+    let rec = recover_journal(&base, false).unwrap();
     assert_eq!(rec.view.settled_rounds(), 3);
     assert!(rec.view.state.at_round_boundary());
     assert!(!rec.view.completed());
@@ -268,7 +268,7 @@ fn lost_index_is_rebuilt_by_segment_scan() {
 
     // Phase-2 recovery walks seg-0000, seg-0001, … by sequence number and
     // gets the whole history back without any index at all.
-    let rec = recover_journal(&base).unwrap();
+    let rec = recover_journal(&base, false).unwrap();
     assert_eq!(rec.view.settled_rounds(), 5);
     assert!(rec.view.completed());
     assert!(rec.stop.is_none(), "{:?}", rec.stop);
@@ -285,7 +285,7 @@ fn torn_index_recovers_from_its_valid_prefix_plus_scan() {
     // parse fine.
     truncate_tail(&index_path(&base), 15);
 
-    let rec = recover_journal(&base).unwrap();
+    let rec = recover_journal(&base, false).unwrap();
     assert_eq!(rec.view.settled_rounds(), 5);
     assert!(rec.view.completed());
     assert!(rec.stop.is_none(), "{:?}", rec.stop);
@@ -311,7 +311,7 @@ fn sealed_but_unindexed_segment_is_detected_and_recovered() {
     assert!(err.contains("not in the index"), "{err}");
     assert!(err.contains("journal recover"), "{err}");
 
-    let rec = recover_journal(&base).unwrap();
+    let rec = recover_journal(&base, false).unwrap();
     assert_eq!(rec.view.settled_rounds(), 5);
     assert!(rec.view.completed());
     assert!(rec.stop.is_none(), "{:?}", rec.stop);
@@ -373,7 +373,7 @@ fn compaction_preserves_answers_and_survives_its_crash_windows() {
     let orphaned = load_journal(&pristine).unwrap();
     assert_eq!(orphaned.compacted_rounds, 0, "orphan checkpoint ignored");
     assert_eq!(orphaned.settlements, before.settlements);
-    let rec = recover_journal(&pristine).unwrap();
+    let rec = recover_journal(&pristine, false).unwrap();
     assert_eq!(rec.view.settled_rounds(), 5);
     assert!(rec.stop.is_none(), "{:?}", rec.stop);
 
@@ -384,7 +384,7 @@ fn compaction_preserves_answers_and_survives_its_crash_windows() {
     }
     let leftover = load_journal(&compacted).unwrap();
     assert_eq!(leftover.settlements, before.settlements);
-    let rec = recover_journal(&compacted).unwrap();
+    let rec = recover_journal(&compacted, false).unwrap();
     assert_eq!(rec.view.settled_rounds(), 5);
     assert!(rec.view.completed());
     assert!(rec.stop.is_none(), "{:?}", rec.stop);
@@ -424,7 +424,7 @@ fn tampered_checkpoint_is_refused_by_load_and_recover() {
     let err = load_journal(&base).unwrap_err().to_string();
     assert!(err.contains("checkpoint"), "{err}");
     assert!(err.contains("digest"), "{err}");
-    let err = recover_journal(&base).unwrap_err().to_string();
+    let err = recover_journal(&base, false).unwrap_err().to_string();
     assert!(err.contains("checkpoint"), "{err}");
 
     std::fs::remove_dir_all(&dir).ok();
@@ -603,7 +603,7 @@ fn every_prefix_recovers_alike_in_both_layouts() {
         std::fs::create_dir_all(&case).unwrap();
         let single_file = case.join("single.jsonl.partial");
         std::fs::write(&single_file, &bytes[..c]).unwrap();
-        let single = recover_journal(&single_file).unwrap();
+        let single = recover_journal(&single_file, true).unwrap();
         let kept = boundaries
             .iter()
             .rfind(|&&(content_end, _)| content_end <= c)
@@ -631,7 +631,7 @@ fn every_prefix_recovers_alike_in_both_layouts() {
             std::fs::create_dir(&layout).unwrap();
             let base = layout.join("rotated.jsonl");
             lay_out(&base, &index, &segments, counts, partial);
-            let rec = recover_journal(&base).unwrap();
+            let rec = recover_journal(&base, true).unwrap();
             assert_eq!(rec.view.settlements, single.view.settlements, "{counts:?}");
             assert_eq!(rec.view.state, single.view.state, "{counts:?}");
             assert_eq!(rec.kept_text, single.kept_text, "{counts:?}");
@@ -819,7 +819,7 @@ fn journal_readers_never_panic_on_a_damaged_journal() {
             .map_or_else(|| flat.clone(), |name| case.join(name));
         apply_edit(&base, &target, edit);
         for path in [&base, &flat] {
-            if let Ok(rec) = recover_journal(path) {
+            if let Ok(rec) = recover_journal(path, true) {
                 assert!(rec.view.state.at_round_boundary(), "{rec:?}");
             }
             for round in 0..=6 {
