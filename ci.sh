@@ -40,6 +40,13 @@ cargo build -q --offline --locked -p cdt-cli --bin cdt
 "$target_dir/debug/cdt" run --m 10000 --k 10 --l 10 --n 500 > /dev/null
 "$target_dir/debug/cdt" run --m 3000 --k 5 --l 3 --n 2000 > /dev/null
 
+echo "==> debug cdt: Table II rows of observations stay in [0, 1]"
+# At the Table II shape UCB converges onto the sellers whose mean is near
+# 1, so about half of their truncated-Gaussian draws are rejected; the
+# debug estimator asserts that every observation the row fill kept lies
+# in [0, 1].
+"$target_dir/debug/cdt" run --m 300 --k 10 --l 10 --n 20000 > /dev/null
+
 echo "==> registry guard (no rand, proptest, criterion, serde or serde_json)"
 # cdt_types::SimRng is the one generator, cdt_types::check the one
 # property loop, cdt_types::json the one JSON codec, and benchmark/ the

@@ -942,9 +942,12 @@ fn scenario_from_flags(flags: &FlagMap) -> Result<(Scenario, SimRng, u64), Strin
 /// Returns a message on flag, run, or I/O failure.
 pub fn run_mechanism(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
     let (scenario, mut rng, _) = scenario_from_flags(flags)?;
-    // Created before the run, so a bad path fails before any round trades.
+    let journal = journal_target(flags, &cfg.obs)?;
+    // Created after the journal flags are checked, so a refused journal
+    // leaves no empty ledger behind, and before the run, so a bad path
+    // fails before any round trades.
     let json_out = flags.get("json").map(create_output).transpose()?;
-    let ledger = trade(flags, cfg, &scenario, &mut rng, |_| true)?;
+    let ledger = trade(journal, cfg, &scenario, &mut rng, |_| true)?;
     print_ledger(&scenario, &ledger)?;
     if let Some((path, mut file)) = json_out {
         file.write_all(&ledger_json(&ledger))
@@ -954,13 +957,43 @@ pub fn run_mechanism(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
     Ok(())
 }
 
+/// The `--journal FILE` of `run` and `budget` and its rotation, once
+/// every check that needs no file created has passed: an orphaned or zero
+/// `--journal-segment-rounds`, and a journal already at `FILE`.
+struct JournalTarget<'a> {
+    path: &'a str,
+    rotation: Option<cdt_protocol::RotationConfig>,
+}
+
+/// Checks the journal flags of `run` and `budget`; `None` without
+/// `--journal`.
+///
+/// # Errors
+/// Returns a message when a check fails.
+fn journal_target<'a>(
+    flags: &'a FlagMap,
+    obs: &Session,
+) -> Result<Option<JournalTarget<'a>>, String> {
+    let Some(path) = flags.get("journal") else {
+        if flags.get("journal-segment-rounds").is_some() {
+            return Err(
+                "--journal-segment-rounds requires --journal FILE (it rotates that journal)".into(),
+            );
+        }
+        return Ok(None);
+    };
+    let rotation = journal_rotation(flags, obs)?;
+    JournalSink::check_target(std::path::Path::new(path), rotation).map_err(|e| e.to_string())?;
+    Ok(Some(JournalTarget { path, rotation }))
+}
+
 /// Runs CMAB-HS on `scenario` through the mechanism's one trading loop,
 /// for `run` and `budget`: each round is stepped, then settled by
 /// `settle`, and the first round it refuses ends the run.
 ///
 /// The command's session, when enabled, observes every round the loop
 /// runs; without obs flags the round runs on the static [`NullObserver`].
-/// With `--journal FILE` every settled round is streamed to the journal:
+/// With a `journal` every settled round is streamed to it:
 /// each Fig. 2 event is validated, written, and flushed as its round
 /// settles, so a killed run still leaves a recoverable `FILE.partial`
 /// behind, and a journal write error ends the run at that round. The
@@ -969,27 +1002,21 @@ pub fn run_mechanism(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
 /// `journal_write` span nests in its `round` span.
 ///
 /// # Errors
-/// Returns a message on a bad journal flag, or a run or journal failure.
+/// Returns a message on a run or journal failure.
 fn trade(
-    flags: &FlagMap,
+    journal: Option<JournalTarget<'_>>,
     cfg: &RunConfig,
     scenario: &Scenario,
     rng: &mut SimRng,
     mut settle: impl FnMut(&RoundOutcome) -> bool,
 ) -> Result<TradingLedger, Failure> {
     let mut mech = CmabHs::new(scenario.config.clone()).map_err(|e| e.to_string())?;
-    let Some(path) = flags.get("journal") else {
-        if flags.get("journal-segment-rounds").is_some() {
-            return Err(
-                "--journal-segment-rounds requires --journal FILE (it rotates that journal)".into(),
-            );
-        }
+    let Some(JournalTarget { path, rotation }) = journal else {
         return observed(&mut mech, scenario, rng, &cfg.obs, |o| {
             Ok::<_, CdtError>(settle(o))
         })
         .map_err(|e| e.to_string().into());
     };
-    let rotation = journal_rotation(flags, &cfg.obs)?;
     let mut sink = JournalSink::create_with(path, rotation, &cfg.obs).map_err(|e| e.to_string())?;
     sink.append(&MarketEvent::JobPublished {
         job: scenario.config.job.clone(),
@@ -1073,7 +1100,8 @@ pub fn budget(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
         .map_err(|_| "--budget expects a number".to_owned())?;
     let (scenario, mut rng, _) = scenario_from_flags(flags)?;
     let mut budget = Budget::new(cap).map_err(|e| e.to_string())?;
-    let ledger = trade(flags, cfg, &scenario, &mut rng, |outcome| {
+    let journal = journal_target(flags, &cfg.obs)?;
+    let ledger = trade(journal, cfg, &scenario, &mut rng, |outcome| {
         budget.admit(outcome)
     })?;
     writeln!(

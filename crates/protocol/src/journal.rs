@@ -60,9 +60,12 @@ pub enum JournalError {
     Io(io::Error),
     /// An event violated the protocol state machine (nothing was written).
     Protocol(ProtocolError),
+    /// A file, such as a finished journal, is already at the target path;
+    /// the final rename would replace it.
+    Exists(PathBuf),
     /// A previous run left a recoverable artifact (a `.partial`, segment,
-    /// index, or checkpoint) at the target path; starting a new journal
-    /// would clobber it.
+    /// index, or checkpoint) beside the target path; starting a new
+    /// journal would clobber or shadow it.
     StaleArtifact(PathBuf),
 }
 
@@ -71,6 +74,12 @@ impl fmt::Display for JournalError {
         match self {
             JournalError::Io(e) => write!(f, "journal I/O: {e}"),
             JournalError::Protocol(e) => write!(f, "journal rejected event: {e}"),
+            JournalError::Exists(path) => write!(
+                f,
+                "refusing to start journal: {} already exists (a finished journal is never \
+                 replaced; choose another path or delete it)",
+                path.display()
+            ),
             JournalError::StaleArtifact(path) => write!(
                 f,
                 "refusing to start journal: {} already exists (left by a previous run; \
@@ -86,7 +95,7 @@ impl std::error::Error for JournalError {
         match self {
             JournalError::Io(e) => Some(e),
             JournalError::Protocol(e) => Some(e),
-            JournalError::StaleArtifact(_) => None,
+            JournalError::Exists(_) | JournalError::StaleArtifact(_) => None,
         }
     }
 }
@@ -218,33 +227,15 @@ impl JournalSink {
     /// settled rounds (see the [module docs](self)), reporting to `obs`.
     ///
     /// # Errors
-    /// Returns [`JournalError::StaleArtifact`] when a journal of either
-    /// layout is already at `path`: a file at `path` itself, or a partial,
-    /// segment, index or checkpoint beside it. Returns
-    /// [`JournalError::Io`] when the first file cannot be created or
-    /// `rotation.segment_rounds` is 0.
+    /// As [`JournalSink::check_target`], and [`JournalError::Io`] when the
+    /// first file cannot be created.
     pub fn create_with(
         path: impl AsRef<Path>,
         rotation: Option<RotationConfig>,
         obs: &Session,
     ) -> Result<Self, JournalError> {
         let final_path = path.as_ref().to_path_buf();
-        if rotation.is_some_and(|cfg| cfg.segment_rounds == 0) {
-            return Err(JournalError::Io(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "journal segment-rounds threshold must be at least 1",
-            )));
-        }
-        // Either layout refuses a journal already at the path: a finished
-        // single file would be replaced by the final rename, and a file
-        // beside a segmented journal (or segments beside a file) would
-        // shadow the other layout on every later load.
-        if final_path.exists() {
-            return Err(JournalError::StaleArtifact(final_path));
-        }
-        if let Some(stray) = segment::stray_artifact(&final_path)? {
-            return Err(JournalError::StaleArtifact(stray));
-        }
+        Self::check_target(&final_path, rotation)?;
         let (partial_path, rotation) = match rotation {
             None => (partial_path_for(&final_path), None),
             Some(cfg) => (
@@ -269,6 +260,35 @@ impl JournalSink {
             rotation,
             round_buffers: RoundBuffers::default(),
         })
+    }
+
+    /// The checks [`JournalSink::create_with`] makes before it creates
+    /// any file, so a caller can make them before it creates files of its
+    /// own.
+    ///
+    /// # Errors
+    /// Returns [`JournalError::Exists`] when a file is at `path`, and
+    /// [`JournalError::StaleArtifact`] when a partial, segment, index or
+    /// checkpoint is beside it. Returns [`JournalError::Io`] when
+    /// `rotation.segment_rounds` is 0 or the directory cannot be listed.
+    pub fn check_target(path: &Path, rotation: Option<RotationConfig>) -> Result<(), JournalError> {
+        if rotation.is_some_and(|cfg| cfg.segment_rounds == 0) {
+            return Err(JournalError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "journal segment-rounds threshold must be at least 1",
+            )));
+        }
+        // Either layout refuses a journal already at the path: a finished
+        // single file would be replaced by the final rename, and a file
+        // beside a segmented journal (or segments beside a file) would
+        // shadow the other layout on every later load.
+        if path.exists() {
+            return Err(JournalError::Exists(path.to_path_buf()));
+        }
+        if let Some(stray) = segment::stray_artifact(path)? {
+            return Err(JournalError::StaleArtifact(stray));
+        }
+        Ok(())
     }
 
     /// The protocol state after every event appended so far.
@@ -741,8 +761,24 @@ mod tests {
                 let err =
                     JournalSink::create_with(&path, rotation, &Session::disabled()).unwrap_err();
                 assert!(
-                    matches!(err, JournalError::StaleArtifact(ref p) if p == stray),
+                    match err {
+                        JournalError::Exists(ref p) => p == stray && stray == &path,
+                        JournalError::StaleArtifact(ref p) => p == stray && stray != &path,
+                        _ => false,
+                    },
                     "{rotation:?}: {err}"
+                );
+                // Only a file beside the path may be a crashed run's,
+                // so only that one is sent to recovery.
+                let advice = if stray == &path {
+                    "finished journal is never replaced"
+                } else {
+                    "cdt journal recover"
+                };
+                assert!(err.to_string().contains(advice), "{err}");
+                assert!(
+                    err.to_string().starts_with("refusing to start journal"),
+                    "{err}"
                 );
                 assert_eq!(std::fs::read_to_string(stray).unwrap(), text);
                 assert!(!partial_path_for(&path).exists());

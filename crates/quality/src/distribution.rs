@@ -15,6 +15,16 @@ pub trait QualityDistribution: Send + Sync {
     /// Draws one observation `q_{i,l}^t ∈ [0, 1]`.
     fn sample(&self, rng: &mut SimRng) -> f64;
 
+    /// Fills `row` with one observation per slot, in order. It must draw
+    /// exactly what calling [`QualityDistribution::sample`] once per slot
+    /// draws: the same values from the same generator draws, so the
+    /// stream after the row is the same too.
+    fn fill_row(&self, rng: &mut SimRng, row: &mut [f64]) {
+        for slot in row {
+            *slot = self.sample(rng);
+        }
+    }
+
     /// The exact expectation of [`QualityDistribution::sample`]. This is the
     /// `q_i` the bandit is trying to learn, so it must be the mean of the
     /// *realized* (post-truncation) distribution, not the nominal parameter.
@@ -53,13 +63,30 @@ impl TruncatedGaussian {
 impl QualityDistribution for TruncatedGaussian {
     fn sample(&self, rng: &mut SimRng) -> f64 {
         // Rejection sampling. With mu in [0,1] the acceptance probability is
-        // at least Φ(1/σ) − Φ(−1/σ) ≥ 38% even at σ = 1, and ≥ 2/3 for the
-        // σ ≤ 0.5 range the experiments use, so the loop is short.
+        // Φ((1 − μ)/σ) − Φ(−μ/σ), lowest with μ at a bound: Φ(1/σ) − ½,
+        // which is 0.50 at σ = 0.1, 0.48 at σ = 0.5 and 0.34 at σ = 1. UCB
+        // converges onto the sellers with μ near 1, so in a long run about
+        // half of their draws are rejected.
         loop {
             let x = self.mu + self.sigma * rng.standard_normal();
             if (0.0..=1.0).contains(&x) {
                 return x;
             }
+        }
+    }
+
+    fn fill_row(&self, rng: &mut SimRng, row: &mut [f64]) {
+        // The rejection loop of `sample`, once per row and without a
+        // branch on acceptance, which is a coin flip the CPU mispredicts
+        // for μ near a bound. Each candidate is written to the next free
+        // slot, and the acceptance bit moves past it: a rejected candidate
+        // is overwritten by the next one. The same normals are drawn in
+        // the same order, and the same values kept.
+        let mut j = 0;
+        while j < row.len() {
+            let x = self.mu + self.sigma * rng.standard_normal();
+            row[j] = x;
+            j += usize::from((0.0..=1.0).contains(&x));
         }
     }
 
@@ -241,6 +268,15 @@ impl QualityDistribution for QualityModel {
         }
     }
 
+    fn fill_row(&self, rng: &mut SimRng, row: &mut [f64]) {
+        match self {
+            QualityModel::TruncatedGaussian(d) => d.fill_row(rng, row),
+            QualityModel::Beta(d) => d.fill_row(rng, row),
+            QualityModel::Uniform(d) => d.fill_row(rng, row),
+            QualityModel::Bernoulli(d) => d.fill_row(rng, row),
+        }
+    }
+
     fn mean(&self) -> f64 {
         match self {
             QualityModel::TruncatedGaussian(d) => d.mean(),
@@ -254,6 +290,27 @@ impl QualityDistribution for QualityModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdt_types::check::{check, check_all};
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Fills a row of `len` from `seed` and draws `len` single samples
+    /// from the same seed: both must keep the same values and leave the
+    /// generator at the same point.
+    fn assert_row_matches_samples<D: QualityDistribution>(d: &D, len: usize, seed: u64) {
+        let (mut rows, mut draws) = (SimRng::new(seed), SimRng::new(seed));
+        let mut row = vec![f64::NAN; len];
+        d.fill_row(&mut rows, &mut row);
+        let samples: Vec<f64> = (0..len).map(|_| d.sample(&mut draws)).collect();
+        assert_eq!(bits(&row), bits(&samples), "{row:?} vs {samples:?}");
+        assert_eq!(
+            rows.next_u64(),
+            draws.next_u64(),
+            "the stream after the row"
+        );
+    }
 
     fn empirical_mean<D: QualityDistribution>(d: &D, n: usize, seed: u64) -> f64 {
         let mut rng = SimRng::new(seed);
@@ -320,6 +377,27 @@ mod tests {
     }
 
     #[test]
+    fn truncated_gaussian_rows_draw_what_single_samples_draw() {
+        // μ at a bound rejects about half of its draws at small σ, the
+        // shape a converged UCB run observes most.
+        check(
+            1_000,
+            |rng| {
+                let mu = match rng.below(4) {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => rng.uniform_inclusive(0.0..=1.0),
+                };
+                let sigma = 1.0 - rng.uniform(0.0..1.0);
+                (mu, sigma, rng.below(65) as usize, rng.next_u64())
+            },
+            |&(mu, sigma, len, seed)| {
+                assert_row_matches_samples(&TruncatedGaussian::new(mu, sigma), len, seed);
+            },
+        );
+    }
+
+    #[test]
     fn beta_support_and_mean() {
         let d = BetaQuality::new(2.0, 5.0);
         assert_in_unit(&d, 4);
@@ -382,5 +460,21 @@ mod tests {
             assert!((m.mean() - 0.5).abs() < 1e-9, "model {i} mean");
             assert_in_unit(m, 13 + i as u64);
         }
+    }
+
+    #[test]
+    fn quality_model_rows_draw_what_single_samples_draw() {
+        let models = [
+            QualityModel::TruncatedGaussian(TruncatedGaussian::new(0.97, 0.1)),
+            QualityModel::Beta(BetaQuality::new(0.4, 2.0)),
+            QualityModel::Uniform(UniformQuality::centered(0.3, 0.2)),
+            QualityModel::Bernoulli(BernoulliQuality::new(0.7)),
+        ];
+        let cases = models
+            .into_iter()
+            .flat_map(|m| [0, 1, 2, 10, 33].map(move |len| (m, len)));
+        check_all(cases, |&(model, len)| {
+            assert_row_matches_samples(&model, len, 30 + len as u64);
+        });
     }
 }

@@ -141,14 +141,25 @@ impl DriftingObserver {
         selected: &[SellerId],
         rng: &mut SimRng,
     ) -> ObservationMatrix {
-        let values = selected
-            .iter()
-            .map(|&id| {
-                let dist = TruncatedGaussian::new(self.mean_at(id, round), self.noise_sigma);
-                (0..self.num_pois).map(|_| dist.sample(rng)).collect()
-            })
-            .collect();
-        ObservationMatrix::new(selected.to_vec(), values)
+        let mut out = ObservationMatrix::empty();
+        self.observe_round_into(round, selected, rng, &mut out);
+        out
+    }
+
+    /// Observes one round at the drifted means into an existing matrix,
+    /// reusing its buffers: each selected seller's row is one
+    /// [`QualityDistribution::fill_row`] of the truncated Gaussian around
+    /// its mean in `round`.
+    pub fn observe_round_into(
+        &self,
+        round: Round,
+        selected: &[SellerId],
+        rng: &mut SimRng,
+        out: &mut ObservationMatrix,
+    ) {
+        out.refill(selected, self.num_pois, |id, row| {
+            TruncatedGaussian::new(self.mean_at(id, round), self.noise_sigma).fill_row(rng, row);
+        });
     }
 }
 
@@ -248,6 +259,37 @@ mod tests {
         let mean_after = after.row_sum(0) / 500.0;
         assert!((mean_before - 0.3).abs() < 0.02, "{mean_before}");
         assert!((mean_after - 0.9).abs() < 0.02, "{mean_after}");
+    }
+
+    #[test]
+    fn drifted_rows_draw_what_single_samples_draw() {
+        let obs = DriftingObserver::new(
+            pop(&[0.2, 0.8, 0.5]),
+            vec![
+                DriftModel::Abrupt {
+                    at_round: 3,
+                    new_mean: 1.0,
+                },
+                DriftModel::Linear { rate: 0.1 },
+                DriftModel::None,
+            ],
+            0.1,
+            7,
+        );
+        let selected = [SellerId(0), SellerId(1), SellerId(2)];
+        let (mut rows, mut draws) = (SimRng::new(8), SimRng::new(8));
+        let mut out = ObservationMatrix::empty();
+        for t in 0..6 {
+            let round = Round(t);
+            obs.observe_round_into(round, &selected, &mut rows, &mut out);
+            for (s, &id) in selected.iter().enumerate() {
+                let d = TruncatedGaussian::new(obs.mean_at(id, round), 0.1);
+                let samples: Vec<u64> = (0..7).map(|_| d.sample(&mut draws).to_bits()).collect();
+                let row: Vec<u64> = out.row(s).iter().map(|x| x.to_bits()).collect();
+                assert_eq!(row, samples, "round {t}, seller {s}");
+            }
+        }
+        assert_eq!(rows.next_u64(), draws.next_u64());
     }
 
     #[test]

@@ -121,6 +121,29 @@ impl ObservationMatrix {
         self.values.iter().sum()
     }
 
+    /// Refills the matrix in place with one row of `l` observations per
+    /// seller of `selected`, in selection order: `fill_row(id, row)`
+    /// writes each row. The buffers are reused, so after the first round
+    /// a refill allocates nothing.
+    pub(crate) fn refill(
+        &mut self,
+        selected: &[SellerId],
+        l: usize,
+        mut fill_row: impl FnMut(SellerId, &mut [f64]),
+    ) {
+        self.sellers.clear();
+        self.sellers.extend_from_slice(selected);
+        self.l = l;
+        self.values.clear();
+        if l == 0 {
+            return;
+        }
+        self.values.resize(selected.len() * l, 0.0);
+        for (row, &id) in self.values.chunks_exact_mut(l).zip(selected) {
+            fill_row(id, row);
+        }
+    }
+
     /// Iterates `(SellerId, &[f64])` rows.
     pub fn iter(&self) -> impl Iterator<Item = (SellerId, &[f64])> {
         let l = self.l;
@@ -173,31 +196,18 @@ impl QualityObserver {
     ///
     /// Draws the *same* samples in the same RNG order as
     /// [`QualityObserver::observe_round`]; after the first call on a given
-    /// `out` the round loop runs allocation-free.
+    /// `out` the round loop runs allocation-free. Each selected seller's
+    /// row is one [`QualityDistribution::fill_row`] call, which draws
+    /// what `L` calls of [`QualityDistribution::sample`] would.
     pub fn observe_round_into(
         &self,
         selected: &[SellerId],
         rng: &mut SimRng,
         out: &mut ObservationMatrix,
     ) {
-        out.sellers.clear();
-        out.sellers.extend_from_slice(selected);
-        out.l = self.num_pois;
-        out.values.clear();
-        if self.num_pois == 0 {
-            return;
-        }
-        // Size the flat buffer once, then fill row slices in place: no
-        // per-push capacity checks on the hot path. The samples are drawn
-        // in exactly the same (seller, PoI) order as before, so the matrix
-        // is bit-identical.
-        out.values.resize(selected.len() * self.num_pois, 0.0);
-        for (row, &id) in out.values.chunks_exact_mut(self.num_pois).zip(selected) {
-            let dist = &self.population.profile(id).quality;
-            for slot in row {
-                *slot = dist.sample(rng);
-            }
-        }
+        out.refill(selected, self.num_pois, |id, row| {
+            self.population.profile(id).quality.fill_row(rng, row);
+        });
     }
 }
 
@@ -301,6 +311,35 @@ mod tests {
     #[should_panic(expected = "flat buffer")]
     fn from_flat_rejects_wrong_size() {
         let _ = ObservationMatrix::from_flat(vec![SellerId(0)], 3, vec![0.1]);
+    }
+
+    #[test]
+    fn paper_rounds_fill_rows_as_single_samples_would() {
+        // The paper's population and shape (M = 300, K = 10, L = 10,
+        // σ = 0.1). Each round selects the five sellers nearest 1, whose
+        // draws are rejected about half the time, and five others.
+        let (m, k, l) = (300, 10, 10);
+        let population = SellerPopulation::generate_paper_defaults(m, 0.1, &mut SimRng::new(4));
+        let ranking = population.ranking_by_true_quality();
+        let observer = QualityObserver::new(population, l);
+        let (mut rows, mut draws, mut picks) = (SimRng::new(5), SimRng::new(5), SimRng::new(6));
+        let mut out = ObservationMatrix::empty();
+        let mut selected = Vec::with_capacity(k);
+        for round in 0..1_000 {
+            selected.clear();
+            selected.extend_from_slice(&ranking[..k / 2]);
+            let rest = picks.sample_indices(m - k / 2, k - k / 2);
+            selected.extend(rest.iter().map(|&i| ranking[k / 2 + i]));
+            observer.observe_round_into(&selected, &mut rows, &mut out);
+            let samples: Vec<u64> = selected
+                .iter()
+                .flat_map(|&id| std::iter::repeat_n(observer.population().profile(id).quality, l))
+                .map(|d| d.sample(&mut draws).to_bits())
+                .collect();
+            let values: Vec<u64> = out.values().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(values, samples, "round {round}");
+        }
+        assert_eq!(rows.next_u64(), draws.next_u64());
     }
 
     #[test]

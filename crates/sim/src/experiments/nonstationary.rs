@@ -12,7 +12,7 @@ use super::Scale;
 use crate::parallel::{parallel_map, RunConfig};
 use crate::report::{Series, Table};
 use cdt_bandit::{CmabUcbPolicy, RandomPolicy, SelectionPolicy, SlidingWindowUcbPolicy};
-use cdt_quality::{DriftModel, DriftingObserver, SellerPopulation};
+use cdt_quality::{DriftModel, DriftingObserver, ObservationMatrix, SellerPopulation};
 use cdt_types::{Result, Round, SellerId, SimRng};
 
 /// Configuration of the drift experiment.
@@ -94,13 +94,14 @@ fn run_dynamic(
     let mut regret = 0.0;
     let mut out = Vec::with_capacity(cfg.checkpoints);
     let mut selected = Vec::with_capacity(cfg.k);
+    let mut observations = ObservationMatrix::empty();
     for t in 0..cfg.n {
         let round = Round(t);
         policy.select_into(round, &mut rng, &mut selected);
         let selected_sum: f64 = selected.iter().map(|&id| observer.mean_at(id, round)).sum();
         let optimal = observer.optimal_quality_sum_at(round, cfg.k);
         regret += (optimal - selected_sum) * cfg.l as f64;
-        let observations = observer.observe_round(round, &selected, &mut rng);
+        observer.observe_round_into(round, &selected, &mut rng, &mut observations);
         policy.observe(round, &observations);
         if (t + 1) % step == 0 || t + 1 == cfg.n {
             out.push((t + 1, regret));
@@ -125,7 +126,7 @@ impl SelectionPolicy for DynamicOracle<'_> {
         cdt_bandit::top_k_by_score(&self.observer.means_at(round), self.k)
     }
 
-    fn observe(&mut self, _round: Round, observations: &cdt_quality::ObservationMatrix) {
+    fn observe(&mut self, _round: Round, observations: &ObservationMatrix) {
         self.estimator.update_round(observations);
     }
 

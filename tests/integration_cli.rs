@@ -260,6 +260,57 @@ fn cdt_in(dir: &Path, args: &[&str]) -> Output {
         .expect("cdt runs")
 }
 
+/// A refused journal flag ends `run` before it creates any file: neither
+/// an empty `--json` ledger nor a journal file is left behind, and what
+/// was at the journal path stays as it was. Only a file that a crashed
+/// run may have left is sent to `cdt journal recover`.
+#[test]
+fn journal_refusals_leave_the_directory_as_it_was() {
+    let dir = temp_path("journal_refusals");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let shape = ["run", "--m", "6", "--k", "2", "--l", "2", "--n", "4"];
+    let refused = |journal: &[&str], message: &str| {
+        let before = files_under(&dir);
+        let out = cdt_in(&dir, &[&shape[..], journal, &["--json", "x.json"]].concat());
+        assert_eq!(out.status.code(), Some(2), "{journal:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(message),
+            "{journal:?}: {}",
+            stderr(&out)
+        );
+        let after = files_under(&dir);
+        assert_eq!(
+            after.keys().collect::<Vec<_>>(),
+            before.keys().collect::<Vec<_>>()
+        );
+        assert!(after == before, "{journal:?} changed a file");
+    };
+    refused(
+        &["--journal-segment-rounds", "2"],
+        "--journal-segment-rounds requires --journal FILE",
+    );
+    refused(
+        &["--journal", "q.jsonl", "--journal-segment-rounds", "0"],
+        "--journal-segment-rounds must be at least 1",
+    );
+    assert!(files_under(&dir).is_empty());
+    let finished = cdt_in(&dir, &[&shape[..], &["--journal", "w.jsonl"]].concat());
+    assert!(finished.status.success(), "{}", stderr(&finished));
+    refused(
+        &["--journal", "w.jsonl"],
+        "refusing to start journal: w.jsonl already exists (a finished journal is never \
+         replaced; choose another path or delete it)",
+    );
+    std::fs::rename(dir.join("w.jsonl"), dir.join("w.jsonl.partial")).unwrap();
+    refused(
+        &["--journal", "w.jsonl"],
+        "refusing to start journal: w.jsonl.partial already exists (left by a previous \
+         run; recover it with `cdt journal recover` or delete it)",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Single-file `journal recover` on two torn copies of a finished
 /// journal prints what it kept and where replay stopped; a single file
 /// has no segment to name, so the stop reasons carry no file label.
