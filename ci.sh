@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI gate, offline: build, tests, the benchmark's own build and run of
 # `cdt`, formatting, lints, a registry guard, a process-global-state
-# guard, a parallel-sweep determinism and speedup check, the paper-scale
-# figures against their committed outputs, and end-to-end smokes of the
-# `cdt` binary (strict flags, observability, journal).
+# guard, the examples' stdout against their goldens, a parallel-sweep
+# determinism and speedup check, the paper-scale figures against their
+# committed outputs, and end-to-end smokes of the `cdt` binary (strict
+# flags, observability, journal).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -93,6 +94,18 @@ if cmp -s /tmp/cdt_seed5_a.txt /tmp/cdt_seed6.txt; then
     echo "ERROR: --seed 5 and --seed 6 printed identical runs" >&2
     exit 1
 fi
+
+echo "==> examples (each release example's stdout against its golden)"
+# The examples are seeded and print no timing, so each prints the same
+# bytes on every run: tests/fixtures/examples/<name>.txt. Every example
+# has a golden, and every golden an example.
+cargo build -q --release --offline --locked --examples
+diff <(cd examples && ls -- *.rs | sed 's/\.rs$//') \
+    <(cd tests/fixtures/examples && ls -- *.txt | sed 's/\.txt$//')
+for golden in tests/fixtures/examples/*.txt; do
+    name="$(basename "$golden" .txt)"
+    "$target_dir/release/examples/$name" | diff "$golden" -
+done
 
 echo "==> benchmark tests (std-only, offline; e2e runs against benchmark/tests/fake_cdt.sh)"
 cargo test --offline --manifest-path benchmark/Cargo.toml

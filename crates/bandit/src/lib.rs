@@ -41,4 +41,4 @@ pub use policies::{
 pub use policy::SelectionPolicy;
 pub use regret::{gap_statistics, theoretical_regret_bound, GapStatistics, RegretAccountant};
 pub use topk::top_k_by_score;
-pub use windowed::{DiscountedEstimator, SlidingWindowEstimator};
+pub use windowed::SlidingWindowEstimator;

@@ -1,13 +1,10 @@
-//! Non-stationary estimators: sliding-window and discounted sample means.
+//! The non-stationary estimator: a sliding-window sample mean.
 //!
 //! The paper assumes fixed expected qualities `q_i` (Def. 3); its Remark
-//! acknowledges exogenous factors can move them. These estimators forget
-//! old observations so the UCB machinery can track drifting qualities:
-//!
-//! - [`SlidingWindowEstimator`]: exact mean over the last `W` observations
-//!   per seller (Garivier & Moulines' SW-UCB statistic);
-//! - [`DiscountedEstimator`]: exponentially-weighted mean with discount
-//!   `γ ∈ (0, 1)` (D-UCB statistic), O(1) memory.
+//! acknowledges exogenous factors can move them.
+//! [`SlidingWindowEstimator`] forgets old observations so the UCB machinery
+//! can track drifting qualities: it keeps the exact mean over the last `W`
+//! observations per seller (Garivier & Moulines' SW-UCB statistic).
 
 use cdt_quality::ObservationMatrix;
 use cdt_types::SellerId;
@@ -133,81 +130,6 @@ impl SlidingWindowEstimator {
     }
 }
 
-/// Exponentially-discounted per-seller mean: after each new observation
-/// batch, older weight decays by `γ` per observation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiscountedEstimator {
-    weighted_sums: Vec<f64>,
-    weights: Vec<f64>,
-    gamma: f64,
-    total_seen: u64,
-}
-
-impl DiscountedEstimator {
-    /// Creates an estimator with discount factor `γ ∈ (0, 1]` (`γ = 1`
-    /// degenerates to the plain sample mean).
-    ///
-    /// # Panics
-    /// Panics unless `γ ∈ (0, 1]`.
-    #[must_use]
-    pub fn new(m: usize, gamma: f64) -> Self {
-        assert!(gamma > 0.0 && gamma <= 1.0, "gamma must lie in (0, 1]");
-        Self {
-            weighted_sums: vec![0.0; m],
-            weights: vec![0.0; m],
-            gamma,
-            total_seen: 0,
-        }
-    }
-
-    /// Number of sellers.
-    #[must_use]
-    pub fn num_sellers(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// The effective (discounted) observation count of seller `i`.
-    #[must_use]
-    pub fn effective_count(&self, id: SellerId) -> f64 {
-        self.weights[id.index()]
-    }
-
-    /// Lifetime observation count across all sellers.
-    #[must_use]
-    pub fn total_seen(&self) -> u64 {
-        self.total_seen
-    }
-
-    /// Discounted mean of seller `i` (0 before any observation).
-    #[must_use]
-    pub fn mean(&self, id: SellerId) -> f64 {
-        let i = id.index();
-        if self.weights[i] <= 0.0 {
-            0.0
-        } else {
-            self.weighted_sums[i] / self.weights[i]
-        }
-    }
-
-    /// Folds one seller's observations in.
-    pub fn update(&mut self, id: SellerId, observations: &[f64]) {
-        let i = id.index();
-        for &q in observations {
-            debug_assert!((0.0..=1.0).contains(&q));
-            self.weighted_sums[i] = self.gamma * self.weighted_sums[i] + q;
-            self.weights[i] = self.gamma * self.weights[i] + 1.0;
-            self.total_seen += 1;
-        }
-    }
-
-    /// Folds a whole round in.
-    pub fn update_round(&mut self, observations: &ObservationMatrix) {
-        for (id, row) in observations.iter() {
-            self.update(id, row);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,29 +163,6 @@ mod tests {
         e.update(SellerId(0), &[0.0, 0.3, 0.6, 0.9]);
         // Window holds {0.3, 0.6, 0.9}.
         assert!((e.mean(SellerId(0)) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn discounted_mean_follows_regime_change_smoothly() {
-        let mut e = DiscountedEstimator::new(1, 0.9);
-        for _ in 0..100 {
-            e.update(SellerId(0), &[0.2]);
-        }
-        assert!((e.mean(SellerId(0)) - 0.2).abs() < 1e-9);
-        for _ in 0..50 {
-            e.update(SellerId(0), &[0.9]);
-        }
-        // With γ = 0.9, after 50 new samples the old regime's weight is
-        // 0.9^50 ≈ 0.005 — essentially forgotten.
-        assert!((e.mean(SellerId(0)) - 0.9).abs() < 0.01);
-    }
-
-    #[test]
-    fn gamma_one_is_plain_mean() {
-        let mut e = DiscountedEstimator::new(1, 1.0);
-        e.update(SellerId(0), &[0.2, 0.4, 0.9]);
-        assert!((e.mean(SellerId(0)) - 0.5).abs() < 1e-12);
-        assert!((e.effective_count(SellerId(0)) - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -313,12 +212,6 @@ mod tests {
         let _ = SlidingWindowEstimator::with_resync_interval(1, 4, 0);
     }
 
-    #[test]
-    #[should_panic(expected = "gamma must lie in (0, 1]")]
-    fn bad_gamma_rejected() {
-        let _ = DiscountedEstimator::new(1, 0.0);
-    }
-
     /// The windowed mean equals the mean of the last W observations.
     #[test]
     fn window_matches_suffix_mean() {
@@ -355,22 +248,6 @@ mod tests {
             let tail = &obs[obs.len().saturating_sub(*window)..];
             let expect = tail.iter().sum::<f64>() / tail.len() as f64;
             assert!((e.mean(SellerId(0)) - expect).abs() < 1e-9);
-        });
-    }
-
-    /// Discounted means stay inside the observation hull.
-    #[test]
-    fn discounted_mean_in_hull() {
-        let gen = |rng: &mut SimRng| {
-            let len = 1 + rng.below(99);
-            let obs: Vec<f64> = (0..len).map(|_| rng.uniform_inclusive(0.0..=1.0)).collect();
-            (obs, rng.uniform(0.5..1.0))
-        };
-        check(256, gen, |(obs, gamma)| {
-            let mut e = DiscountedEstimator::new(1, *gamma);
-            e.update(SellerId(0), obs);
-            let m = e.mean(SellerId(0));
-            assert!((0.0..=1.0).contains(&m));
         });
     }
 }

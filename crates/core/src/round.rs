@@ -302,16 +302,13 @@ pub fn execute_round_observed_into<'a, O: RoundObserver>(
 mod tests {
     use super::*;
     use cdt_bandit::{CmabUcbPolicy, RandomPolicy};
-    use cdt_quality::SellerProfile;
-    use cdt_quality::{BernoulliQuality, QualityObserver, SellerPopulation};
+    use cdt_quality::{QualityObserver, SellerPopulation, SellerProfile, TruncatedGaussian};
     use cdt_types::{JobSpec, SellerCostParams};
 
     fn setup(m: usize, k: usize, l: usize) -> (SystemConfig, QualityObserver) {
         let profiles: Vec<SellerProfile> = (0..m)
             .map(|i| SellerProfile {
-                quality: cdt_quality::distribution::QualityModel::Bernoulli(BernoulliQuality::new(
-                    0.2 + 0.6 * (i as f64 / m as f64),
-                )),
+                quality: TruncatedGaussian::new(0.2 + 0.6 * (i as f64 / m as f64), 0.1),
                 cost: SellerCostParams { a: 0.2, b: 0.3 },
             })
             .collect();

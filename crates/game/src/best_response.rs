@@ -78,14 +78,6 @@ impl Aggregates {
             lambda_cap,
         }
     }
-
-    /// Total *unclamped* sensing time `Σ τ_i* = p·A − B` the sellers would
-    /// contribute at collection price `p` (can be negative for very low
-    /// prices; the per-seller response clamps at zero).
-    #[must_use]
-    pub fn total_sensing_time_at(&self, collection_price: f64) -> f64 {
-        collection_price * self.a - self.b
-    }
 }
 
 /// **Theorem 14 (Stage 3).** A seller's optimal sensing time at collection
@@ -318,7 +310,8 @@ mod tests {
         let p = 3.0;
         let taus = all_seller_best_responses(&ctx, p);
         let total: f64 = taus.iter().sum();
-        assert!((agg.total_sensing_time_at(p) - total).abs() < 1e-9);
+        // Σ τ_i* = p·A − B while no seller's response clamps.
+        assert!((p * agg.a - agg.b - total).abs() < 1e-9);
     }
 
     #[test]

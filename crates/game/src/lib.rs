@@ -50,7 +50,6 @@ pub mod equilibrium;
 pub mod initial;
 pub mod numeric;
 pub mod profit;
-pub mod sensitivity;
 pub mod verify;
 pub mod welfare;
 
@@ -61,6 +60,5 @@ pub use context::{GameContext, SelectedSeller};
 pub use equilibrium::{solve_equilibrium, solve_equilibrium_into, Profits, StackelbergSolution};
 pub use initial::initial_round_strategy;
 pub use profit::{consumer_profit, platform_profit, seller_profit};
-pub use sensitivity::{sensitivities, Sensitivities};
 pub use verify::{verify_equilibrium, DeviationReport};
 pub use welfare::{efficient_allocation, social_welfare, welfare_report, WelfareReport};

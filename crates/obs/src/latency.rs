@@ -1,12 +1,8 @@
 //! Log₂-bucketed latency histograms over nanoseconds.
 //!
-//! Reuses [`cdt_aggregate::Histogram`]'s fixed-range `[0, 1]` bucketing by
-//! mapping a nanosecond value through `x = log₂(1 + ns) / 64`: with 64
-//! equal-width buckets on `[0, 1]`, bucket `i` then covers exactly the
-//! power-of-two latency range `[2^i − 1, 2^{i+1} − 1)` ns — the classic
-//! log-bucket layout, 64 buckets spanning 1 ns to ~584 years.
-
-use cdt_aggregate::Histogram;
+//! Bucket `i` covers the power-of-two latency range `[2^i − 1, 2^{i+1} − 1)`
+//! ns: a value lands in bucket `⌊log₂(ns + 1)⌋`, an integer bit length.
+//! The classic log-bucket layout, 64 buckets spanning 1 ns to ~584 years.
 
 /// Number of log₂ buckets (covers the full `u64` nanosecond range).
 const BINS: usize = 64;
@@ -14,7 +10,9 @@ const BINS: usize = 64;
 /// A latency histogram with power-of-two nanosecond buckets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
-    hist: Histogram,
+    /// Boxed, so a `Metric` or an `Option` holding a histogram stays small.
+    bins: Box<[u64; BINS]>,
+    count: u64,
     sum_ns: u64,
 }
 
@@ -23,26 +21,23 @@ impl LatencyHistogram {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            hist: Histogram::new(BINS),
+            bins: Box::new([0; BINS]),
+            count: 0,
             sum_ns: 0,
         }
     }
 
-    /// Maps a nanosecond value into the `[0, 1]` quality domain.
-    fn to_unit(ns: u64) -> f64 {
-        ((ns as f64) + 1.0).log2() / BINS as f64
+    /// The bucket `ns` lands in: `⌊log₂(ns + 1)⌋`, with `u64::MAX`
+    /// saturating into the top bucket.
+    fn bucket(ns: u64) -> usize {
+        ns.saturating_add(1).ilog2() as usize
     }
 
-    /// Inverts [`LatencyHistogram::to_unit`].
-    fn from_unit(x: f64) -> u64 {
-        let ns = (x * BINS as f64).exp2() - 1.0;
-        if ns >= u64::MAX as f64 {
-            u64::MAX
-        } else if ns <= 0.0 {
-            0
-        } else {
-            ns as u64
-        }
+    /// The latency at `pos` along the bucket axis, where bucket `i` spans
+    /// `[i, i + 1)`: `2^pos − 1` ns. The cast saturates, so the top
+    /// bucket's upper end reads `u64::MAX`.
+    fn ns_at(pos: f64) -> u64 {
+        (pos.exp2() - 1.0) as u64
     }
 
     /// Upper bound (exclusive, in ns) of log₂ bucket `i`: bucket `i`
@@ -60,14 +55,15 @@ impl LatencyHistogram {
 
     /// Records one latency observation.
     pub fn record_ns(&mut self, ns: u64) {
-        self.hist.record(Self::to_unit(ns));
+        self.bins[Self::bucket(ns)] += 1;
+        self.count += 1;
         self.sum_ns = self.sum_ns.saturating_add(ns);
     }
 
     /// Number of observations recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.hist.total()
+        self.count
     }
 
     /// Sum of all recorded nanoseconds (saturating).
@@ -86,18 +82,37 @@ impl LatencyHistogram {
         }
     }
 
-    /// Approximate `q`-quantile in nanoseconds (`None` when empty).
+    /// Approximate `q`-quantile in nanoseconds (`None` when empty): the
+    /// target rank is interpolated linearly along the log₂ axis within
+    /// the bucket that holds it.
     ///
     /// # Panics
     /// Panics unless `q ∈ [0, 1]`.
     #[must_use]
     pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        self.hist.quantile(q).map(Self::from_unit)
+        assert!((0.0..=1.0).contains(&q), "quantile requires q in [0,1]");
+        if self.count == 0 {
+            return None;
+        }
+        let target = q * self.count as f64;
+        let mut cum = 0.0;
+        for (i, &c) in self.bins.iter().enumerate() {
+            let next = cum + c as f64;
+            if next >= target && c > 0 {
+                let frac = ((target - cum) / c as f64).clamp(0.0, 1.0);
+                return Some(Self::ns_at(i as f64 + frac));
+            }
+            cum = next;
+        }
+        Some(u64::MAX)
     }
 
     /// Merges another latency histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        self.hist.merge(&other.hist);
+        for (a, b) in self.bins.iter_mut().zip(other.bins.iter()) {
+            *a += b;
+        }
+        self.count += other.count;
         self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
     }
 
@@ -108,8 +123,7 @@ impl LatencyHistogram {
     pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut cum = 0u64;
-        for i in 0..self.hist.num_bins() {
-            let c = self.hist.bin_count(i);
+        for (i, &c) in self.bins.iter().enumerate() {
             if c == 0 {
                 continue;
             }
@@ -132,16 +146,9 @@ mod tests {
     use cdt_types::check::check;
     use cdt_types::SimRng;
 
-    #[test]
-    fn round_trips_through_unit_mapping() {
-        for ns in [0u64, 1, 7, 1_000, 1_000_000, 123_456_789_000] {
-            let x = LatencyHistogram::to_unit(ns);
-            assert!((0.0..=1.0).contains(&x), "ns {ns} mapped to {x}");
-            let back = LatencyHistogram::from_unit(x);
-            // Inverse is exact up to float rounding: within 1 part in 2^40.
-            let err = (back as f64 - ns as f64).abs();
-            assert!(err <= 1.0 + ns as f64 * 1e-9, "ns {ns} came back as {back}");
-        }
+    /// The inclusive lower bound of bucket `i`, `2^i − 1`.
+    fn lower_ns(i: usize) -> u64 {
+        (1u64 << i) - 1
     }
 
     #[test]
@@ -172,6 +179,84 @@ mod tests {
         assert!(h.quantile_ns(0.0).unwrap() <= p99);
     }
 
+    /// `(seed, records, max bit length, quantiles at QS)`: the values the
+    /// `[0, 1]`-histogram mapping this layout replaced returned, so the
+    /// `--obs-summary` p50/p99 and the watchdog's p99 thresholds read as
+    /// they did.
+    const PINNED: [(u64, usize, u64, [u64; 7]); 4] = [
+        (
+            1,
+            1,
+            40,
+            [
+                4_294_967_295,
+                4_324_841_155,
+                5_107_605_666,
+                6_074_000_998,
+                8_014_692_368,
+                8_530_599_578,
+                8_589_934_591,
+            ],
+        ),
+        (
+            2,
+            10,
+            40,
+            [
+                63,
+                67,
+                623_486,
+                2_097_151,
+                2_147_483_647,
+                512_940_311_645,
+                549_755_813_887,
+            ],
+        ),
+        (
+            3,
+            1_000,
+            40,
+            [
+                0,
+                0,
+                461,
+                697_465,
+                45_624_538_320,
+                617_080_036_925,
+                1_099_511_627_775,
+            ],
+        ),
+        (
+            4,
+            1_000,
+            64,
+            [
+                0,
+                0,
+                34_217,
+                1_454_120_820,
+                63_761_249_152_073_104,
+                7_566_258_183_444_160_512,
+                u64::MAX,
+            ],
+        ),
+    ];
+    const QS: [f64; 7] = [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0];
+
+    #[test]
+    fn quantiles_match_pinned_values() {
+        for (seed, records, max_bits, expected) in PINNED {
+            let mut rng = SimRng::new(seed);
+            let mut h = LatencyHistogram::new();
+            for _ in 0..records {
+                let bits = rng.below(max_bits) + 1;
+                h.record_ns(rng.next_u64() >> (64 - bits));
+            }
+            let got = QS.map(|q| h.quantile_ns(q).unwrap());
+            assert_eq!(got, expected, "seed {seed}");
+        }
+    }
+
     #[test]
     fn empty_quantile_is_none() {
         assert!(LatencyHistogram::new().quantile_ns(0.5).is_none());
@@ -189,17 +274,25 @@ mod tests {
         assert_eq!(a.sum_ns(), 3_000_010);
     }
 
-    /// The bucket index `record_ns(ns)` lands in (mirrors the clamp in
-    /// `cdt_aggregate::Histogram::record`).
-    fn bucket_index(ns: u64) -> usize {
-        let x = LatencyHistogram::to_unit(ns);
-        ((x * BINS as f64).floor() as isize).clamp(0, BINS as isize - 1) as usize
+    /// Every bucket boundary `2^i − 1` opens bucket `i`, and its
+    /// neighbours land on either side of it, in all 64 buckets.
+    #[test]
+    fn buckets_follow_the_contract_at_every_boundary() {
+        assert_eq!(LatencyHistogram::bucket(0), 0);
+        assert_eq!(LatencyHistogram::bucket(u64::MAX), BINS - 1);
+        for i in 0..BINS {
+            let lo = lower_ns(i);
+            assert_eq!(LatencyHistogram::bucket(lo), i, "2^{i} - 1");
+            if i > 0 {
+                assert_eq!(LatencyHistogram::bucket(lo - 1), i - 1, "2^{i} - 2");
+            }
+            // 2^i is still in bucket i, except that 1 = 2^1 − 1 opens bucket 1.
+            assert_eq!(LatencyHistogram::bucket(lo + 1), i.max(1), "2^{i}");
+        }
     }
 
     #[test]
     fn edge_values_land_in_edge_buckets() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(u64::MAX), BINS - 1);
         let mut h = LatencyHistogram::new();
         h.record_ns(0);
         h.record_ns(u64::MAX);
@@ -210,8 +303,7 @@ mod tests {
     }
 
     /// Bucketing is monotone: a smaller latency never lands in a
-    /// higher bucket (log₂(1 + ns) is non-decreasing, and so is every
-    /// float step in the mapping).
+    /// higher bucket.
     #[test]
     fn prop_bucketing_is_monotone() {
         check(
@@ -219,7 +311,7 @@ mod tests {
             |rng| (rng.next_u64(), rng.next_u64()),
             |&(a, b)| {
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                assert!(bucket_index(lo) <= bucket_index(hi));
+                assert!(LatencyHistogram::bucket(lo) <= LatencyHistogram::bucket(hi));
             },
         );
     }
@@ -244,8 +336,7 @@ mod tests {
             }
             let n = values.len() as u64;
             assert_eq!(h.count(), n);
-            let bin_sum: u64 = (0..h.hist.num_bins()).map(|i| h.hist.bin_count(i)).sum();
-            assert_eq!(bin_sum, n);
+            assert_eq!(h.bins.iter().sum::<u64>(), n);
             if n > 0 {
                 assert_eq!(h.cumulative_buckets().last().unwrap().1, n);
             } else {
@@ -254,9 +345,8 @@ mod tests {
         });
     }
 
-    /// A recorded value's bucket upper bound is never below the value
-    /// (up to the one-count float rounding at 2^53-scale boundaries):
-    /// cumulative counts at or above the value's bucket include it.
+    /// A recorded value lies within its bucket, `[2^i − 1, upper)`, so the
+    /// cumulative counts at or above its bucket include it.
     #[test]
     fn prop_recorded_value_is_within_its_bucket() {
         check(256, SimRng::next_u64, |&ns| {
@@ -264,8 +354,10 @@ mod tests {
             h.record_ns(ns);
             let buckets = h.cumulative_buckets();
             assert_eq!(buckets.len(), 1);
-            let idx = bucket_index(ns);
-            assert_eq!(buckets[0], (LatencyHistogram::bucket_upper_ns(idx), 1));
+            let idx = LatencyHistogram::bucket(ns);
+            let upper = LatencyHistogram::bucket_upper_ns(idx);
+            assert_eq!(buckets[0], (upper, 1));
+            assert!(lower_ns(idx) <= ns && (ns < upper || idx == BINS - 1));
         });
     }
 
@@ -275,9 +367,9 @@ mod tests {
     #[test]
     fn prop_top_bucket_saturates() {
         check(256, SimRng::next_u64, |&offset| {
-            let lower = (1u64 << 63) - 1;
+            let lower = lower_ns(BINS - 1);
             let ns = lower.saturating_add(offset % (u64::MAX - lower + 1));
-            assert_eq!(bucket_index(ns), BINS - 1);
+            assert_eq!(LatencyHistogram::bucket(ns), BINS - 1);
             let mut h = LatencyHistogram::new();
             h.record_ns(ns);
             assert_eq!(h.cumulative_buckets(), vec![(u64::MAX, 1)]);
@@ -285,19 +377,16 @@ mod tests {
         });
     }
 
-    /// Saturation round-trip pin: `u64::MAX` maps to unit 1.0 exactly
-    /// (2^64 is representable; 2^64 − 1 is not, so `+ 1.0` rounds onto
-    /// it) and the inverse saturates back to `u64::MAX` rather than
-    /// overflowing the `f64 → u64` cast to 0.
+    /// Saturation round-trip pin: `u64::MAX` lands in the top bucket, and
+    /// the top of that bucket, `2^64 − 1` ns, reads back as `u64::MAX`
+    /// (`2^64` is not a `u64`; the cast saturates rather than wrapping
+    /// to 0).
     #[test]
     fn saturation_boundary_round_trips_exactly() {
-        assert_eq!(LatencyHistogram::to_unit(u64::MAX), 1.0);
-        assert_eq!(LatencyHistogram::from_unit(1.0), u64::MAX);
-        assert_eq!(
-            LatencyHistogram::from_unit(LatencyHistogram::to_unit(u64::MAX)),
-            u64::MAX
-        );
-        // The helper agrees with the mapping at both edges of the range.
+        assert_eq!(LatencyHistogram::bucket(u64::MAX), BINS - 1);
+        assert_eq!(LatencyHistogram::ns_at(BINS as f64), u64::MAX);
+        assert_eq!(LatencyHistogram::ns_at(0.0), 0);
+        // The helper agrees with the bucketing at both edges of the range.
         assert_eq!(LatencyHistogram::bucket_upper_ns(0), 1);
         assert_eq!(LatencyHistogram::bucket_upper_ns(BINS - 1), u64::MAX);
         assert_eq!(LatencyHistogram::bucket_upper_ns(BINS), u64::MAX);

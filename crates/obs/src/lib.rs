@@ -15,9 +15,9 @@
 //!   pool workers accumulate locally and publish to their session's
 //!   [`MetricsRegistry`] once, and write trace lines to its JSONL sink in
 //!   bounded batches, bounding both lock contention and memory.
-//! - **No new dependencies.** Histograms reuse `cdt_aggregate`'s fixed
-//!   bucketing through a log₂ mapping; trace lines go through the
-//!   workspace codec `cdt_types::json` (layouts in [`codec`]).
+//! - **No new dependencies.** Histograms bucket by the bit length of
+//!   `ns + 1`; trace lines go through the workspace codec
+//!   `cdt_types::json` (layouts in [`codec`]).
 //!
 //! # Wiring
 //!

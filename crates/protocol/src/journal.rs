@@ -205,6 +205,12 @@ pub struct JournalSink {
     round_buffers: RoundBuffers,
 }
 
+/// An I/O error met creating the journal file at `path`, naming it.
+fn cannot_create(path: &Path, e: io::Error) -> JournalError {
+    let message = format!("cannot create {}: {e}", path.display());
+    JournalError::Io(io::Error::new(e.kind(), message))
+}
+
 fn partial_path_for(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(".partial");
@@ -243,7 +249,7 @@ impl JournalSink {
                 Some(RotationState::new(cfg.segment_rounds)),
             ),
         };
-        let file = File::create(&partial_path)?;
+        let file = File::create(&partial_path).map_err(|e| cannot_create(&partial_path, e))?;
         Ok(Self {
             writer: BufWriter::new(file),
             state: ProtocolState::new(),
@@ -270,7 +276,8 @@ impl JournalSink {
     /// Returns [`JournalError::Exists`] when a file is at `path`, and
     /// [`JournalError::StaleArtifact`] when a partial, segment, index or
     /// checkpoint is beside it. Returns [`JournalError::Io`] when
-    /// `rotation.segment_rounds` is 0 or the directory cannot be listed.
+    /// `rotation.segment_rounds` is 0, and, naming `path`, when its
+    /// directory cannot be listed (a missing one among them).
     pub fn check_target(path: &Path, rotation: Option<RotationConfig>) -> Result<(), JournalError> {
         if rotation.is_some_and(|cfg| cfg.segment_rounds == 0) {
             return Err(JournalError::Io(io::Error::new(
@@ -285,7 +292,7 @@ impl JournalSink {
         if path.exists() {
             return Err(JournalError::Exists(path.to_path_buf()));
         }
-        if let Some(stray) = segment::stray_artifact(path)? {
+        if let Some(stray) = segment::stray_artifact(path).map_err(|e| cannot_create(path, e))? {
             return Err(JournalError::StaleArtifact(stray));
         }
         Ok(())

@@ -163,8 +163,8 @@ fn file_name_of(path: &Path) -> String {
 /// or any `P.seg-*` / `P.ckpt-*` sibling. Returns the first one found.
 ///
 /// # Errors
-/// Propagates directory-listing failures (a missing directory is treated
-/// as "no artifacts").
+/// Propagates directory-listing failures, a missing directory among them:
+/// no journal can be created there.
 pub fn stray_artifact(base: &Path) -> io::Result<Option<PathBuf>> {
     let partial = suffixed(base, ".partial");
     if partial.exists() {
@@ -179,15 +179,11 @@ pub fn stray_artifact(base: &Path) -> io::Result<Option<PathBuf>> {
         return Ok(None);
     }
     let dir = base_dir(base);
-    let entries = match std::fs::read_dir(if dir.as_os_str().is_empty() {
+    let entries = std::fs::read_dir(if dir.as_os_str().is_empty() {
         Path::new(".")
     } else {
         &dir
-    }) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
+    })?;
     let seg_prefix = format!("{name}.seg-");
     let ckpt_prefix = format!("{name}.ckpt-");
     let mut found: Option<PathBuf> = None;

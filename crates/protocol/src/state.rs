@@ -118,12 +118,6 @@ impl ProtocolState {
         self.completed
     }
 
-    /// `true` once `JobPublished` was accepted.
-    #[must_use]
-    pub fn is_published(&self) -> bool {
-        self.published
-    }
-
     /// The round the machine currently expects events for (one past the
     /// last settled round).
     #[must_use]

@@ -6,7 +6,7 @@
 //! the natural extension where the *expectation itself* drifts, which the
 //! sliding-window UCB policy (`cdt-bandit`) is built to track.
 
-use crate::distribution::{QualityDistribution, TruncatedGaussian};
+use crate::distribution::TruncatedGaussian;
 use crate::observe::ObservationMatrix;
 use crate::population::SellerPopulation;
 use cdt_types::{Round, SellerId, SimRng};
@@ -66,6 +66,8 @@ impl DriftModel {
 #[derive(Debug, Clone)]
 pub struct DriftingObserver {
     base: SellerPopulation,
+    /// The base population's expected qualities, indexed by seller id.
+    base_means: Vec<f64>,
     drifts: Vec<DriftModel>,
     noise_sigma: f64,
     num_pois: usize,
@@ -86,6 +88,7 @@ impl DriftingObserver {
         assert_eq!(drifts.len(), base.len(), "one drift model per seller");
         assert!(noise_sigma > 0.0, "noise sigma must be > 0");
         Self {
+            base_means: base.expected_qualities(),
             base,
             drifts,
             noise_sigma,
@@ -114,8 +117,7 @@ impl DriftingObserver {
     /// Seller `i`'s true expected quality in `round`.
     #[must_use]
     pub fn mean_at(&self, id: SellerId, round: Round) -> f64 {
-        let q0 = self.base.profile(id).expected_quality();
-        self.drifts[id.index()].mean_at(q0, round)
+        self.drifts[id.index()].mean_at(self.base_means[id.index()], round)
     }
 
     /// All sellers' true expected qualities in `round`.
@@ -148,8 +150,7 @@ impl DriftingObserver {
 
     /// Observes one round at the drifted means into an existing matrix,
     /// reusing its buffers: each selected seller's row is one
-    /// [`QualityDistribution::fill_row`] of the truncated Gaussian around
-    /// its mean in `round`.
+    /// [`TruncatedGaussian::fill_row`] around its mean in `round`.
     pub fn observe_round_into(
         &self,
         round: Round,
@@ -166,7 +167,6 @@ impl DriftingObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::{BernoulliQuality, QualityModel};
     use crate::population::SellerProfile;
     use cdt_types::SellerCostParams;
 
@@ -174,7 +174,7 @@ mod tests {
         SellerPopulation::from_profiles(
             qs.iter()
                 .map(|&q| SellerProfile {
-                    quality: QualityModel::Bernoulli(BernoulliQuality::new(q)),
+                    quality: TruncatedGaussian::new(q, 0.1),
                     cost: SellerCostParams { a: 0.2, b: 0.3 },
                 })
                 .collect(),
@@ -233,12 +233,13 @@ mod tests {
             0.05,
             4,
         );
-        assert_eq!(obs.mean_at(SellerId(0), Round(0)), 0.2);
+        let [q0, q1] = [0.2, 0.8].map(|mu| TruncatedGaussian::new(mu, 0.1).mean());
+        assert_eq!(obs.mean_at(SellerId(0), Round(0)), q0);
         assert_eq!(obs.mean_at(SellerId(0), Round(10)), 0.9);
-        assert_eq!(obs.mean_at(SellerId(1), Round(10)), 0.8);
-        // Optimal flips after the change point (0.9 > 0.8).
-        assert!((obs.optimal_quality_sum_at(Round(0), 1) - 0.8).abs() < 1e-12);
-        assert!((obs.optimal_quality_sum_at(Round(10), 1) - 0.9).abs() < 1e-12);
+        assert_eq!(obs.mean_at(SellerId(1), Round(10)), q1);
+        // Optimal flips after the change point (0.9 > q1 ≈ 0.8).
+        assert_eq!(obs.optimal_quality_sum_at(Round(0), 1), q1);
+        assert_eq!(obs.optimal_quality_sum_at(Round(10), 1), 0.9);
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! `q_{i,l}^t` from a truncated Gaussian on `[0, 1]` centred at `q_i`.
 //! This crate provides:
 //!
-//! - [`math`]: special functions (erf, normal CDF, inverse normal CDF,
-//!   Box–Muller sampling) implemented in-crate so the workspace needs no
+//! - [`math`]: special functions (erf, the normal CDF and density, the
+//!   truncated-normal mean) implemented in-crate so the workspace needs no
 //!   external statistics dependency;
-//! - [`distribution`]: the [`QualityDistribution`] trait and concrete models
-//!   (truncated Gaussian, Beta, Uniform, Bernoulli);
+//! - [`distribution`]: the observation model, [`TruncatedGaussian`];
 //! - [`population`]: seeded generation of whole seller populations;
 //! - [`observe`]: the per-round observation matrix `{q_{i,l}^t}`.
 
@@ -22,13 +21,9 @@ pub mod distribution;
 pub mod drift;
 pub mod math;
 pub mod observe;
-pub mod poi_effects;
 pub mod population;
 
-pub use distribution::{
-    BernoulliQuality, BetaQuality, QualityDistribution, TruncatedGaussian, UniformQuality,
-};
+pub use distribution::TruncatedGaussian;
 pub use drift::{DriftModel, DriftingObserver};
 pub use observe::{ObservationMatrix, QualityObserver};
-pub use poi_effects::{PoiEffects, PoiVaryingObserver};
 pub use population::{SellerPopulation, SellerProfile};

@@ -39,73 +39,6 @@ pub fn normal_pdf(x: f64) -> f64 {
     INV_SQRT_2PI * (-0.5 * x * x).exp()
 }
 
-/// Inverse of the standard normal CDF (`Φ⁻¹`, the probit function), via
-/// Acklam's rational approximation refined with one Halley step
-/// (relative error < 1e-9 over `p ∈ (1e-300, 1 − 1e-16)`).
-///
-/// # Panics
-/// Panics if `p` is not strictly inside `(0, 1)`.
-#[must_use]
-pub fn normal_inverse_cdf(p: f64) -> f64 {
-    assert!(
-        p > 0.0 && p < 1.0,
-        "normal_inverse_cdf requires p in (0,1), got {p}"
-    );
-
-    // Coefficients for Acklam's approximation.
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.024_25;
-    const P_HIGH: f64 = 1.0 - P_LOW;
-
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= P_HIGH {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-
-    // One Halley refinement step against the full-precision CDF.
-    let e = normal_cdf(x) - p;
-    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-    x - u / (1.0 + x * u / 2.0)
-}
-
 /// Mean of a Gaussian `N(mu, sigma²)` truncated to `[lo, hi]`.
 ///
 /// Used by tests to verify that a sample mean of truncated observations
@@ -152,29 +85,6 @@ mod tests {
         assert!((normal_cdf(0.0) - 0.5).abs() < 1e-9);
         assert!((normal_cdf(1.96) - 0.975).abs() < 1e-4);
         assert!((normal_cdf(-1.96) - 0.025).abs() < 1e-4);
-    }
-
-    #[test]
-    fn inverse_cdf_round_trips_cdf() {
-        for p in [0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999] {
-            let x = normal_inverse_cdf(p);
-            assert!(
-                (normal_cdf(x) - p).abs() < 1e-6,
-                "round trip failed at p={p}: x={x}, cdf={}",
-                normal_cdf(x)
-            );
-        }
-    }
-
-    #[test]
-    fn inverse_cdf_median_is_zero() {
-        assert!(normal_inverse_cdf(0.5).abs() < 1e-7);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires p in (0,1)")]
-    fn inverse_cdf_rejects_zero() {
-        let _ = normal_inverse_cdf(0.0);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! [`SellerPopulation`] and hands back an [`ObservationMatrix`] the platform
 //! can learn from — the platform never touches the population directly.
 
-use crate::distribution::QualityDistribution;
 use crate::population::SellerPopulation;
 use cdt_types::{PoiId, SellerId, SimRng};
 
@@ -197,8 +196,11 @@ impl QualityObserver {
     /// Draws the *same* samples in the same RNG order as
     /// [`QualityObserver::observe_round`]; after the first call on a given
     /// `out` the round loop runs allocation-free. Each selected seller's
-    /// row is one [`QualityDistribution::fill_row`] call, which draws
-    /// what `L` calls of [`QualityDistribution::sample`] would.
+    /// row is one [`TruncatedGaussian::fill_row`] call, which draws what
+    /// `L` calls of [`TruncatedGaussian::sample`] would.
+    ///
+    /// [`TruncatedGaussian::fill_row`]: crate::TruncatedGaussian::fill_row
+    /// [`TruncatedGaussian::sample`]: crate::TruncatedGaussian::sample
     pub fn observe_round_into(
         &self,
         selected: &[SellerId],
@@ -214,7 +216,7 @@ impl QualityObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::{BernoulliQuality, QualityModel};
+    use crate::distribution::TruncatedGaussian;
     use crate::population::SellerProfile;
     use cdt_types::SellerCostParams;
 
@@ -222,8 +224,8 @@ mod tests {
         SellerPopulation::from_profiles(
             [0.0, 1.0, 0.5]
                 .iter()
-                .map(|&p| SellerProfile {
-                    quality: QualityModel::Bernoulli(BernoulliQuality::new(p)),
+                .map(|&mu| SellerProfile {
+                    quality: TruncatedGaussian::new(mu, 0.1),
                     cost: SellerCostParams { a: 0.2, b: 0.2 },
                 })
                 .collect(),
@@ -238,16 +240,6 @@ mod tests {
         assert_eq!(m.sellers(), &[SellerId(0), SellerId(2)]);
         assert_eq!(m.num_pois(), 4);
         assert_eq!(m.row(0).len(), 4);
-    }
-
-    #[test]
-    fn deterministic_sellers_observe_their_mean() {
-        let obs = QualityObserver::new(pop(), 5);
-        let mut rng = SimRng::new(2);
-        let m = obs.observe_round(&[SellerId(0), SellerId(1)], &mut rng);
-        assert_eq!(m.row_sum(0), 0.0); // p = 0 seller always observes 0
-        assert_eq!(m.row_sum(1), 5.0); // p = 1 seller always observes 1
-        assert_eq!(m.total(), 5.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! uniformly from `[0, 1]`, cost parameters `a_i ∈ [0.1, 0.5]`,
 //! `b_i ∈ [0.1, 1]`, truncated-Gaussian observation noise.
 
-use crate::distribution::{QualityDistribution, QualityModel, TruncatedGaussian};
+use crate::distribution::TruncatedGaussian;
 use cdt_types::{SellerCostParams, SellerId, SimRng};
 
 /// Ground-truth profile of one seller: its (hidden) quality law and its
@@ -12,7 +12,7 @@ use cdt_types::{SellerCostParams, SellerId, SimRng};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SellerProfile {
     /// The observation law of `q_{i,l}^t`.
-    pub quality: QualityModel,
+    pub quality: TruncatedGaussian,
     /// Cost parameters `(a_i, b_i)` of Eq. 6.
     pub cost: SellerCostParams,
 }
@@ -53,10 +53,7 @@ impl SellerPopulation {
             .map(|_| {
                 let mu: f64 = rng.uniform_inclusive(0.0..=1.0);
                 SellerProfile {
-                    quality: QualityModel::TruncatedGaussian(TruncatedGaussian::new(
-                        mu,
-                        noise_sigma,
-                    )),
+                    quality: TruncatedGaussian::new(mu, noise_sigma),
                     cost: SellerCostParams {
                         a: rng.uniform_inclusive(0.1..=0.5),
                         b: rng.uniform_inclusive(0.1..=1.0),
@@ -127,11 +124,10 @@ impl SellerPopulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::BernoulliQuality;
 
-    fn bern(p: f64) -> SellerProfile {
+    fn seller(mu: f64) -> SellerProfile {
         SellerProfile {
-            quality: QualityModel::Bernoulli(BernoulliQuality::new(p)),
+            quality: TruncatedGaussian::new(mu, 0.1),
             cost: SellerCostParams { a: 0.2, b: 0.3 },
         }
     }
@@ -160,7 +156,7 @@ mod tests {
 
     #[test]
     fn ranking_orders_by_quality_desc() {
-        let pop = SellerPopulation::from_profiles(vec![bern(0.2), bern(0.9), bern(0.5)]);
+        let pop = SellerPopulation::from_profiles(vec![seller(0.2), seller(0.9), seller(0.5)]);
         assert_eq!(
             pop.ranking_by_true_quality(),
             vec![SellerId(1), SellerId(2), SellerId(0)]
@@ -169,7 +165,7 @@ mod tests {
 
     #[test]
     fn ranking_breaks_ties_by_id() {
-        let pop = SellerPopulation::from_profiles(vec![bern(0.5), bern(0.5), bern(0.5)]);
+        let pop = SellerPopulation::from_profiles(vec![seller(0.5), seller(0.5), seller(0.5)]);
         assert_eq!(
             pop.ranking_by_true_quality(),
             vec![SellerId(0), SellerId(1), SellerId(2)]
@@ -178,9 +174,10 @@ mod tests {
 
     #[test]
     fn expected_qualities_match_profiles() {
-        let pop = SellerPopulation::from_profiles(vec![bern(0.2), bern(0.7)]);
+        let pop = SellerPopulation::from_profiles(vec![seller(0.2), seller(0.7)]);
         let q = pop.expected_qualities();
-        assert_eq!(q, vec![0.2, 0.7]);
+        let means = [0.2, 0.7].map(|mu| TruncatedGaussian::new(mu, 0.1).mean());
+        assert_eq!(q, means);
     }
 
     #[test]

@@ -87,16 +87,18 @@ impl PolicySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdt_quality::{BernoulliQuality, SellerProfile};
+    use cdt_quality::{SellerProfile, TruncatedGaussian};
     use cdt_types::{SellerCostParams, SimRng};
+
+    fn quality(i: usize, m: usize) -> TruncatedGaussian {
+        TruncatedGaussian::new((i as f64 + 1.0) / (m as f64 + 1.0), 0.1)
+    }
 
     fn population(m: usize) -> SellerPopulation {
         SellerPopulation::from_profiles(
             (0..m)
                 .map(|i| SellerProfile {
-                    quality: cdt_quality::distribution::QualityModel::Bernoulli(
-                        BernoulliQuality::new((i as f64 + 1.0) / (m as f64 + 1.0)),
-                    ),
+                    quality: quality(i, m),
                     cost: SellerCostParams { a: 0.2, b: 0.3 },
                 })
                 .collect(),
@@ -138,7 +140,7 @@ mod tests {
         let pop = population(4);
         let p = PolicySpec::Optimal.build(4, 1, 10, &pop);
         // Highest quality is the last profile.
-        assert!((p.game_quality(cdt_types::SellerId(3)) - 0.8).abs() < 1e-12);
+        assert_eq!(p.game_quality(cdt_types::SellerId(3)), quality(3, 4).mean());
     }
 
     #[test]

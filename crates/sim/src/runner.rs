@@ -50,14 +50,6 @@ pub struct RunResult {
     pub checkpoints: Vec<Checkpoint>,
 }
 
-impl RunResult {
-    /// The checkpoint taken at exactly `rounds`, if any.
-    #[must_use]
-    pub fn checkpoint_at(&self, rounds: usize) -> Option<&Checkpoint> {
-        self.checkpoints.iter().find(|c| c.rounds == rounds)
-    }
-}
-
 /// Runs `spec` on `scenario` for the configured horizon with its own
 /// RNG stream derived from `seed`: the plain serial loop, never observed,
 /// and the oracle every pooled or observed run must match bit for bit.
@@ -241,7 +233,8 @@ mod tests {
     fn checkpoint_at_finds_snapshots() {
         let s = scenario(7);
         let r = run_policy(&s, PolicySpec::Random, 1, &[30]).unwrap();
-        assert!(r.checkpoint_at(30).is_some());
-        assert!(r.checkpoint_at(31).is_none());
+        let taken = |rounds| r.checkpoints.iter().any(|c| c.rounds == rounds);
+        assert!(taken(30));
+        assert!(!taken(31));
     }
 }

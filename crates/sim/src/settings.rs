@@ -44,20 +44,6 @@ impl SimSettings {
         }
     }
 
-    /// A reduced-scale variant for tests and CI (same shape, ~1000× less
-    /// work). The qualitative orderings the integration tests assert
-    /// (CMAB-HS ≈ optimal ≫ random, etc.) already hold at this scale.
-    #[must_use]
-    pub fn test_scale() -> Self {
-        Self {
-            n: 400,
-            m: 30,
-            k: 5,
-            l: 4,
-            ..Self::paper_defaults()
-        }
-    }
-
     /// The Table II sweep grid for the number of rounds `N`
     /// (×10³: 5, 40, 80, 100, 120, 160, 200).
     #[must_use]
@@ -75,12 +61,6 @@ impl SimSettings {
     #[must_use]
     pub fn k_grid() -> Vec<usize> {
         vec![10, 20, 30, 40, 50, 60]
-    }
-
-    /// The Table II sweep grid for the valuation parameter `ω`.
-    #[must_use]
-    pub fn omega_grid() -> Vec<f64> {
-        vec![600.0, 800.0, 1000.0, 1200.0, 1400.0]
     }
 
     /// Renders Table II itself (parameter name → values, defaults bold in
@@ -140,7 +120,6 @@ mod tests {
         assert_eq!(SimSettings::n_grid().len(), 7);
         assert_eq!(SimSettings::m_grid(), vec![50, 100, 150, 200, 250, 300]);
         assert_eq!(SimSettings::k_grid(), vec![10, 20, 30, 40, 50, 60]);
-        assert_eq!(SimSettings::omega_grid().len(), 5);
     }
 
     #[test]
@@ -149,7 +128,6 @@ mod tests {
         assert!(SimSettings::n_grid().contains(&s.n));
         assert!(SimSettings::m_grid().contains(&s.m));
         assert!(SimSettings::k_grid().contains(&s.k));
-        assert!(SimSettings::omega_grid().contains(&s.omega));
     }
 
     #[test]

@@ -28,16 +28,6 @@ pub fn extract_pois(records: &[TripRecord], l: usize) -> Vec<AreaId> {
     areas.into_iter().map(|(a, _)| a).collect()
 }
 
-/// Total visit count of one area (pickups + dropoffs).
-#[must_use]
-pub fn visit_count(records: &[TripRecord], area: AreaId) -> usize {
-    records.iter().filter(|r| r.touches(area)).count()
-        + records
-            .iter()
-            .filter(|r| r.pickup == area && r.dropoff == area)
-            .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

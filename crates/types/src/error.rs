@@ -132,15 +132,6 @@ pub fn require_non_negative(name: &'static str, value: f64) -> Result<f64> {
     }
 }
 
-/// Validates that `value` lies in `[0, 1]` (quality domain).
-pub fn require_unit_interval(name: &'static str, value: f64) -> Result<f64> {
-    if value.is_finite() && (0.0..=1.0).contains(&value) {
-        Ok(value)
-    } else {
-        Err(CdtError::invalid(name, value, "must lie in [0, 1]"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,15 +156,6 @@ mod tests {
     fn require_non_negative_accepts_zero() {
         assert_eq!(require_non_negative("b", 0.0).unwrap(), 0.0);
         assert!(require_non_negative("b", -0.1).is_err());
-    }
-
-    #[test]
-    fn require_unit_interval_bounds() {
-        assert!(require_unit_interval("q", 0.0).is_ok());
-        assert!(require_unit_interval("q", 1.0).is_ok());
-        assert!(require_unit_interval("q", 1.0001).is_err());
-        assert!(require_unit_interval("q", -0.0001).is_err());
-        assert!(require_unit_interval("q", f64::NAN).is_err());
     }
 
     #[test]

@@ -71,18 +71,6 @@ impl Round {
     }
 }
 
-/// Iterator over all seller ids `0..m`.
-#[must_use]
-pub fn all_sellers(m: usize) -> impl ExactSizeIterator<Item = SellerId> {
-    (0..m).map(SellerId)
-}
-
-/// Iterator over all PoI ids `0..l`.
-#[must_use]
-pub fn all_pois(l: usize) -> impl ExactSizeIterator<Item = PoiId> {
-    (0..l).map(PoiId)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,12 +101,5 @@ mod tests {
     fn ordering_follows_index() {
         assert!(SellerId(1) < SellerId(2));
         assert!(Round(9) < Round(10));
-    }
-
-    #[test]
-    fn iterators_cover_range() {
-        let sellers: Vec<_> = all_sellers(3).collect();
-        assert_eq!(sellers, vec![SellerId(0), SellerId(1), SellerId(2)]);
-        assert_eq!(all_pois(5).len(), 5);
     }
 }

@@ -43,43 +43,3 @@ pub use seed::mix_seed;
 /// Numerical tolerance used across the workspace when comparing `f64`
 /// quantities that result from closed-form algebra (profits, prices, times).
 pub const EPSILON: f64 = 1e-9;
-
-/// A looser tolerance for comparing closed-form results against iterative
-/// numeric maximizers (golden-section search terminates at ~1e-7 precision).
-pub const NUMERIC_TOLERANCE: f64 = 1e-4;
-
-/// Returns `true` when two floats agree within an absolute tolerance `tol`
-/// *or* a relative tolerance `tol` (whichever is more permissive). This is
-/// the comparison used by equilibrium cross-validation tests.
-#[must_use]
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    let diff = (a - b).abs();
-    if diff <= tol {
-        return true;
-    }
-    let scale = a.abs().max(b.abs());
-    diff <= tol * scale
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn approx_eq_absolute() {
-        assert!(approx_eq(1.0, 1.0 + 1e-10, 1e-9));
-        assert!(!approx_eq(1.0, 1.1, 1e-9));
-    }
-
-    #[test]
-    fn approx_eq_relative_for_large_values() {
-        // 1e12 vs 1e12 + 1 differ by 1 absolutely but 1e-12 relatively.
-        assert!(approx_eq(1e12, 1e12 + 1.0, 1e-9));
-    }
-
-    #[test]
-    fn approx_eq_zero_vs_tiny() {
-        assert!(approx_eq(0.0, 1e-12, 1e-9));
-        assert!(!approx_eq(0.0, 1e-3, 1e-9));
-    }
-}

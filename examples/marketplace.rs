@@ -1,64 +1,54 @@
 //! Marketplace: the consumer-facing view of the CDT system — what the
-//! platform actually *delivers* each round (the Def. 2 aggregation
-//! service) and how efficient the Stackelberg split is.
+//! platform actually *delivers* each round and how efficient the
+//! Stackelberg split is.
 //!
-//! Runs a short trading job, aggregates every round's observations into
-//! the statistics bundle, and closes with a welfare audit of the final
-//! round's equilibrium.
+//! Runs a short trading job, reports the mean quality of the readings each
+//! round delivered, and closes with a welfare audit of the final round's
+//! equilibrium.
 //!
 //! Run with:
 //! ```sh
 //! cargo run --release -p cdt-cli --example marketplace
 //! ```
 
-use cdt_aggregate::{aggregate_round, StreamingSummary};
-use cdt_bandit::{CmabUcbPolicy, SelectionPolicy};
-use cdt_core::{execute_round, Scenario};
+use cdt_bandit::SelectionPolicy;
+use cdt_core::{CmabHs, NullObserver, Scenario};
 use cdt_game::{solve_equilibrium, welfare_report, GameContext, SelectedSeller};
-use cdt_types::{PriceBounds, Round, SimRng};
+use cdt_types::{CdtError, PriceBounds, SimRng};
 
 fn main() -> cdt_types::Result<()> {
     let mut rng = SimRng::new(8);
     let scenario = Scenario::paper_defaults(40, 8, 6, 60, &mut rng)?;
     let observer = scenario.observer();
-    let mut policy = CmabUcbPolicy::new(40, 8);
+    let l = scenario.config.l();
+    let mut mechanism = CmabHs::new(scenario.config.clone())?;
 
     println!("=== CDT marketplace: 40 sellers, K = 8, L = 6, 60 rounds ===\n");
-    let mut job_summary = StreamingSummary::new();
-
-    for t in 0..scenario.config.n() {
-        let outcome = execute_round(&mut policy, &scenario.config, &observer, Round(t), &mut rng)?;
-        // The deliverable: aggregate a bundle over this round's data.
-        let obs = observer.observe_round(&outcome.selected, &mut rng);
-        let weights: Vec<f64> = outcome
-            .selected
-            .iter()
-            .map(|&id| policy.game_quality(id).max(1e-6))
-            .collect();
-        let bundle = aggregate_round(&obs, &weights);
-        job_summary.merge(&bundle.overall);
-
-        if t % 15 == 0 {
+    let mut readings = 0;
+    let ledger = mechanism.run(&observer, &mut rng, &mut NullObserver, |outcome| {
+        // The deliverable: one reading per selected seller and PoI, whose
+        // qualities sum to the round's observed revenue (Eq. 1).
+        let delivered = outcome.selection_size() * l;
+        readings += delivered;
+        if outcome.round.index() % 15 == 0 {
             println!(
-                "round {t:>2}: {} sellers, bundle mean {:.3} (weighted PoI-0 {:.3}), median {:.3}",
-                outcome.selected.len(),
-                bundle.overall.mean(),
-                bundle.per_poi[0].weighted_mean,
-                bundle.median().unwrap_or(0.0),
+                "round {:>2}: {} sellers, {delivered} readings, mean quality {:.3}",
+                outcome.round.index(),
+                outcome.selection_size(),
+                outcome.observed_revenue / delivered as f64,
             );
         }
-    }
+        Ok::<_, CdtError>(true)
+    })?;
 
     println!(
-        "\njob-level statistics delivered to the consumer:\n  {} readings, mean {:.3}, std {:.3}, range [{:.3}, {:.3}]",
-        job_summary.count(),
-        job_summary.mean(),
-        job_summary.std_dev(),
-        job_summary.min().unwrap_or(0.0),
-        job_summary.max().unwrap_or(0.0),
+        "\ndelivered to the consumer: {readings} readings over {} rounds, mean quality {:.3}",
+        ledger.rounds(),
+        ledger.total_observed_revenue() / readings as f64,
     );
 
     // --- Welfare audit of the final round's game. ---
+    let policy = mechanism.policy();
     let ranking = scenario.population.ranking_by_true_quality();
     let sellers: Vec<SelectedSeller> = ranking
         .iter()

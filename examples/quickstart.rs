@@ -11,7 +11,6 @@
 //! ```
 
 use cdt_core::prelude::*;
-use cdt_quality::distribution::QualityModel;
 use cdt_quality::{SellerProfile, TruncatedGaussian};
 use cdt_types::SimRng;
 
@@ -24,7 +23,7 @@ fn main() -> cdt_types::Result<()> {
         .enumerate()
         .map(|(i, &q)| {
             Ok(SellerProfile {
-                quality: QualityModel::TruncatedGaussian(TruncatedGaussian::new(q, 0.15)),
+                quality: TruncatedGaussian::new(q, 0.15),
                 cost: SellerCostParams::new(0.2 + 0.05 * i as f64, 0.3)?,
             })
         })

@@ -82,6 +82,28 @@ fn unwritable_outputs_fail_before_the_run() {
 }
 
 #[test]
+fn a_journal_in_a_missing_directory_fails_before_any_file_is_created() {
+    let dir = temp_path("missing-journal-dir");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir(&dir).unwrap();
+    let journal = "no-such-dir/j.jsonl";
+    let out = Command::new(env!("CARGO_BIN_EXE_cdt"))
+        .current_dir(&dir)
+        .args(["run", "--m", "6", "--k", "2", "--l", "2", "--n", "4"])
+        .args(["--journal", journal, "--json", "x.json"])
+        .output()
+        .expect("cdt runs");
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains(journal), "{}", stderr(&out));
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    assert!(left.is_empty(), "left behind: {left:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn repro_refuses_unknown_ids_and_retired_flags() {
     let out = cdt(&["repro", "--exp", "table2,nosuch"]);
     assert_eq!(out.status.code(), Some(2));
