@@ -116,6 +116,9 @@ cargo fmt --check
 echo "==> clippy"
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (no broken, ambiguous or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --no-deps --workspace
+
 echo "==> parallel sweep (same tables at 1 and 2 threads; a speedup on 2+ cores)"
 # The benchmark's sweep_k grid: 60 cell jobs on the pool. The tables are
 # a pure function of the per-job results, so any thread count prints the
@@ -239,6 +242,15 @@ set -e
 if [ "$status" -ne 2 ] || ! grep -q 'cannot write to stdout' /tmp/cdt_strict.txt \
     || grep -q panicked /tmp/cdt_strict.txt; then
     echo "ERROR: cdt game > /dev/full exited $status:" >&2
+    cat /tmp/cdt_strict.txt >&2
+    exit 1
+fi
+# At omega = 1e17 the welfare search's bracket is too wide for its 1e-9
+# tolerance to be reachable in f64: the golden-section search must still
+# end, and the welfare line print.
+if ! timeout 60 "$CDT" game --omega 1e17 > /tmp/cdt_strict.txt \
+    || ! grep -q '^  welfare: ' /tmp/cdt_strict.txt; then
+    echo "ERROR: cdt game --omega 1e17 did not end with its welfare line:" >&2
     cat /tmp/cdt_strict.txt >&2
     exit 1
 fi

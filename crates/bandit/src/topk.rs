@@ -3,7 +3,7 @@
 //! Step 7 of Algorithm 1 sorts sellers by UCB value and greedily takes the
 //! top `K`. Ties are broken by the lower seller id so that runs are
 //! reproducible regardless of the underlying sort's stability. One ranking
-//! routine, [`rank_candidates`], orders the selection for two candidate
+//! routine, `rank_candidates`, orders the selection for two candidate
 //! generators: the threshold pass of [`top_k_by_score_into`], which every
 //! policy can use, and the count buckets of `buckets::CountBuckets`, which
 //! CMAB-HS uses while `M ≫ K`.
@@ -28,7 +28,7 @@ pub fn top_k_by_score(scores: &[f64], k: usize) -> Vec<SellerId> {
 /// Allocation-free top-K: writes the `k` best seller ids into `out`, best
 /// first, reusing `scratch` as the candidate buffer.
 ///
-/// The order is [`rank`]'s: score descending, `NaN` as `−∞`, ties toward
+/// The order is `rank`'s: score descending, `NaN` as `−∞`, ties toward
 /// the smaller id. The kernel is exact but prunes before it ranks:
 ///
 /// 1. one pass computes the bound `τ`, the smallest of the maxima of `k`
@@ -36,7 +36,7 @@ pub fn top_k_by_score(scores: &[f64], k: usize) -> Vec<SellerId> {
 ///    `≥ τ`, so at least `k` arms do, and so does every top-`k` arm;
 /// 2. a second pass keeps the arms scoring `≥ τ` as candidates, or every
 ///    arm when `τ = −∞` (a block holding only `NaN`/`−∞`);
-/// 3. [`rank_candidates`] ranks the candidates only.
+/// 3. `rank_candidates` ranks the candidates only.
 ///
 /// Spread-out scores leave a few times `k` candidates (≈ 29 of 10⁴ UCB
 /// indices at `K = 10`), so the cost is two streaming passes over the `M`

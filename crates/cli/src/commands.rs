@@ -1010,19 +1010,16 @@ fn trade(
     rng: &mut SimRng,
     mut settle: impl FnMut(&RoundOutcome) -> bool,
 ) -> Result<TradingLedger, Failure> {
-    let mut mech = CmabHs::new(scenario.config.clone()).map_err(|e| e.to_string())?;
     let Some(JournalTarget { path, rotation }) = journal else {
-        return observed(&mut mech, scenario, rng, &cfg.obs, |o| {
-            Ok::<_, CdtError>(settle(o))
-        })
-        .map_err(|e| e.to_string().into());
+        return observed(scenario, rng, &cfg.obs, |o| Ok::<_, CdtError>(settle(o)))
+            .map_err(|e| e.to_string().into());
     };
     let mut sink = JournalSink::create_with(path, rotation, &cfg.obs).map_err(|e| e.to_string())?;
     sink.append(&MarketEvent::JobPublished {
         job: scenario.config.job.clone(),
     })
     .map_err(|e| e.to_string())?;
-    let ledger = observed(&mut mech, scenario, rng, &cfg.obs, |outcome| {
+    let ledger = observed(scenario, rng, &cfg.obs, |outcome| {
         if !settle(outcome) {
             return Ok(false);
         }
@@ -1045,21 +1042,31 @@ fn trade(
     Ok(ledger)
 }
 
-/// `mech.run` observed by the session's observer for the run, which is
-/// dropped when the run ends, or by [`NullObserver`] when the session is
-/// disabled.
+/// The paper's mechanism run on `scenario`, observed by the session's
+/// observer for the run, which is dropped when the run ends, or by
+/// [`NullObserver`] when the session is disabled; returns the ledger of
+/// the rounds `settle` settled.
 fn observed<E: From<CdtError>>(
-    mech: &mut CmabHs,
     scenario: &Scenario,
     rng: &mut SimRng,
     obs: &Session,
-    settle: impl FnMut(&RoundOutcome) -> Result<bool, E>,
+    mut settle: impl FnMut(&RoundOutcome) -> Result<bool, E>,
 ) -> Result<TradingLedger, E> {
+    let mut mech = CmabHs::new(scenario.config.clone());
     let observer = scenario.observer();
+    let mut ledger = TradingLedger::default();
+    let mut settle = |outcome: &RoundOutcome| -> Result<bool, E> {
+        let settled = settle(outcome)?;
+        if settled {
+            ledger.record(outcome);
+        }
+        Ok(settled)
+    };
     match obs.observer_for_run("cmab-hs") {
-        Some(mut pipeline) => mech.run(&observer, rng, &mut pipeline, settle),
-        None => mech.run(&observer, rng, &mut NullObserver, settle),
-    }
+        Some(mut pipeline) => mech.run(&observer, rng, &mut pipeline, |o, _| settle(o)),
+        None => mech.run(&observer, rng, &mut NullObserver, |o, _| settle(o)),
+    }?;
+    Ok(ledger)
 }
 
 /// The `--json` file of a summary ledger: its fields in serde_json's
@@ -1416,9 +1423,10 @@ mod tests {
         // Cap at half of what the same scenario spends uncapped, so the
         // cap binds mid-run whatever the random stream.
         let (scenario, mut rng, _) = scenario_from_flags(&flags("budget", &shape)).unwrap();
-        let uncapped = CmabHs::new(scenario.config.clone())
-            .unwrap()
-            .run(&scenario.observer(), &mut rng, &mut NullObserver, |_| {
+        let mut uncapped = TradingLedger::default();
+        CmabHs::new(scenario.config.clone())
+            .run(&scenario.observer(), &mut rng, &mut NullObserver, |o, _| {
+                uncapped.record(o);
                 Ok::<_, CdtError>(true)
             })
             .unwrap();

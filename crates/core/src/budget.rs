@@ -70,10 +70,11 @@ mod tests {
     /// Runs `s` with every round settled, returning the ledger and every
     /// outcome.
     fn accept_all(s: &Scenario, mut rng: SimRng) -> (TradingLedger, Vec<RoundOutcome>) {
+        let mut ledger = TradingLedger::default();
         let mut outcomes = Vec::new();
-        let ledger = CmabHs::new(s.config.clone())
-            .unwrap()
-            .run(&s.observer(), &mut rng, &mut NullObserver, |o| {
+        CmabHs::new(s.config.clone())
+            .run(&s.observer(), &mut rng, &mut NullObserver, |o, _| {
+                ledger.record(o);
                 outcomes.push(o.clone());
                 Ok::<_, CdtError>(true)
             })
@@ -88,12 +89,13 @@ mod tests {
         mut rng: SimRng,
         budget: &mut Budget,
     ) -> (TradingLedger, Vec<RoundOutcome>) {
+        let mut ledger = TradingLedger::default();
         let mut settled = Vec::new();
-        let ledger = CmabHs::new(s.config.clone())
-            .unwrap()
-            .run(&s.observer(), &mut rng, &mut NullObserver, |o| {
+        CmabHs::new(s.config.clone())
+            .run(&s.observer(), &mut rng, &mut NullObserver, |o, _| {
                 let admitted = budget.admit(o);
                 if admitted {
+                    ledger.record(o);
                     settled.push(o.clone());
                 }
                 Ok::<_, CdtError>(admitted)

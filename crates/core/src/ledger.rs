@@ -1,9 +1,11 @@
 //! The trading ledger: cumulative accounting of revenues, payments, and
 //! profits over the rounds a run settled.
 //!
-//! Long-horizon experiments run up to `N = 2·10⁵` rounds, so the ledger
-//! keeps totals only. A caller that wants every [`RoundOutcome`] collects
-//! it in the run's `settle` step (see [`crate::CmabHs::run`]).
+//! The trading loop ([`crate::CmabHs::run`]) keeps no accounts: its
+//! settle rule records each round it settles here. Long-horizon
+//! experiments run up to `N = 2·10⁵` rounds, so the ledger keeps totals
+//! only. A caller that wants every [`RoundOutcome`] collects it in the
+//! same settle rule.
 
 use crate::round::RoundOutcome;
 
@@ -23,13 +25,17 @@ impl TradingLedger {
     /// Records one settled round. Never clones: the trading loop hands in
     /// the same reused [`crate::RoundScratch`] outcome every round.
     pub fn record(&mut self, outcome: &RoundOutcome) {
+        let strategy = &outcome.strategy;
+        // Στ once for both payments: the bits of `consumer_payment()` and
+        // `seller_payment()`, which each sum it again.
+        let total_sensing_time = strategy.total_sensing_time();
         self.rounds += 1;
         self.total_observed_revenue += outcome.observed_revenue;
-        self.total_consumer_profit += outcome.strategy.profits.consumer;
-        self.total_platform_profit += outcome.strategy.profits.platform;
-        self.total_seller_profit += outcome.strategy.profits.total_seller();
-        self.total_consumer_payment += outcome.strategy.consumer_payment();
-        self.total_seller_payment += outcome.strategy.seller_payment();
+        self.total_consumer_profit += strategy.profits.consumer;
+        self.total_platform_profit += strategy.profits.platform;
+        self.total_seller_profit += strategy.profits.total_seller();
+        self.total_consumer_payment += strategy.service_price * total_sensing_time;
+        self.total_seller_payment += strategy.collection_price * total_sensing_time;
     }
 
     /// Number of recorded rounds.

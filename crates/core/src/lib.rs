@@ -12,10 +12,14 @@
 //! - incentive strategy: the three-stage hierarchical Stackelberg game
 //!   ([`cdt_game::solve_equilibrium`], Theorems 14–16 / step 11);
 //! - the initial exploration round (steps 2–5);
-//! - the trading loop ([`CmabHs::run`]): every round is stepped, then
-//!   settled by the caller's rule — every round for the paper's job, a
-//!   spend ceiling for a [`Budget`] — into a ledger of revenues, payments,
-//!   and profits.
+//! - the workspace's one trading loop ([`CmabHs::run`]): every round is
+//!   stepped through [`CmabHs::step`], the crate's one round entry point,
+//!   then settled by the caller's rule — every round for the paper's job,
+//!   a spend ceiling for a [`Budget`], regret and checkpoints for the
+//!   evaluation's policies — which records what it settles into a
+//!   [`TradingLedger`] of revenues, payments, and profits;
+//! - any selection policy in the same loop ([`CmabHs::with_policy`]), so
+//!   the baselines (ε-first, random, optimal) trade as CMAB-HS does.
 //!
 //! # Quickstart
 //!
@@ -27,11 +31,15 @@
 //! // round, L PoIs, N rounds.
 //! let mut rng = SimRng::new(42);
 //! let scenario = Scenario::paper_defaults(20, 5, 4, 50, &mut rng).unwrap();
-//! let mut mechanism = CmabHs::new(scenario.config.clone()).unwrap();
+//! let mut mechanism = CmabHs::new(scenario.config.clone());
 //! let observer = scenario.observer();
-//! // Settle every round: the paper's job of N rounds.
-//! let ledger = mechanism
-//!     .run(&observer, &mut rng, &mut NullObserver, |_| Ok::<_, CdtError>(true))
+//! // Settle every round into a ledger: the paper's job of N rounds.
+//! let mut ledger = TradingLedger::default();
+//! mechanism
+//!     .run(&observer, &mut rng, &mut NullObserver, |outcome, _| {
+//!         ledger.record(outcome);
+//!         Ok::<_, CdtError>(true)
+//!     })
 //!     .unwrap();
 //! assert_eq!(ledger.rounds(), 50);
 //! assert!(ledger.total_observed_revenue() > 0.0);
@@ -49,15 +57,12 @@ pub mod scenario;
 pub use budget::Budget;
 pub use ledger::TradingLedger;
 pub use mechanism::CmabHs;
-pub use round::{
-    execute_round, execute_round_into, execute_round_observed_into, RoundOutcome, RoundScratch,
-};
+pub use round::{RoundOutcome, RoundScratch};
 pub use scenario::Scenario;
 
 // Observability surface: downstream users implement `RoundObserver` (or use
-// the built-in recorder/pipeline observers) and pass it to `CmabHs::run`,
-// `CmabHs::step` or `execute_round_observed_into`; `NullObserver` is the
-// statically disabled default.
+// the built-in recorder/pipeline observers) and pass it to `CmabHs::run` or
+// `CmabHs::step`; `NullObserver` is the statically disabled default.
 pub use cdt_obs::{NullObserver, RecordingObserver, RoundObserver};
 
 /// Convenient re-exports for downstream users and examples.
@@ -65,7 +70,7 @@ pub mod prelude {
     pub use crate::budget::Budget;
     pub use crate::ledger::TradingLedger;
     pub use crate::mechanism::CmabHs;
-    pub use crate::round::{execute_round, execute_round_into, RoundOutcome, RoundScratch};
+    pub use crate::round::{RoundOutcome, RoundScratch};
     pub use crate::scenario::Scenario;
     pub use cdt_bandit::{
         CmabUcbPolicy, EpsilonFirstPolicy, OraclePolicy, RandomPolicy, SelectionPolicy,

@@ -1,42 +1,49 @@
 //! The CMAB-HS mechanism — Algorithm 1 of the paper, end to end.
 
-use crate::ledger::TradingLedger;
-use crate::round::{execute_round_observed_into, RoundOutcome, RoundScratch};
-use cdt_bandit::CmabUcbPolicy;
+use crate::round::{play_round, RoundOutcome, RoundScratch};
+use cdt_bandit::{CmabUcbPolicy, SelectionPolicy};
 use cdt_obs::RoundObserver;
 use cdt_quality::QualityObserver;
 use cdt_types::{CdtError, Result, Round, SimRng, SystemConfig};
 
 /// The CMAB-HS data trading mechanism.
 ///
-/// Owns the platform-side state — the extended-UCB selection policy and the
-/// round counter — and runs the trading loop of Algorithm 1 against a
-/// hidden environment ([`QualityObserver`]):
+/// Owns the platform-side state — the selection policy and the round
+/// counter — and runs the trading loop of Algorithm 1 against a hidden
+/// environment ([`QualityObserver`]):
 ///
 /// - **round 0**: select all `M` sellers at the fixed initial strategy
 ///   (`τ⁰`, `p_max`, break-even `p^J`), observe, learn;
-/// - **rounds 1..N**: select the top-`K` sellers by UCB, play the
-///   three-stage Stackelberg game for `⟨p^{J*}, p*, τ*⟩`, observe, learn.
+/// - **rounds 1..N**: select `K` sellers — the top `K` by UCB for the
+///   paper's policy — play the three-stage Stackelberg game for
+///   `⟨p^{J*}, p*, τ*⟩`, observe, learn.
+///
+/// [`CmabHs::new`] runs the paper's extended-UCB policy;
+/// [`CmabHs::with_policy`] runs the same loop with any other, so the
+/// evaluation's baselines trade exactly as CMAB-HS does.
 pub struct CmabHs {
     config: SystemConfig,
-    policy: CmabUcbPolicy,
+    policy: Box<dyn SelectionPolicy>,
     next_round: Round,
 }
 
 impl CmabHs {
-    /// Creates a mechanism for a validated system configuration.
-    ///
-    /// # Errors
-    /// Currently infallible for a validated [`SystemConfig`] but returns
-    /// `Result` to keep room for cross-validation of config against future
-    /// policy options.
-    pub fn new(config: SystemConfig) -> Result<Self> {
-        let policy = CmabUcbPolicy::new(config.m(), config.k());
-        Ok(Self {
+    /// The paper's mechanism for a validated system configuration: the
+    /// extended-UCB policy of Eq. 19 over its `M` sellers.
+    #[must_use]
+    pub fn new(config: SystemConfig) -> Self {
+        let policy = Box::new(CmabUcbPolicy::new(config.m(), config.k()));
+        Self::with_policy(config, policy)
+    }
+
+    /// The mechanism with `policy` selecting the sellers in place of UCB.
+    #[must_use]
+    pub fn with_policy(config: SystemConfig, policy: Box<dyn SelectionPolicy>) -> Self {
+        Self {
             config,
             policy,
             next_round: Round::FIRST,
-        })
+        }
     }
 
     /// The system configuration this mechanism runs.
@@ -51,10 +58,10 @@ impl CmabHs {
         self.next_round
     }
 
-    /// Read access to the mechanism's UCB policy (estimates, indices).
+    /// Read access to the mechanism's selection policy (estimates, indices).
     #[must_use]
-    pub fn policy(&self) -> &CmabUcbPolicy {
-        &self.policy
+    pub fn policy(&self) -> &dyn SelectionPolicy {
+        self.policy.as_ref()
     }
 
     /// `true` once all `N` configured rounds have run.
@@ -81,8 +88,8 @@ impl CmabHs {
         if self.is_finished() {
             return Err(CdtError::HorizonExhausted { n: self.config.n() });
         }
-        let outcome = execute_round_observed_into(
-            &mut self.policy,
+        let outcome = play_round(
+            self.policy.as_mut(),
             &self.config,
             observer,
             self.next_round,
@@ -95,16 +102,17 @@ impl CmabHs {
     }
 
     /// Runs the remaining rounds — Algorithm 1's loop, with each round
-    /// closed by a settlement (Fig. 2) — and returns the ledger of the
-    /// settled ones.
+    /// closed by a settlement (Fig. 2).
     ///
-    /// Each round is stepped (observed by `obs`) and handed to `settle`:
-    /// `Ok(true)` settles it into the ledger, `Ok(false)` refuses it and
-    /// ends the run, and an error ends the run with that error. The
+    /// Each round is stepped (observed by `obs`) and handed to `settle`
+    /// with the same observer: `Ok(true)` settles it, `Ok(false)` refuses
+    /// it and ends the run, and an error ends the run with that error. The
     /// refused round ran in full: the mechanism has learned from it, and
-    /// [`CmabHs::next_round`] is past it. A rule that settles every round
-    /// runs the paper's job of `N` rounds; a [`crate::Budget`] refuses the
-    /// first round it cannot pay for.
+    /// [`CmabHs::next_round`] is past it. The loop keeps no accounts; a
+    /// rule records what it settles, typically into a
+    /// [`crate::TradingLedger`]. A rule that settles every round runs the
+    /// paper's job of `N` rounds; a [`crate::Budget`] refuses the first
+    /// round it cannot pay for.
     ///
     /// # Errors
     /// Propagates the first round error, or the first error of `settle`.
@@ -113,18 +121,16 @@ impl CmabHs {
         observer: &QualityObserver,
         rng: &mut SimRng,
         obs: &mut O,
-        mut settle: impl FnMut(&RoundOutcome) -> std::result::Result<bool, E>,
-    ) -> std::result::Result<TradingLedger, E> {
-        let mut ledger = TradingLedger::default();
+        mut settle: impl FnMut(&RoundOutcome, &mut O) -> std::result::Result<bool, E>,
+    ) -> std::result::Result<(), E> {
         let mut scratch = RoundScratch::new();
         while !self.is_finished() {
             let outcome = self.step(observer, rng, &mut scratch, obs)?;
-            if !settle(outcome)? {
+            if !settle(outcome, obs)? {
                 break;
             }
-            ledger.record(outcome);
         }
-        Ok(ledger)
+        Ok(())
     }
 }
 
@@ -132,6 +138,7 @@ impl CmabHs {
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use crate::TradingLedger;
     use cdt_obs::NullObserver;
 
     fn scenario(m: usize, k: usize, l: usize, n: usize, seed: u64) -> (Scenario, SimRng) {
@@ -140,18 +147,21 @@ mod tests {
         (s, rng)
     }
 
-    /// Runs every remaining round, settling each.
+    /// Runs every remaining round, settling each into the ledger.
     fn run_all(mech: &mut CmabHs, s: &Scenario, rng: &mut SimRng) -> TradingLedger {
-        mech.run(&s.observer(), rng, &mut NullObserver, |_| {
+        let mut ledger = TradingLedger::default();
+        mech.run(&s.observer(), rng, &mut NullObserver, |o, _| {
+            ledger.record(o);
             Ok::<_, CdtError>(true)
         })
-        .unwrap()
+        .unwrap();
+        ledger
     }
 
     #[test]
     fn runs_the_configured_horizon() {
         let (s, mut rng) = scenario(10, 3, 4, 25, 1);
-        let mut mech = CmabHs::new(s.config.clone()).unwrap();
+        let mut mech = CmabHs::new(s.config.clone());
         let ledger = run_all(&mut mech, &s, &mut rng);
         assert_eq!(ledger.rounds(), 25);
         assert!(mech.is_finished());
@@ -160,7 +170,7 @@ mod tests {
     #[test]
     fn first_round_selects_all_then_k() {
         let (s, mut rng) = scenario(8, 2, 4, 5, 2);
-        let mut mech = CmabHs::new(s.config.clone()).unwrap();
+        let mut mech = CmabHs::new(s.config.clone());
         let obs = s.observer();
         let mut scratch = RoundScratch::new();
         let r0 = mech.step(&obs, &mut rng, &mut scratch, &mut NullObserver);
@@ -172,7 +182,7 @@ mod tests {
     #[test]
     fn stepping_past_horizon_errors() {
         let (s, mut rng) = scenario(5, 2, 3, 2, 3);
-        let mut mech = CmabHs::new(s.config.clone()).unwrap();
+        let mut mech = CmabHs::new(s.config.clone());
         run_all(&mut mech, &s, &mut rng);
         let mut scratch = RoundScratch::new();
         assert!(matches!(
@@ -185,7 +195,7 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let run = |seed| {
             let (s, mut rng) = scenario(10, 3, 4, 30, seed);
-            let mut mech = CmabHs::new(s.config.clone()).unwrap();
+            let mut mech = CmabHs::new(s.config.clone());
             let ledger = run_all(&mut mech, &s, &mut rng);
             (
                 ledger.total_observed_revenue(),
@@ -201,10 +211,10 @@ mod tests {
     #[test]
     fn settle_error_stops_the_run() {
         let (s, mut rng) = scenario(10, 3, 4, 30, 4);
-        let mut mech = CmabHs::new(s.config.clone()).unwrap();
+        let mut mech = CmabHs::new(s.config.clone());
         let mut seen = 0;
         let err = mech
-            .run(&s.observer(), &mut rng, &mut NullObserver, |o| {
+            .run(&s.observer(), &mut rng, &mut NullObserver, |o, _| {
                 seen += 1;
                 if o.round.index() == 3 {
                     return Err(CdtError::config("settlement failed"));
@@ -220,11 +230,10 @@ mod tests {
     #[test]
     fn mechanism_learns_qualities() {
         let (s, mut rng) = scenario(10, 3, 10, 400, 5);
-        let mut mech = CmabHs::new(s.config.clone()).unwrap();
+        let mut mech = CmabHs::new(s.config.clone());
         run_all(&mut mech, &s, &mut rng);
         // After 400 rounds the UCB estimates of the true top-K sellers
         // should be close to their true qualities.
-        use cdt_bandit::SelectionPolicy as _;
         let truth = s.population.expected_qualities();
         let ranking = s.population.ranking_by_true_quality();
         for &id in ranking.iter().take(3) {
@@ -240,7 +249,7 @@ mod tests {
     #[test]
     fn all_parties_profit_over_the_run() {
         let (s, mut rng) = scenario(12, 4, 5, 40, 6);
-        let mut mech = CmabHs::new(s.config.clone()).unwrap();
+        let mut mech = CmabHs::new(s.config.clone());
         let ledger = run_all(&mut mech, &s, &mut rng);
         assert!(ledger.total_consumer_profit() > 0.0);
         assert!(ledger.total_platform_profit() >= -1e-9);

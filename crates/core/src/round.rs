@@ -13,8 +13,7 @@ use cdt_game::{
     StackelbergSolution,
 };
 use cdt_obs::{
-    EquilibriumEvent, NullObserver, ObservationEvent, PhaseTimer, RoundEndEvent, RoundObserver,
-    SelectionEvent,
+    EquilibriumEvent, ObservationEvent, PhaseTimer, RoundEndEvent, RoundObserver, SelectionEvent,
 };
 use cdt_quality::{ObservationMatrix, QualityObserver};
 use cdt_types::{Result, Round, SellerId, SimRng, SystemConfig};
@@ -57,11 +56,11 @@ impl RoundOutcome {
 /// One round touches several growable buffers: the selection, the game
 /// context's seller columns, the observation matrix, and the equilibrium
 /// solution's sensing-time/profit vectors. A `RoundScratch` owns all of
-/// them so that [`execute_round_into`] runs allocation-free after the first
-/// round — essential when the evaluation loop executes `N = 10⁵` rounds per
-/// (policy × replication) cell. Every non-initial round solves the game
-/// afresh into the strategy buffer (Alg. 1 step 11); the closed forms of
-/// Thms 14–16 cost well under a microsecond at Table II.
+/// them so that [`crate::CmabHs::step`] runs allocation-free after the
+/// first round — essential when the evaluation loop executes `N = 10⁵`
+/// rounds per (policy × replication) cell. Every non-initial round solves
+/// the game afresh into the strategy buffer (Alg. 1 step 11); the closed
+/// forms of Thms 14–16 cost well under a microsecond at Table II.
 #[derive(Debug)]
 pub struct RoundScratch {
     outcome: RoundOutcome,
@@ -90,18 +89,6 @@ impl RoundScratch {
             scores: Vec::new(),
         }
     }
-
-    /// The outcome written by the most recent [`execute_round_into`] call.
-    #[must_use]
-    pub fn outcome(&self) -> &RoundOutcome {
-        &self.outcome
-    }
-
-    /// Consumes the scratch, handing out the last outcome.
-    #[must_use]
-    pub fn into_outcome(self) -> RoundOutcome {
-        self.outcome
-    }
 }
 
 impl Default for RoundScratch {
@@ -110,78 +97,34 @@ impl Default for RoundScratch {
     }
 }
 
-/// Executes one complete round against a hidden environment:
+/// Executes one complete round against a hidden environment, writing it
+/// into `scratch`:
 ///
 /// 1. the policy selects sellers (Alg. 1 steps 2–3 / 7–10);
 /// 2. the incentive strategy is determined — the fixed initial-round
 ///    profile in round 0 (steps 3–4), the Stackelberg equilibrium
 ///    otherwise (step 11);
 /// 3. the selected sellers collect data at all `L` PoIs
-///    ([`QualityObserver::observe_round`]);
+///    ([`QualityObserver::observe_round_into`]);
 /// 4. the policy learns from the observations (steps 5 / 12).
 ///
-/// This free function is policy-generic so the evaluation engine can run
-/// baselines (ε-first, random, optimal) through the *identical* trading
-/// loop; [`crate::CmabHs`] wraps it with the paper's UCB policy.
+/// The body is policy-generic, so the evaluation's baselines (ε-first,
+/// random, optimal) trade through the *identical* loop; its one caller is
+/// [`crate::CmabHs::step`].
+///
+/// Emits structured events to `obs` and measures per-phase wall clock
+/// (selection / solve / observe). Statically dispatched: with
+/// [`cdt_obs::NullObserver`] (whose [`RoundObserver::ENABLED`] is `false`)
+/// every event construction and every clock read compiles away, leaving
+/// exactly the uninstrumented hot path. Observer hooks run *between*
+/// phases and the timer re-arms after each one, so hook time never
+/// pollutes phase measurements — and because observers are passive (no
+/// RNG access), results are bit-identical with any observer attached.
 ///
 /// # Errors
 /// Propagates [`cdt_types::CdtError`] from game-context construction
 /// (e.g. an empty selection).
-pub fn execute_round(
-    policy: &mut dyn SelectionPolicy,
-    config: &SystemConfig,
-    observer: &QualityObserver,
-    round: Round,
-    rng: &mut SimRng,
-) -> Result<RoundOutcome> {
-    let mut scratch = RoundScratch::new();
-    execute_round_into(policy, config, observer, round, rng, &mut scratch)?;
-    Ok(scratch.into_outcome())
-}
-
-/// As [`execute_round`], but writes into `scratch`, reusing its buffers.
-///
-/// Draws from the RNG in exactly the same order and produces exactly the
-/// same [`RoundOutcome`] as [`execute_round`]; after the first call on a
-/// given `scratch` the round runs without heap allocation.
-///
-/// # Errors
-/// Propagates [`cdt_types::CdtError`] from game-context construction
-/// (e.g. an empty selection).
-pub fn execute_round_into<'a>(
-    policy: &mut dyn SelectionPolicy,
-    config: &SystemConfig,
-    observer: &QualityObserver,
-    round: Round,
-    rng: &mut SimRng,
-    scratch: &'a mut RoundScratch,
-) -> Result<&'a RoundOutcome> {
-    execute_round_observed_into(
-        policy,
-        config,
-        observer,
-        round,
-        rng,
-        scratch,
-        &mut NullObserver,
-    )
-}
-
-/// As [`execute_round_into`], but emits structured events to `obs` and
-/// measures per-phase wall clock (selection / solve / observe).
-///
-/// Statically dispatched: with [`NullObserver`] (whose
-/// [`RoundObserver::ENABLED`] is `false`) every event construction and
-/// every clock read compiles away, leaving exactly the uninstrumented hot
-/// path. Observer hooks run *between* phases and the timer re-arms after
-/// each one, so hook time never pollutes phase measurements — and because
-/// observers are passive (no RNG access), results are bit-identical with
-/// any observer attached.
-///
-/// # Errors
-/// Propagates [`cdt_types::CdtError`] from game-context construction
-/// (e.g. an empty selection).
-pub fn execute_round_observed_into<'a, O: RoundObserver>(
+pub(crate) fn play_round<'a, O: RoundObserver>(
     policy: &mut dyn SelectionPolicy,
     config: &SystemConfig,
     observer: &QualityObserver,
@@ -302,6 +245,7 @@ pub fn execute_round_observed_into<'a, O: RoundObserver>(
 mod tests {
     use super::*;
     use cdt_bandit::{CmabUcbPolicy, RandomPolicy};
+    use cdt_obs::NullObserver;
     use cdt_quality::{QualityObserver, SellerPopulation, SellerProfile, TruncatedGaussian};
     use cdt_types::{JobSpec, SellerCostParams};
 
@@ -323,12 +267,35 @@ mod tests {
         (config, QualityObserver::new(pop, l))
     }
 
+    /// Plays `round` unobserved on a fresh scratch, so its game context
+    /// is constructed (and validated) from scratch.
+    fn play(
+        policy: &mut dyn SelectionPolicy,
+        config: &SystemConfig,
+        observer: &QualityObserver,
+        round: Round,
+        rng: &mut SimRng,
+    ) -> RoundOutcome {
+        let mut scratch = RoundScratch::new();
+        play_round(
+            policy,
+            config,
+            observer,
+            round,
+            rng,
+            &mut scratch,
+            &mut NullObserver,
+        )
+        .unwrap()
+        .clone()
+    }
+
     #[test]
     fn initial_round_selects_all_and_breaks_even() {
         let (config, observer) = setup(6, 2, 4);
         let mut policy = CmabUcbPolicy::new(6, 2);
         let mut rng = SimRng::new(1);
-        let out = execute_round(&mut policy, &config, &observer, Round(0), &mut rng).unwrap();
+        let out = play(&mut policy, &config, &observer, Round(0), &mut rng);
         assert_eq!(out.selection_size(), 6);
         assert_eq!(out.strategy.collection_price, 5.0);
         assert!(out.strategy.profits.platform.abs() < 1e-9);
@@ -341,8 +308,8 @@ mod tests {
         let (config, observer) = setup(6, 2, 4);
         let mut policy = CmabUcbPolicy::new(6, 2);
         let mut rng = SimRng::new(2);
-        execute_round(&mut policy, &config, &observer, Round(0), &mut rng).unwrap();
-        let out = execute_round(&mut policy, &config, &observer, Round(1), &mut rng).unwrap();
+        play(&mut policy, &config, &observer, Round(0), &mut rng);
+        let out = play(&mut policy, &config, &observer, Round(1), &mut rng);
         assert_eq!(out.selection_size(), 2);
         assert!(out.strategy.service_price > out.strategy.collection_price);
         assert!(out.strategy.profits.consumer > 0.0);
@@ -354,39 +321,9 @@ mod tests {
         let mut policy = RandomPolicy::new(5, 3);
         let mut rng = SimRng::new(3);
         for t in 0..10 {
-            let out = execute_round(&mut policy, &config, &observer, Round(t), &mut rng).unwrap();
+            let out = play(&mut policy, &config, &observer, Round(t), &mut rng);
             let max = (out.selection_size() * 4) as f64; // K sellers × L PoIs × q ≤ 1
             assert!(out.observed_revenue >= 0.0 && out.observed_revenue <= max);
-        }
-    }
-
-    #[test]
-    fn execute_round_into_matches_execute_round() {
-        let (config, observer) = setup(6, 2, 4);
-        let mut owned_policy = CmabUcbPolicy::new(6, 2);
-        let mut owned_rng = SimRng::new(9);
-        let mut reused_policy = CmabUcbPolicy::new(6, 2);
-        let mut reused_rng = SimRng::new(9);
-        let mut scratch = RoundScratch::new();
-        for t in 0..5 {
-            let owned = execute_round(
-                &mut owned_policy,
-                &config,
-                &observer,
-                Round(t),
-                &mut owned_rng,
-            )
-            .unwrap();
-            let reused = execute_round_into(
-                &mut reused_policy,
-                &config,
-                &observer,
-                Round(t),
-                &mut reused_rng,
-                &mut scratch,
-            )
-            .unwrap();
-            assert_eq!(&owned, reused, "round {t} diverged");
         }
     }
 
@@ -402,17 +339,18 @@ mod tests {
         let mut obs_scratch = RoundScratch::new();
         let mut recorder = RecordingObserver::new("unit");
         for t in 0..4 {
-            let plain = execute_round_into(
+            let plain = play_round(
                 &mut plain_policy,
                 &config,
                 &observer,
                 Round(t),
                 &mut plain_rng,
                 &mut plain_scratch,
+                &mut NullObserver,
             )
             .unwrap()
             .clone();
-            let observed = execute_round_observed_into(
+            let observed = play_round(
                 &mut obs_policy,
                 &config,
                 &observer,
@@ -457,26 +395,24 @@ mod tests {
         for t in 0..8 {
             // The reused scratch refills its game context in place every
             // round after the first.
-            let reused = execute_round_into(
+            let reused = play_round(
                 &mut reused_policy,
                 &config,
                 &observer,
                 Round(t),
                 &mut reused_rng,
                 &mut scratch,
+                &mut NullObserver,
             )
             .unwrap()
             .clone();
-            // execute_round builds a one-shot scratch, so its context is
-            // constructed (and validated) from scratch every round.
-            let fresh = execute_round(
+            let fresh = play(
                 &mut fresh_policy,
                 &config,
                 &observer,
                 Round(t),
                 &mut fresh_rng,
-            )
-            .unwrap();
+            );
             assert_eq!(reused, fresh, "round {t} diverged with a reused scratch");
         }
     }
@@ -486,8 +422,7 @@ mod tests {
         let (config, observer) = setup(4, 2, 8);
         let mut policy = CmabUcbPolicy::new(4, 2);
         let mut rng = SimRng::new(4);
-        execute_round(&mut policy, &config, &observer, Round(0), &mut rng).unwrap();
-        use cdt_bandit::SelectionPolicy as _;
+        play(&mut policy, &config, &observer, Round(0), &mut rng);
         assert_eq!(policy.estimator().total_count(), 4 * 8);
     }
 }

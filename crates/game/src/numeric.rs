@@ -46,7 +46,10 @@ pub fn golden_section_max<F: FnMut(f64) -> f64>(mut f: F, lo: f64, hi: f64, tol:
     let mut fc = f(c);
     let mut fd = f(d);
 
-    while b - a > tol {
+    // Ends at `tol`, or once an iteration fails to shrink the bracket: a
+    // `tol` below the float spacing of `[a, b]` is never reached.
+    let mut width = b - a;
+    while width > tol {
         if fc > fd {
             b = d;
             d = c;
@@ -60,6 +63,10 @@ pub fn golden_section_max<F: FnMut(f64) -> f64>(mut f: F, lo: f64, hi: f64, tol:
             d = a + INV_PHI * (b - a);
             fd = f(d);
         }
+        if b - a >= width {
+            break;
+        }
+        width = b - a;
     }
     let argmax = 0.5 * (a + b);
     Maximum {
@@ -147,6 +154,24 @@ mod tests {
         let m = grid_then_golden(f, 0.0, 5.0, 501, 1e-10);
         assert!((m.argmax - 4.0).abs() < 1e-4, "argmax {}", m.argmax);
         assert!((m.value - 2.0).abs() < 1e-6);
+    }
+
+    /// A `tol` below the float spacing of the bracket (1e-9 at 1e20) ends
+    /// the search where it stops shrinking instead of looping forever.
+    #[test]
+    fn stops_once_the_bracket_cannot_shrink() {
+        let mut evaluations = 0;
+        let m = golden_section_max(
+            |x| {
+                evaluations += 1;
+                assert!(evaluations < 10_000, "the search does not end");
+                -(x - 7e19).abs()
+            },
+            0.0,
+            1e20,
+            1e-9,
+        );
+        assert!((m.argmax / 7e19 - 1.0).abs() < 1e-12, "{}", m.argmax);
     }
 
     #[test]

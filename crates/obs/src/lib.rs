@@ -27,7 +27,7 @@
 //! sink, metrics registry, trace id, warn-once set and watchdog. Evaluation
 //! jobs ask [`Session::observer_for_run`] for a per-run observer and hand
 //! it to the instrumented engine entry points
-//! (`execute_round_observed_into`, `run_policy_observed`). A disabled
+//! (`CmabHs::run`, `run_policy_observed`). A disabled
 //! session (the default) keeps everything on the null path.
 
 pub mod analyze;

@@ -932,14 +932,14 @@ mod tests {
         let [m, k, l, n] = shape;
         let mut rng = SimRng::new(seed);
         let scenario = Scenario::paper_defaults(m, k, l, n, &mut rng).unwrap();
-        let mut mech = CmabHs::new(scenario.config.clone()).unwrap();
+        let mut mech = CmabHs::new(scenario.config.clone());
         let mut sink = JournalSink::create(path).unwrap();
         sink.append(&MarketEvent::JobPublished {
             job: scenario.config.job.clone(),
         })
         .unwrap();
         let mut outcomes = Vec::new();
-        mech.run(&scenario.observer(), &mut rng, &mut NullObserver, |o| {
+        mech.run(&scenario.observer(), &mut rng, &mut NullObserver, |o, _| {
             outcomes.push(o.clone());
             sink.append_round(o)?;
             Ok::<_, Box<dyn std::error::Error>>(true)

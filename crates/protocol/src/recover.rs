@@ -3,7 +3,7 @@
 //! A journal's history is a sequence of sources, fed in order: one file,
 //! or a checkpoint and then the indexed segments, the sealed segments the
 //! index never recorded and the active partial (see [`crate::segment`]).
-//! [`Replay`] decodes each line, applies it to the [`ProtocolState`],
+//! `Replay` decodes each line, applies it to the [`crate::ProtocolState`],
 //! collects the settlement rows and remembers the last *settlement
 //! boundary* — after `JobPublished`, after any `PaymentsSettled`, or
 //! after `JobCompleted`. A strict reader turns its first stop into an

@@ -7,7 +7,7 @@
 //! can learn from — the platform never touches the population directly.
 
 use crate::population::SellerPopulation;
-use cdt_types::{PoiId, SellerId, SimRng};
+use cdt_types::{SellerId, SimRng};
 
 /// The observations of one round: for each selected seller, one quality per
 /// PoI.
@@ -98,12 +98,6 @@ impl ObservationMatrix {
     #[must_use]
     pub fn row(&self, s: usize) -> &[f64] {
         &self.values[s * self.l..(s + 1) * self.l]
-    }
-
-    /// Observation of seller-row `s` at PoI `l`.
-    #[must_use]
-    pub fn get(&self, s: usize, l: PoiId) -> f64 {
-        self.values[s * self.l + l.index()]
     }
 
     /// Sum of one seller-row: `Σ_l q_{i,l}^t`, the quantity added to the
@@ -245,7 +239,7 @@ mod tests {
     #[test]
     fn get_indexes_by_poi() {
         let m = ObservationMatrix::new(vec![SellerId(7)], vec![vec![0.1, 0.2, 0.3]]);
-        assert_eq!(m.get(0, PoiId(1)), 0.2);
+        assert_eq!(m.row(0)[1], 0.2);
         assert!((m.row_sum(0) - 0.6).abs() < 1e-12);
     }
 

@@ -6,7 +6,8 @@
 //! [`run_cells`], which fans the jobs out one-per-job over
 //! [`crate::parallel::try_parallel_map`]. Every job keeps its own
 //! seed-derived RNG stream, asks the configuration's session for its run's
-//! observer and runs the serial round loop, and results return in job
+//! observer and runs the mechanism's one trading loop through
+//! [`crate::run_policy`], and results return in job
 //! order — so the output is bit-for-bit the serial path at any thread
 //! count, observed or not.
 //!

@@ -1,7 +1,7 @@
 //! Deterministic parallel job execution for the evaluation engine.
 //!
 //! Every evaluation workload in this crate is a grid of independent jobs —
-//! (replication × policy) cells in [`crate::replicate`], one job per policy
+//! (replication × policy) cells in [`crate::replicate()`], one job per policy
 //! in [`crate::compare_policies`], one per sweep point in `experiments/*` —
 //! and every job owns its RNG stream via a `u64` seed. That makes
 //! parallelism *trivially deterministic*: the jobs are computed in any

@@ -1,13 +1,14 @@
-//! Runs one policy through the full trading loop against a scenario,
-//! with checkpointed metric series. [`run_policy`] is the unobserved
-//! serial oracle; pool jobs ([`crate::run_cells`]) call
+//! Runs one policy through the mechanism's trading loop
+//! ([`cdt_core::CmabHs::run`], the loop `cdt run` runs) against a
+//! scenario, with checkpointed metric series. [`run_policy`] is the
+//! unobserved serial oracle; pool jobs ([`crate::run_cells`]) call
 //! [`run_policy_observed`] with their session's observer.
 
 use crate::policy_spec::PolicySpec;
 use cdt_bandit::RegretAccountant;
-use cdt_core::{execute_round_observed_into, NullObserver, RoundObserver, RoundScratch, Scenario};
+use cdt_core::{CmabHs, NullObserver, RoundObserver, Scenario, TradingLedger};
 use cdt_obs::PhaseTimer;
-use cdt_types::{Result, Round, SimRng};
+use cdt_types::{CdtError, Result, SimRng};
 
 /// A snapshot of the cumulative metrics after a given number of rounds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,8 +74,11 @@ pub fn run_policy(
 /// As [`run_policy`], but emits structured round events (including the
 /// `regret` hook with [account-phase] timing) to `obs`.
 ///
-/// Observers are passive: for any observer this returns the exact
-/// [`RunResult`] of [`run_policy`], bit for bit.
+/// The run is [`CmabHs::with_policy`]'s loop. Its settle rule settles
+/// every round: it records the round into a [`TradingLedger`] and the
+/// regret accountant, takes the due checkpoints, and reports the regret
+/// with the time that work took. Observers are passive: for any observer
+/// this returns the exact [`RunResult`] of [`run_policy`], bit for bit.
 ///
 /// [account-phase]: cdt_obs::Phase::Account
 ///
@@ -89,68 +93,53 @@ pub fn run_policy_observed<O: RoundObserver>(
 ) -> Result<RunResult> {
     let config = &scenario.config;
     let (m, k, n) = (config.m(), config.k(), config.n());
-    let mut policy = spec.build(m, k, n, &scenario.population);
-    let observer = scenario.observer();
-    let mut rng = SimRng::new(seed);
-
+    let policy = spec.build(m, k, n, &scenario.population);
     let mut accountant =
         RegretAccountant::new(scenario.population.expected_qualities(), k, config.l());
-    let mut consumer_profit = 0.0;
-    let mut platform_profit = 0.0;
-    let mut seller_profit = 0.0;
-    let mut observed_revenue = 0.0;
+    let mut ledger = TradingLedger::default();
     let mut snapshots = Vec::with_capacity(checkpoints.len() + 1);
     let mut next_checkpoint = 0usize;
 
-    // One scratch per run: its buffers reach their working size in the
-    // first rounds, and every later round runs allocation-free.
-    let mut scratch = RoundScratch::new();
-    for t in 0..n {
-        let outcome = execute_round_observed_into(
-            policy.as_mut(),
-            config,
-            &observer,
-            Round(t),
-            &mut rng,
-            &mut scratch,
-            obs,
-        )?;
-        let mut timer = PhaseTimer::start(O::ENABLED);
-        accountant.record(&outcome.selected);
-        consumer_profit += outcome.strategy.profits.consumer;
-        platform_profit += outcome.strategy.profits.platform;
-        seller_profit += outcome.strategy.profits.total_seller();
-        observed_revenue += outcome.observed_revenue;
+    CmabHs::with_policy(config.clone(), policy).run(
+        &scenario.observer(),
+        &mut SimRng::new(seed),
+        obs,
+        |outcome, obs| {
+            let mut timer = PhaseTimer::start(O::ENABLED);
+            accountant.record(&outcome.selected);
+            ledger.record(outcome);
 
-        let done = t + 1;
-        let due = next_checkpoint < checkpoints.len() && checkpoints[next_checkpoint] == done;
-        if due || done == n {
-            snapshots.push(Checkpoint {
-                rounds: done,
-                expected_revenue: accountant.expected_revenue(),
-                regret: accountant.regret(),
-                consumer_profit,
-                platform_profit,
-                seller_profit,
-            });
-            while next_checkpoint < checkpoints.len() && checkpoints[next_checkpoint] <= done {
-                next_checkpoint += 1;
+            let done = ledger.rounds();
+            let due = next_checkpoint < checkpoints.len() && checkpoints[next_checkpoint] == done;
+            if due || done == n {
+                snapshots.push(Checkpoint {
+                    rounds: done,
+                    expected_revenue: accountant.expected_revenue(),
+                    regret: accountant.regret(),
+                    consumer_profit: ledger.total_consumer_profit(),
+                    platform_profit: ledger.total_platform_profit(),
+                    seller_profit: ledger.total_seller_profit(),
+                });
+                while next_checkpoint < checkpoints.len() && checkpoints[next_checkpoint] <= done {
+                    next_checkpoint += 1;
+                }
             }
-        }
-        if O::ENABLED {
-            obs.regret(Round(t), accountant.regret(), timer.lap());
-        }
-    }
+            if O::ENABLED {
+                obs.regret(outcome.round, accountant.regret(), timer.lap());
+            }
+            Ok::<_, CdtError>(true)
+        },
+    )?;
 
     Ok(RunResult {
         name: spec.label(),
         rounds: n,
-        observed_revenue,
+        observed_revenue: ledger.total_observed_revenue(),
         expected_revenue: accountant.expected_revenue(),
         regret: accountant.regret(),
-        mean_consumer_profit: consumer_profit / n as f64,
-        mean_platform_profit: platform_profit / n as f64,
-        mean_seller_profit: seller_profit / (n as f64 * k as f64),
+        mean_consumer_profit: ledger.total_consumer_profit() / n as f64,
+        mean_platform_profit: ledger.total_platform_profit() / n as f64,
+        mean_seller_profit: ledger.total_seller_profit() / (n as f64 * k as f64),
         checkpoints: snapshots,
     })
 }
@@ -227,6 +216,40 @@ mod tests {
         // 6 events per round: start, selection, equilibrium, observation,
         // round_end, regret.
         assert_eq!(rec.records.len(), plain.rounds * 6);
+    }
+
+    /// `cdt compare`'s CMAB-HS run and `cdt run`'s are one loop: on the
+    /// same scenario and seed, the runner's result is the ledger of the
+    /// paper's mechanism, bit for bit.
+    #[test]
+    fn compare_and_run_share_one_loop() {
+        let s = scenario(9);
+        let seed = 17;
+        let result = run_policy(&s, PolicySpec::CmabHs, seed, &[]).unwrap();
+        let mut ledger = TradingLedger::default();
+        CmabHs::new(s.config.clone())
+            .run(
+                &s.observer(),
+                &mut SimRng::new(seed),
+                &mut NullObserver,
+                |o, _| {
+                    ledger.record(o);
+                    Ok::<_, CdtError>(true)
+                },
+            )
+            .unwrap();
+        // PoS per seller: the total over N·K, as `RunResult` computes it.
+        let per_seller =
+            ledger.total_seller_profit() / (ledger.rounds() as f64 * s.config.k() as f64);
+        assert_eq!(result.rounds, ledger.rounds());
+        for (runner, mechanism) in [
+            (result.observed_revenue, ledger.total_observed_revenue()),
+            (result.mean_consumer_profit, ledger.mean_consumer_profit()),
+            (result.mean_platform_profit, ledger.mean_platform_profit()),
+            (result.mean_seller_profit, per_seller),
+        ] {
+            assert_eq!(runner.to_bits(), mechanism.to_bits());
+        }
     }
 
     #[test]

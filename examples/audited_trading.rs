@@ -14,7 +14,7 @@ use cdt_types::SimRng;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = SimRng::new(99);
     let scenario = Scenario::paper_defaults(20, 5, 4, 25, &mut rng)?;
-    let mut mech = CmabHs::new(scenario.config.clone())?;
+    let mut mech = CmabHs::new(scenario.config.clone());
 
     // --- 1. Trade, journaling every round as it settles. ---
     let path = std::env::temp_dir().join(format!("cdt-audited-{}.jsonl", std::process::id()));
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &scenario.observer(),
         &mut rng,
         &mut NullObserver,
-        |outcome| {
+        |outcome, _| {
             sink.append_round(outcome)?;
             Ok::<_, Box<dyn std::error::Error>>(true)
         },

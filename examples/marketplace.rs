@@ -11,8 +11,7 @@
 //! cargo run --release -p cdt-cli --example marketplace
 //! ```
 
-use cdt_bandit::SelectionPolicy;
-use cdt_core::{CmabHs, NullObserver, Scenario};
+use cdt_core::{CmabHs, NullObserver, Scenario, TradingLedger};
 use cdt_game::{solve_equilibrium, welfare_report, GameContext, SelectedSeller};
 use cdt_types::{CdtError, PriceBounds, SimRng};
 
@@ -21,11 +20,13 @@ fn main() -> cdt_types::Result<()> {
     let scenario = Scenario::paper_defaults(40, 8, 6, 60, &mut rng)?;
     let observer = scenario.observer();
     let l = scenario.config.l();
-    let mut mechanism = CmabHs::new(scenario.config.clone())?;
+    let mut mechanism = CmabHs::new(scenario.config.clone());
 
     println!("=== CDT marketplace: 40 sellers, K = 8, L = 6, 60 rounds ===\n");
     let mut readings = 0;
-    let ledger = mechanism.run(&observer, &mut rng, &mut NullObserver, |outcome| {
+    let mut ledger = TradingLedger::default();
+    mechanism.run(&observer, &mut rng, &mut NullObserver, |outcome, _| {
+        ledger.record(outcome);
         // The deliverable: one reading per selected seller and PoI, whose
         // qualities sum to the round's observed revenue (Eq. 1).
         let delivered = outcome.selection_size() * l;

@@ -41,7 +41,7 @@ fn main() -> cdt_types::Result<()> {
         .build()?;
 
     let observer = QualityObserver::new(population.clone(), config.l());
-    let mut mechanism = CmabHs::new(config)?;
+    let mut mechanism = CmabHs::new(config);
     let mut rng = SimRng::new(2021);
 
     println!("=== CMAB-HS quickstart: 3 sellers, 4 PoIs, 10 rounds, K = 2 ===\n");
@@ -49,7 +49,7 @@ fn main() -> cdt_types::Result<()> {
 
     // Algorithm 1's loop; every round settles, and each is printed as it
     // does.
-    mechanism.run(&observer, &mut rng, &mut NullObserver, |outcome| {
+    mechanism.run(&observer, &mut rng, &mut NullObserver, |outcome, _| {
         let sel: Vec<String> = outcome.selected.iter().map(ToString::to_string).collect();
         let taus: Vec<String> = outcome
             .strategy

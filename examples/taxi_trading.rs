@@ -46,8 +46,10 @@ fn main() -> cdt_types::Result<()> {
 
     // --- 3. Trade. ---
     let observer = scenario.observer();
-    let mut mechanism = CmabHs::new(scenario.config.clone())?;
-    let ledger = mechanism.run(&observer, &mut rng, &mut NullObserver, |_| {
+    let mut mechanism = CmabHs::new(scenario.config.clone());
+    let mut ledger = TradingLedger::default();
+    mechanism.run(&observer, &mut rng, &mut NullObserver, |outcome, _| {
+        ledger.record(outcome);
         Ok::<_, CdtError>(true)
     })?;
 

@@ -134,13 +134,13 @@ fn mechanism_rounds_play_equilibria() {
     // verify Def. 13 on each exploitation round.
     let mut rng = SimRng::new(11);
     let scenario = Scenario::paper_defaults(10, 3, 4, 12, &mut rng).unwrap();
-    let mut mech = cdt_core::CmabHs::new(scenario.config.clone()).unwrap();
+    let mut mech = cdt_core::CmabHs::new(scenario.config.clone());
     let mut outcomes = Vec::new();
     mech.run(
         &scenario.observer(),
         &mut rng,
         &mut cdt_core::NullObserver,
-        |o| {
+        |o, _| {
             outcomes.push(o.clone());
             Ok::<_, cdt_types::CdtError>(true)
         },

@@ -37,12 +37,14 @@ fn temp_path(name: &str) -> std::path::PathBuf {
 
 /// Runs `s` with every round settled and nothing journaled.
 fn plain_run(s: &Scenario, rng: &mut SimRng) -> TradingLedger {
+    let mut ledger = TradingLedger::default();
     CmabHs::new(s.config.clone())
-        .unwrap()
-        .run(&s.observer(), rng, &mut NullObserver, |_| {
+        .run(&s.observer(), rng, &mut NullObserver, |o, _| {
+            ledger.record(o);
             Ok::<_, CdtError>(true)
         })
-        .unwrap()
+        .unwrap();
+    ledger
 }
 
 /// Runs `s` as `cdt run` and `cdt budget` do: the journal at `path`
@@ -57,24 +59,26 @@ fn journaled_run(
     session: &Session,
     mut admit: impl FnMut(&RoundOutcome) -> bool,
 ) -> (TradingLedger, JournalReport, Vec<RoundOutcome>) {
-    let mut mech = CmabHs::new(s.config.clone()).unwrap();
+    let mut mech = CmabHs::new(s.config.clone());
     let mut sink = JournalSink::create_with(path, None, session).unwrap();
     sink.append(&MarketEvent::JobPublished {
         job: s.config.job.clone(),
     })
     .unwrap();
+    let mut ledger = TradingLedger::default();
     let mut settled = Vec::new();
-    let settle = |o: &RoundOutcome| -> Result<bool, Box<dyn Error>> {
+    let mut settle = |o: &RoundOutcome| -> Result<bool, Box<dyn Error>> {
         if !admit(o) {
             return Ok(false);
         }
         sink.append_round(o)?;
+        ledger.record(o);
         settled.push(o.clone());
         Ok(true)
     };
-    let ledger = match session.observer_for_run("cmab-hs") {
-        Some(mut observer) => mech.run(&s.observer(), rng, &mut observer, settle),
-        None => mech.run(&s.observer(), rng, &mut NullObserver, settle),
+    match session.observer_for_run("cmab-hs") {
+        Some(mut observer) => mech.run(&s.observer(), rng, &mut observer, |o, _| settle(o)),
+        None => mech.run(&s.observer(), rng, &mut NullObserver, |o, _| settle(o)),
     }
     .unwrap();
     let rounds = sink.state().settled_rounds();
@@ -210,7 +214,7 @@ fn killed_run_leaves_recoverable_partial() {
     let partial = {
         let mut rng = SimRng::new(7);
         let s = Scenario::paper_defaults(12, 3, 4, 40, &mut rng).unwrap();
-        let mut mech = CmabHs::new(s.config.clone()).unwrap();
+        let mut mech = CmabHs::new(s.config.clone());
         let mut sink = JournalSink::create(&path).unwrap();
         sink.append(&MarketEvent::JobPublished {
             job: s.config.job.clone(),
@@ -218,7 +222,7 @@ fn killed_run_leaves_recoverable_partial() {
         .unwrap();
         // Five rounds settle; the kill lands two events into the sixth
         // round's settlement, and the sink is dropped unfinished.
-        mech.run(&s.observer(), &mut rng, &mut NullObserver, |o| {
+        mech.run(&s.observer(), &mut rng, &mut NullObserver, |o, _| {
             if o.round.index() < 5 {
                 sink.append_round(o)?;
                 return Ok(true);

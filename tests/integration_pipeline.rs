@@ -12,13 +12,14 @@ fn run_all(
     scenario: &Scenario,
     rng: &mut SimRng,
 ) -> (TradingLedger, Vec<RoundOutcome>) {
+    let mut ledger = TradingLedger::default();
     let mut outcomes = Vec::new();
-    let ledger = mech
-        .run(&scenario.observer(), rng, &mut NullObserver, |o| {
-            outcomes.push(o.clone());
-            Ok::<_, CdtError>(true)
-        })
-        .unwrap();
+    mech.run(&scenario.observer(), rng, &mut NullObserver, |o, _| {
+        ledger.record(o);
+        outcomes.push(o.clone());
+        Ok::<_, CdtError>(true)
+    })
+    .unwrap();
     (ledger, outcomes)
 }
 
@@ -30,7 +31,7 @@ fn trace_to_trading_pipeline() {
     assert!(dataset.m() > 10);
 
     let scenario = Scenario::from_dataset(&dataset, 4, 100, &mut rng).unwrap();
-    let mut mech = CmabHs::new(scenario.config.clone()).unwrap();
+    let mut mech = CmabHs::new(scenario.config.clone());
     let (ledger, outcomes) = run_all(&mut mech, &scenario, &mut rng);
 
     assert_eq!(ledger.rounds(), 100);
@@ -52,7 +53,7 @@ fn full_run_is_deterministic_across_processes() {
         let mut rng = SimRng::new(99);
         let dataset = Dataset::build(&TraceConfig::small(), 5, 30, &mut rng);
         let scenario = Scenario::from_dataset(&dataset, 3, 60, &mut rng).unwrap();
-        let mut mech = CmabHs::new(scenario.config.clone()).unwrap();
+        let mut mech = CmabHs::new(scenario.config.clone());
         let (ledger, _) = run_all(&mut mech, &scenario, &mut rng);
         (
             ledger.total_observed_revenue(),
@@ -85,7 +86,7 @@ fn money_flows_are_conserved_each_round() {
     let scenario = Scenario::paper_defaults(15, 4, 5, 30, &mut rng).unwrap();
     let theta = scenario.config.platform_cost.theta;
     let lambda = scenario.config.platform_cost.lambda;
-    let mut mech = CmabHs::new(scenario.config.clone()).unwrap();
+    let mut mech = CmabHs::new(scenario.config.clone());
     let (_, outcomes) = run_all(&mut mech, &scenario, &mut rng);
     for o in &outcomes {
         let total_tau = o.strategy.total_sensing_time();
@@ -104,7 +105,7 @@ fn money_flows_are_conserved_each_round() {
 fn estimates_converge_to_truth_with_long_horizons() {
     let mut rng = SimRng::new(5);
     let scenario = Scenario::paper_defaults(12, 4, 8, 600, &mut rng).unwrap();
-    let mut mech = CmabHs::new(scenario.config.clone()).unwrap();
+    let mut mech = CmabHs::new(scenario.config.clone());
     run_all(&mut mech, &scenario, &mut rng);
     let truth = scenario.population.expected_qualities();
     // The top-K sellers are selected almost every round; their estimates
@@ -123,7 +124,7 @@ fn estimates_converge_to_truth_with_long_horizons() {
 fn selection_concentrates_on_true_top_k() {
     let mut rng = SimRng::new(6);
     let scenario = Scenario::paper_defaults(12, 3, 6, 1_000, &mut rng).unwrap();
-    let mut mech = CmabHs::new(scenario.config.clone()).unwrap();
+    let mut mech = CmabHs::new(scenario.config.clone());
     let (ledger, outcomes) = run_all(&mut mech, &scenario, &mut rng);
     let optimal: std::collections::HashSet<usize> = scenario
         .population
