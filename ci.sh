@@ -254,6 +254,27 @@ if ! timeout 60 "$CDT" game --omega 1e17 > /tmp/cdt_strict.txt \
     cat /tmp/cdt_strict.txt >&2
     exit 1
 fi
+# At omega = 1e155 the quadratic costs overflow at the search's bracket
+# end: the first best must still be a finite welfare.
+if ! timeout 60 "$CDT" game --omega 1e155 > /tmp/cdt_strict.txt \
+    || ! grep '^  welfare: ' /tmp/cdt_strict.txt | grep -qv inf; then
+    echo "ERROR: cdt game --omega 1e155 printed no finite welfare line:" >&2
+    cat /tmp/cdt_strict.txt >&2
+    exit 1
+fi
+# A trace whose phase times sum past u64::MAX summarizes without a panic
+# in the debug build, which checks every addition.
+printf '%s\n' '{"event":"round_end","run":"x","round":0,"observed_revenue":1,"consumer_profit":1,"platform_profit":1,"seller_profit":1,"selection_ns":18446744073709551615,"solve_ns":2,"observe_ns":0}' \
+    > /tmp/cdt_strict_t.jsonl
+set +e
+"$target_dir/debug/cdt" obs summarize /tmp/cdt_strict_t.jsonl > /tmp/cdt_strict.txt 2>&1
+status=$?
+set -e
+if [ "$status" -ne 0 ] || grep -q panicked /tmp/cdt_strict.txt; then
+    echo "ERROR: debug cdt obs summarize of a saturating trace exited $status:" >&2
+    cat /tmp/cdt_strict.txt >&2
+    exit 1
+fi
 
 echo "==> observability smoke (JSONL trace + Prometheus dump)"
 rm -f /tmp/cdt_obs_events.jsonl /tmp/cdt_obs_metrics.prom

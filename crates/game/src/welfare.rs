@@ -60,8 +60,14 @@ pub fn efficient_allocation(ctx: &GameContext) -> EfficientAllocation {
     let welfare_at = |mu: f64| social_welfare(ctx, &split(mu));
 
     // Bracket: μ = 0 gives zero time; μ_hi large enough that marginal
-    // valuation ω q̄ /(1 + q̄ S) falls below every marginal cost.
-    let mu_hi = ctx.valuation.omega * ctx.mean_quality() + 10.0;
+    // valuation ω q̄ /(1 + q̄ S) falls below every marginal cost. At a huge
+    // ω the quadratic costs overflow there and welfare reads −∞, where
+    // the search would tie and step toward μ_hi: halve μ_hi until welfare
+    // there is finite. The optimum, near μ ~ √ω, lies far below.
+    let mut mu_hi = ctx.valuation.omega * ctx.mean_quality() + 10.0;
+    while mu_hi > 0.0 && !welfare_at(mu_hi).is_finite() {
+        mu_hi /= 2.0;
+    }
     let max = golden_section_max(welfare_at, 0.0, mu_hi, 1e-9);
     let sensing_times = split(max.argmax);
     let welfare = social_welfare(ctx, &sensing_times);
@@ -82,10 +88,12 @@ pub struct WelfareReport {
 
 impl WelfareReport {
     /// Fraction of the first best the equilibrium attains (≤ 1 up to
-    /// numeric tolerance).
+    /// numeric tolerance); NaN when the first best is not finite.
     #[must_use]
     pub fn efficiency(&self) -> f64 {
-        if self.efficient_welfare <= 0.0 {
+        if !self.efficient_welfare.is_finite() {
+            f64::NAN
+        } else if self.efficient_welfare <= 0.0 {
             1.0
         } else {
             self.equilibrium_welfare / self.efficient_welfare
@@ -110,6 +118,10 @@ mod tests {
     use cdt_types::{PlatformCostParams, PriceBounds, SellerCostParams, SellerId, ValuationParams};
 
     fn ctx(k: usize) -> GameContext {
+        ctx_with_omega(k, 1000.0)
+    }
+
+    fn ctx_with_omega(k: usize, omega: f64) -> GameContext {
         let sellers = (0..k)
             .map(|i| {
                 SelectedSeller::new(
@@ -128,7 +140,7 @@ mod tests {
                 theta: 0.1,
                 lambda: 1.0,
             },
-            ValuationParams { omega: 1000.0 },
+            ValuationParams { omega },
             PriceBounds::unbounded(),
             PriceBounds::unbounded(),
             f64::MAX,
@@ -151,9 +163,16 @@ mod tests {
 
     #[test]
     fn first_best_dominates_equilibrium() {
-        for k in [1, 3, 8] {
-            let c = ctx(k);
+        // ω = 1e155 and 1e300 once overflowed the first best to −∞.
+        let cases = [1, 3, 8].map(|k| (k, 1000.0));
+        for (k, omega) in cases.into_iter().chain([(3, 1e155), (3, 1e300)]) {
+            let c = ctx_with_omega(k, omega);
             let report = welfare_report(&c, &solve_equilibrium(&c));
+            assert!(
+                report.efficient_welfare.is_finite(),
+                "K={k}, ω={omega}: first best {}",
+                report.efficient_welfare
+            );
             assert!(
                 report.efficient_welfare >= report.equilibrium_welfare - 1e-6,
                 "K={k}: first best {} < equilibrium {}",

@@ -148,7 +148,7 @@ pub fn registry_from_trace(path: &Path) -> io::Result<(MetricsRegistry, TraceSta
     for phase in Phase::ALL {
         let hist = &phase_hists[phase as usize];
         if hist.count() > 0 {
-            busy_ns += hist.sum_ns();
+            busy_ns = busy_ns.saturating_add(hist.sum_ns());
             registry.merge_histogram("cdt_obs_round_phase_ns", &[("phase", phase.as_str())], hist);
         }
     }
@@ -372,6 +372,19 @@ mod tests {
         );
         assert!(text.contains("spans: 2"), "got:\n{text}");
         assert!(text.contains("health events"), "got:\n{text}");
+    }
+
+    #[test]
+    fn busy_time_saturates_instead_of_wrapping() {
+        // One round whose selection took `u64::MAX` ns: the phase sums
+        // must not wrap to a near-zero busy time (and a billion rounds/s).
+        let line = r#"{"event":"round_end","run":"x","round":0,"observed_revenue":1,"consumer_profit":1,"platform_profit":1,"seller_profit":1,"selection_ns":18446744073709551615,"solve_ns":2,"observe_ns":0}"#;
+        let path = write_trace("saturate", &[line.to_owned()]);
+        let (_, stats) = registry_from_trace(&path).unwrap();
+        let text = summarize_trace(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(stats.busy_ns, u64::MAX);
+        assert!(text.contains("throughput: 0 rounds/sec"), "got:\n{text}");
     }
 
     #[test]

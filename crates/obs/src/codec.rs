@@ -2,10 +2,10 @@
 //! [`EventRecord`], [`SpanRecord`] and [`HealthRecord`] lines, and
 //! [`TraceLine`], the one decoder for any line of a `--obs-events` trace.
 //!
-//! Every line is one compact JSON object: the `"event"` tag first (the
-//! snake_case [`EventRecord`] variant, `"span"` or `"health"`), then the
-//! fields in declaration order, with `None` and non-finite floats as
-//! `null`.
+//! The declarations below are the format. Every line is one compact JSON
+//! object: the `"event"` tag first (the [`EventRecord`] variant's tag,
+//! `"span"` or `"health"`), then the fields in the order declared, with
+//! `None` and non-finite floats as `null`.
 //!
 //! Reading follows the codec's rules: any field order (the tag's too),
 //! unknown keys skipped, missing and repeated keys rejected. So older
@@ -15,14 +15,13 @@
 //! seller and the only non-finite score a policy emits; every other float
 //! field rejects `null`. A protocol journal line
 //! (`{"PaymentsSettled":{…}}`: one key, a `MarketEvent` kind) is
-//! recognised by its shape alone.
+//! recognised by its shape alone. [`HealthKind`]'s name table is written
+//! by hand.
 
 use crate::health::{HealthKind, HealthRecord};
 use crate::record::EventRecord;
 use crate::span::SpanRecord;
-use cdt_types::json::{
-    push_f64, push_f64s, push_str, push_u64, push_usize, Codec, DecodeError, Reader,
-};
+use cdt_types::json::{push_str, tag_first, Codec, DecodeError, Reader};
 use std::borrow::Cow;
 
 /// The `MarketEvent` kinds of the cdt-protocol journal.
@@ -36,383 +35,37 @@ const JOURNAL_KINDS: [&str; 7] = [
     "JobCompleted",
 ];
 
-/// The keys of each [`EventRecord`] variant after its tag, in order.
-const EVENT_FIELDS: [(&str, &[&str]); 6] = [
-    ("round_start", &["run", "round"]),
-    ("selection", &["run", "round", "selected", "scores"]),
-    (
-        "equilibrium",
-        &[
-            "run",
-            "round",
-            "service_price",
-            "collection_price",
-            "sensing_times",
-            "consumer_profit",
-            "platform_profit",
-            "seller_profit",
-        ],
-    ),
-    (
-        "observation",
-        &["run", "round", "observed_revenue", "samples"],
-    ),
-    (
-        "round_end",
-        &[
-            "run",
-            "round",
-            "observed_revenue",
-            "consumer_profit",
-            "platform_profit",
-            "seller_profit",
-            "selection_ns",
-            "solve_ns",
-            "observe_ns",
-        ],
-    ),
-    (
-        "regret",
-        &["run", "round", "cumulative_regret", "account_ns"],
-    ),
-];
-
-/// Writes `{"event":"tag"`; the fields follow through [`key`].
-fn open(out: &mut Vec<u8>, tag: &str) {
-    out.extend_from_slice(b"{\"event\":");
-    push_str(out, tag);
-}
-
-/// Writes `,"name":`.
-fn key(out: &mut Vec<u8>, name: &str) {
-    out.extend_from_slice(b",\"");
-    out.extend_from_slice(name.as_bytes());
-    out.extend_from_slice(b"\":");
-}
-
-/// Writes `,"name":value` for each float.
-fn floats(out: &mut Vec<u8>, fields: &[(&str, f64)]) {
-    for &(name, v) in fields {
-        key(out, name);
-        push_f64(out, v);
-    }
-}
-
-/// Writes `,"name":value` for each integer.
-fn integers(out: &mut Vec<u8>, fields: &[(&str, u64)]) {
-    for &(name, v) in fields {
-        key(out, name);
-        push_u64(out, v);
-    }
-}
-
-/// Writes `,"name":value` for each optional integer (`null` for `None`).
-fn optional_integers(out: &mut Vec<u8>, fields: &[(&str, Option<u64>)]) {
-    for &(name, v) in fields {
-        key(out, name);
-        match v {
-            Some(v) => push_u64(out, v),
-            None => out.extend_from_slice(b"null"),
-        }
-    }
-}
-
-fn read_string(r: &mut Reader<'_>) -> Result<String, DecodeError> {
-    r.string().map(Cow::into_owned)
-}
-
-fn read_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, DecodeError> {
-    r.nullable(Reader::u64)
-}
-
-/// A selection score: a number, or `null` for `+∞`.
-fn read_score(r: &mut Reader<'_>) -> Result<f64, DecodeError> {
-    r.nullable(Reader::f64).map(|v| v.unwrap_or(f64::INFINITY))
-}
-
-/// The `event` tag of the object at `r`, read ahead on a copy of the
-/// reader (the tag may sit anywhere in the object); `None` when the
-/// object has no `event` key.
-fn read_tag<'a>(r: &Reader<'a>) -> Result<Option<Cow<'a, str>>, DecodeError> {
-    let mut ahead = r.clone();
-    let mut tag = None;
-    ahead.object(&mut |r, key| match key {
-        "event" => r.field(&mut tag, key, Reader::string),
-        _ => r.skip(),
-    })?;
-    Ok(tag)
-}
-
-/// Checks that the object at `r` is tagged `want`.
-fn expect_tag(r: &Reader<'_>, want: &str) -> Result<(), DecodeError> {
-    match read_tag(r)? {
-        Some(tag) if tag == want => Ok(()),
-        Some(tag) => Err(r.error(format_args!("expected `event` \"{want}\", got \"{tag}\""))),
-        None => Err(r.error("missing field `event`")),
-    }
-}
-
-impl Codec for EventRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        open(out, self.tag());
-        key(out, "run");
-        push_str(out, self.run());
-        key(out, "round");
-        push_usize(out, self.round());
-        match self {
-            EventRecord::RoundStart { .. } => {}
-            EventRecord::Selection {
-                selected, scores, ..
-            } => {
-                key(out, "selected");
-                out.push(b'[');
-                for (i, &seller) in selected.iter().enumerate() {
-                    if i > 0 {
-                        out.push(b',');
-                    }
-                    push_usize(out, seller);
-                }
-                out.push(b']');
-                key(out, "scores");
-                push_f64s(out, scores);
-            }
-            EventRecord::Equilibrium {
-                service_price,
-                collection_price,
-                sensing_times,
-                consumer_profit,
-                platform_profit,
-                seller_profit,
-                ..
-            } => {
-                floats(
-                    out,
-                    &[
-                        ("service_price", *service_price),
-                        ("collection_price", *collection_price),
-                    ],
-                );
-                key(out, "sensing_times");
-                push_f64s(out, sensing_times);
-                floats(
-                    out,
-                    &[
-                        ("consumer_profit", *consumer_profit),
-                        ("platform_profit", *platform_profit),
-                        ("seller_profit", *seller_profit),
-                    ],
-                );
-            }
-            EventRecord::Observation {
-                observed_revenue,
-                samples,
-                ..
-            } => {
-                floats(out, &[("observed_revenue", *observed_revenue)]);
-                key(out, "samples");
-                push_usize(out, *samples);
-            }
-            EventRecord::RoundEnd {
-                observed_revenue,
-                consumer_profit,
-                platform_profit,
-                seller_profit,
-                selection_ns,
-                solve_ns,
-                observe_ns,
-                ..
-            } => {
-                floats(
-                    out,
-                    &[
-                        ("observed_revenue", *observed_revenue),
-                        ("consumer_profit", *consumer_profit),
-                        ("platform_profit", *platform_profit),
-                        ("seller_profit", *seller_profit),
-                    ],
-                );
-                integers(
-                    out,
-                    &[
-                        ("selection_ns", *selection_ns),
-                        ("solve_ns", *solve_ns),
-                        ("observe_ns", *observe_ns),
-                    ],
-                );
-            }
-            EventRecord::Regret {
-                cumulative_regret,
-                account_ns,
-                ..
-            } => {
-                floats(out, &[("cumulative_regret", *cumulative_regret)]);
-                integers(out, &[("account_ns", *account_ns)]);
-            }
-        }
-        out.push(b'}');
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match read_tag(r)? {
-            Some(tag) => decode_event(r, &tag),
-            None => Err(r.error("missing field `event`")),
-        }
-    }
-}
-
-/// The fields of an [`EventRecord`] line, as read.
-#[derive(Default)]
-struct EventSlots {
-    run: Option<String>,
-    round: Option<usize>,
-    selected: Option<Vec<usize>>,
-    scores: Option<Vec<f64>>,
-    service_price: Option<f64>,
-    collection_price: Option<f64>,
-    sensing_times: Option<Vec<f64>>,
-    consumer_profit: Option<f64>,
-    platform_profit: Option<f64>,
-    seller_profit: Option<f64>,
-    observed_revenue: Option<f64>,
-    samples: Option<usize>,
-    selection_ns: Option<u64>,
-    solve_ns: Option<u64>,
-    observe_ns: Option<u64>,
-    cumulative_regret: Option<f64>,
-    account_ns: Option<u64>,
-}
-
-/// Reads the object at `r` as the [`EventRecord`] variant `tag`. Keys of
-/// other variants are unknown keys here, and skipped.
-fn decode_event(r: &mut Reader<'_>, tag: &str) -> Result<EventRecord, DecodeError> {
-    let fields = EVENT_FIELDS
-        .iter()
-        .find(|(t, _)| *t == tag)
-        .ok_or_else(|| r.unknown_variant(tag, "EventRecord"))?
-        .1;
-    let mut s = EventSlots::default();
-    r.object(&mut |r, key| {
-        if !fields.contains(&key) {
-            return r.skip();
-        }
-        match key {
-            "run" => r.field(&mut s.run, key, read_string),
-            "round" => r.field(&mut s.round, key, Reader::usize),
-            "selected" => r.field(&mut s.selected, key, |r| r.vec(Reader::usize)),
-            "scores" => r.field(&mut s.scores, key, |r| r.vec(read_score)),
-            "service_price" => r.field(&mut s.service_price, key, Reader::f64),
-            "collection_price" => r.field(&mut s.collection_price, key, Reader::f64),
-            "sensing_times" => r.field(&mut s.sensing_times, key, Reader::f64s),
-            "consumer_profit" => r.field(&mut s.consumer_profit, key, Reader::f64),
-            "platform_profit" => r.field(&mut s.platform_profit, key, Reader::f64),
-            "seller_profit" => r.field(&mut s.seller_profit, key, Reader::f64),
-            "observed_revenue" => r.field(&mut s.observed_revenue, key, Reader::f64),
-            "samples" => r.field(&mut s.samples, key, Reader::usize),
-            "selection_ns" => r.field(&mut s.selection_ns, key, Reader::u64),
-            "solve_ns" => r.field(&mut s.solve_ns, key, Reader::u64),
-            "observe_ns" => r.field(&mut s.observe_ns, key, Reader::u64),
-            "cumulative_regret" => r.field(&mut s.cumulative_regret, key, Reader::f64),
-            "account_ns" => r.field(&mut s.account_ns, key, Reader::u64),
-            _ => r.skip(),
-        }
-    })?;
-    let run = r.required(s.run, "run")?;
-    let round = r.required(s.round, "round")?;
-    Ok(match tag {
-        "round_start" => EventRecord::RoundStart { run, round },
-        "selection" => EventRecord::Selection {
-            run,
-            round,
-            selected: r.required(s.selected, "selected")?,
-            scores: r.required(s.scores, "scores")?,
+tag_first! {
+    #[tag = "event"]
+    EventRecord {
+        RoundStart as "round_start" { run, round },
+        Selection as "selection" { run, round, selected, scores with read_scores },
+        Equilibrium as "equilibrium" {
+            run, round, service_price, collection_price, sensing_times,
+            consumer_profit, platform_profit, seller_profit,
         },
-        "equilibrium" => EventRecord::Equilibrium {
-            run,
-            round,
-            service_price: r.required(s.service_price, "service_price")?,
-            collection_price: r.required(s.collection_price, "collection_price")?,
-            sensing_times: r.required(s.sensing_times, "sensing_times")?,
-            consumer_profit: r.required(s.consumer_profit, "consumer_profit")?,
-            platform_profit: r.required(s.platform_profit, "platform_profit")?,
-            seller_profit: r.required(s.seller_profit, "seller_profit")?,
+        Observation as "observation" { run, round, observed_revenue, samples },
+        RoundEnd as "round_end" {
+            run, round, observed_revenue, consumer_profit, platform_profit, seller_profit,
+            selection_ns, solve_ns, observe_ns,
         },
-        "observation" => EventRecord::Observation {
-            run,
-            round,
-            observed_revenue: r.required(s.observed_revenue, "observed_revenue")?,
-            samples: r.required(s.samples, "samples")?,
-        },
-        "round_end" => EventRecord::RoundEnd {
-            run,
-            round,
-            observed_revenue: r.required(s.observed_revenue, "observed_revenue")?,
-            consumer_profit: r.required(s.consumer_profit, "consumer_profit")?,
-            platform_profit: r.required(s.platform_profit, "platform_profit")?,
-            seller_profit: r.required(s.seller_profit, "seller_profit")?,
-            selection_ns: r.required(s.selection_ns, "selection_ns")?,
-            solve_ns: r.required(s.solve_ns, "solve_ns")?,
-            observe_ns: r.required(s.observe_ns, "observe_ns")?,
-        },
-        _ => EventRecord::Regret {
-            run,
-            round,
-            cumulative_regret: r.required(s.cumulative_regret, "cumulative_regret")?,
-            account_ns: r.required(s.account_ns, "account_ns")?,
-        },
-    })
-}
-
-impl Codec for SpanRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        open(out, "span");
-        integers(out, &[("trace", self.trace), ("span", self.span)]);
-        optional_integers(out, &[("parent", self.parent)]);
-        key(out, "name");
-        push_str(out, &self.name);
-        key(out, "run");
-        match &self.run {
-            Some(run) => push_str(out, run),
-            None => out.extend_from_slice(b"null"),
-        }
-        optional_integers(out, &[("round", self.round)]);
-        integers(out, &[("start_ns", self.start_ns), ("dur_ns", self.dur_ns)]);
-        optional_integers(out, &[("worker", self.worker)]);
-        out.push(b'}');
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        expect_tag(r, "span")?;
-        decode_span(r)
+        Regret as "regret" { run, round, cumulative_regret, account_ns },
     }
 }
 
-/// Reads the fields of a span line (the tag already checked).
-fn decode_span(r: &mut Reader<'_>) -> Result<SpanRecord, DecodeError> {
-    let (mut trace, mut span, mut parent, mut name, mut run) = (None, None, None, None, None);
-    let (mut round, mut start_ns, mut dur_ns, mut worker) = (None, None, None, None);
-    r.object(&mut |r, key| match key {
-        "trace" => r.field(&mut trace, key, Reader::u64),
-        "span" => r.field(&mut span, key, Reader::u64),
-        "parent" => r.field(&mut parent, key, read_opt_u64),
-        "name" => r.field(&mut name, key, read_string),
-        "run" => r.field(&mut run, key, |r| r.nullable(read_string)),
-        "round" => r.field(&mut round, key, read_opt_u64),
-        "start_ns" => r.field(&mut start_ns, key, Reader::u64),
-        "dur_ns" => r.field(&mut dur_ns, key, Reader::u64),
-        "worker" => r.field(&mut worker, key, read_opt_u64),
-        _ => r.skip(),
-    })?;
-    Ok(SpanRecord {
-        trace: r.required(trace, "trace")?,
-        span: r.required(span, "span")?,
-        parent: parent.flatten(),
-        name: r.required(name, "name")?,
-        run: run.flatten(),
-        round: round.flatten(),
-        start_ns: r.required(start_ns, "start_ns")?,
-        dur_ns: r.required(dur_ns, "dur_ns")?,
-        worker: worker.flatten(),
-    })
+tag_first! {
+    #[tag = "event"]
+    SpanRecord as "span" { trace, span, parent, name, run, round, start_ns, dur_ns, worker }
+}
+
+tag_first! {
+    #[tag = "event"]
+    HealthRecord as "health" { kind, t_ns, worker, observed_ns, threshold_ns }
+}
+
+/// Selection scores: numbers, and `null` for `+∞`.
+fn read_scores(r: &mut Reader<'_>) -> Result<Vec<f64>, DecodeError> {
+    r.vec(|r| r.nullable(Reader::f64).map(|v| v.unwrap_or(f64::INFINITY)))
 }
 
 impl Codec for HealthKind {
@@ -427,50 +80,6 @@ impl Codec for HealthKind {
             .find(|k| k.as_str() == name)
             .ok_or_else(|| r.unknown_variant(&name, "HealthKind"))
     }
-}
-
-impl Codec for HealthRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        open(out, "health");
-        key(out, "kind");
-        self.kind.encode(out);
-        integers(out, &[("t_ns", self.t_ns)]);
-        optional_integers(
-            out,
-            &[
-                ("worker", self.worker),
-                ("observed_ns", self.observed_ns),
-                ("threshold_ns", self.threshold_ns),
-            ],
-        );
-        out.push(b'}');
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        expect_tag(r, "health")?;
-        decode_health(r)
-    }
-}
-
-/// Reads the fields of a health line (the tag already checked).
-fn decode_health(r: &mut Reader<'_>) -> Result<HealthRecord, DecodeError> {
-    let (mut kind, mut t_ns, mut worker, mut observed_ns, mut threshold_ns) =
-        (None, None, None, None, None);
-    r.object(&mut |r, key| match key {
-        "kind" => r.field(&mut kind, key, HealthKind::decode),
-        "t_ns" => r.field(&mut t_ns, key, Reader::u64),
-        "worker" => r.field(&mut worker, key, read_opt_u64),
-        "observed_ns" => r.field(&mut observed_ns, key, read_opt_u64),
-        "threshold_ns" => r.field(&mut threshold_ns, key, read_opt_u64),
-        _ => r.skip(),
-    })?;
-    Ok(HealthRecord {
-        kind: r.required(kind, "kind")?,
-        t_ns: r.required(t_ns, "t_ns")?,
-        worker: worker.flatten(),
-        observed_ns: observed_ns.flatten(),
-        threshold_ns: threshold_ns.flatten(),
-    })
 }
 
 /// The kind of a protocol journal line: an object whose one key is a
@@ -519,11 +128,13 @@ impl TraceLine {
     /// line has one.
     pub fn decode(line: &str) -> Result<Self, BadLine> {
         let mut r = Reader::new(line);
-        let tag = read_tag(&r).map_err(|error| BadLine { tag: None, error })?;
+        let tag = r
+            .read_tag("event")
+            .map_err(|error| BadLine { tag: None, error })?;
         let decoded = match tag.as_deref() {
-            Some("span") => decode_span(&mut r).map(TraceLine::Span),
-            Some("health") => decode_health(&mut r).map(TraceLine::Health),
-            Some(tag) => decode_event(&mut r, tag).map(TraceLine::Event),
+            Some(tag @ "span") => SpanRecord::decode_tagged(&mut r, tag).map(TraceLine::Span),
+            Some(tag @ "health") => HealthRecord::decode_tagged(&mut r, tag).map(TraceLine::Health),
+            Some(tag) => EventRecord::decode_tagged(&mut r, tag).map(TraceLine::Event),
             None => journal_kind(&mut r).map(TraceLine::Journal),
         };
         decoded

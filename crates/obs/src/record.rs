@@ -80,19 +80,6 @@ pub enum EventRecord {
 }
 
 impl EventRecord {
-    /// The `event` tag of the record's line: the variant in snake_case.
-    #[must_use]
-    pub fn tag(&self) -> &'static str {
-        match self {
-            EventRecord::RoundStart { .. } => "round_start",
-            EventRecord::Selection { .. } => "selection",
-            EventRecord::Equilibrium { .. } => "equilibrium",
-            EventRecord::Observation { .. } => "observation",
-            EventRecord::RoundEnd { .. } => "round_end",
-            EventRecord::Regret { .. } => "regret",
-        }
-    }
-
     /// The round index the record refers to.
     #[must_use]
     pub fn round(&self) -> usize {

@@ -8,30 +8,31 @@
 //! - **Checkpoints** (`P.ckpt-GGGG`): [`Checkpoint`] with its
 //!   [`SettlementRow`]s.
 //!
-//! Every layout is compact JSON with the fields in declaration order,
-//! enums externally tagged (`{"Variant":{...}}`), `None` as `null`,
-//! newtypes as their inner value, and floats in shortest round-trip form.
-//! These are the bytes the journal has always written. Segment digests
-//! cover the event bytes and a checkpoint's digest covers the text of its
-//! state, so the layouts are a file format: changing one breaks every
-//! existing journal.
+//! The declarations below are the format: compact JSON with the fields in
+//! the order declared, enums externally tagged (`{"Variant":{...}}`),
+//! `None` as `null`, rounds and seller ids as their index, and floats in
+//! shortest round-trip form. These are the bytes the journal has always
+//! written. Segment digests cover the event bytes and a checkpoint's
+//! digest covers the text of its state, so the layouts are a file format:
+//! changing one breaks every existing journal.
 //!
 //! Reading follows the codec's rules (any field order, unknown keys
 //! skipped, missing and repeated keys rejected), except that an absent
 //! optional field reads as `None` and an absent `segments_folded` as 0.
+//! [`ProtocolState`] and [`Phase`] are written by hand: the state writes
+//! its `strategy` and `taus` fields as one `[p^J, p, [τ…]]` member, and
+//! its decoder refuses a phase whose round data is missing.
 
 use crate::diff::SettlementRow;
 use crate::event::MarketEvent;
 use crate::segment::{Checkpoint, CheckpointRef, IndexLine, SegmentEntry};
 use crate::state::{Phase, ProtocolState};
-use cdt_types::json::{
-    from_str, push_bool, push_f64, push_f64s, push_str, push_u64, push_usize, Codec, DecodeError,
-    Reader,
-};
-use cdt_types::{JobSpec, Round, SellerId};
+use cdt_types::json::{from_str, push_f64, push_str, record, tagged, Codec, DecodeError, Reader};
 
 /// Decodes one journal event line. The error reads `bad event JSON: …`,
 /// or `invalid job: …` for a published job that [`JobSpec::new`] rejects.
+///
+/// [`JobSpec::new`]: cdt_types::JobSpec::new
 pub(crate) fn event_from_line(line: &str) -> Result<MarketEvent, String> {
     from_str(line).map_err(|e| match e {
         DecodeError::InvalidJob(e) => format!("invalid job: {e}"),
@@ -39,190 +40,42 @@ pub(crate) fn event_from_line(line: &str) -> Result<MarketEvent, String> {
     })
 }
 
-/// Writes `{"tag":` + `body` + `}`: one externally tagged variant.
-fn tagged(out: &mut Vec<u8>, tag: &[u8], body: impl FnOnce(&mut Vec<u8>)) {
-    out.extend_from_slice(b"{\"");
-    out.extend_from_slice(tag);
-    out.extend_from_slice(b"\":");
-    body(out);
-    out.push(b'}');
-}
-
-fn push_round(out: &mut Vec<u8>, round: Round) {
-    push_usize(out, round.index());
-}
-
-fn read_round(r: &mut Reader<'_>) -> Result<Round, DecodeError> {
-    r.usize().map(Round)
-}
-
-impl Codec for MarketEvent {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            MarketEvent::JobPublished { job } => tagged(out, b"JobPublished", |out| {
-                out.extend_from_slice(b"{\"job\":");
-                job.encode(out);
-                out.push(b'}');
-            }),
-            MarketEvent::SellersSelected { round, sellers } => {
-                tagged(out, b"SellersSelected", |out| {
-                    out.extend_from_slice(b"{\"round\":");
-                    push_round(out, *round);
-                    out.extend_from_slice(b",\"sellers\":[");
-                    for (i, seller) in sellers.iter().enumerate() {
-                        if i > 0 {
-                            out.push(b',');
-                        }
-                        push_usize(out, seller.index());
-                    }
-                    out.extend_from_slice(b"]}");
-                });
-            }
-            MarketEvent::StrategyDetermined {
-                round,
-                service_price,
-                collection_price,
-                sensing_times,
-            } => tagged(out, b"StrategyDetermined", |out| {
-                out.extend_from_slice(b"{\"round\":");
-                push_round(out, *round);
-                out.extend_from_slice(b",\"service_price\":");
-                push_f64(out, *service_price);
-                out.extend_from_slice(b",\"collection_price\":");
-                push_f64(out, *collection_price);
-                out.extend_from_slice(b",\"sensing_times\":");
-                push_f64s(out, sensing_times);
-                out.push(b'}');
-            }),
-            MarketEvent::DataCollected {
-                round,
-                observed_revenue,
-            } => tagged(out, b"DataCollected", |out| {
-                out.extend_from_slice(b"{\"round\":");
-                push_round(out, *round);
-                out.extend_from_slice(b",\"observed_revenue\":");
-                push_f64(out, *observed_revenue);
-                out.push(b'}');
-            }),
-            MarketEvent::StatisticsDelivered { round } => {
-                tagged(out, b"StatisticsDelivered", |out| {
-                    out.extend_from_slice(b"{\"round\":");
-                    push_round(out, *round);
-                    out.push(b'}');
-                });
-            }
-            MarketEvent::PaymentsSettled {
-                round,
-                consumer_payment,
-                seller_payments,
-            } => tagged(out, b"PaymentsSettled", |out| {
-                out.extend_from_slice(b"{\"round\":");
-                push_round(out, *round);
-                out.extend_from_slice(b",\"consumer_payment\":");
-                push_f64(out, *consumer_payment);
-                out.extend_from_slice(b",\"seller_payments\":");
-                push_f64s(out, seller_payments);
-                out.push(b'}');
-            }),
-            MarketEvent::JobCompleted { rounds } => tagged(out, b"JobCompleted", |out| {
-                out.extend_from_slice(b"{\"rounds\":");
-                push_usize(out, *rounds);
-                out.push(b'}');
-            }),
-        }
+tagged! {
+    MarketEvent {
+        JobPublished { job },
+        SellersSelected { round, sellers },
+        StrategyDetermined { round, service_price, collection_price, sensing_times },
+        DataCollected { round, observed_revenue },
+        StatisticsDelivered { round },
+        PaymentsSettled { round, consumer_payment, seller_payments },
+        JobCompleted { rounds },
     }
+}
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let name = r.begin_variant()?;
-        let event = match &*name {
-            "JobPublished" => {
-                let mut job = None;
-                r.object(&mut |r, key| match key {
-                    "job" => r.field(&mut job, key, JobSpec::decode),
-                    _ => r.skip(),
-                })?;
-                MarketEvent::JobPublished {
-                    job: r.required(job, "job")?,
-                }
-            }
-            "SellersSelected" => {
-                let (mut round, mut sellers) = (None, None);
-                r.object(&mut |r, key| match key {
-                    "round" => r.field(&mut round, key, read_round),
-                    "sellers" => r.field(&mut sellers, key, |r| r.vec(|r| r.usize().map(SellerId))),
-                    _ => r.skip(),
-                })?;
-                MarketEvent::SellersSelected {
-                    round: r.required(round, "round")?,
-                    sellers: r.required(sellers, "sellers")?,
-                }
-            }
-            "StrategyDetermined" => {
-                let (mut round, mut service, mut collection, mut taus) = (None, None, None, None);
-                r.object(&mut |r, key| match key {
-                    "round" => r.field(&mut round, key, read_round),
-                    "service_price" => r.field(&mut service, key, Reader::f64),
-                    "collection_price" => r.field(&mut collection, key, Reader::f64),
-                    "sensing_times" => r.field(&mut taus, key, Reader::f64s),
-                    _ => r.skip(),
-                })?;
-                MarketEvent::StrategyDetermined {
-                    round: r.required(round, "round")?,
-                    service_price: r.required(service, "service_price")?,
-                    collection_price: r.required(collection, "collection_price")?,
-                    sensing_times: r.required(taus, "sensing_times")?,
-                }
-            }
-            "DataCollected" => {
-                let (mut round, mut revenue) = (None, None);
-                r.object(&mut |r, key| match key {
-                    "round" => r.field(&mut round, key, read_round),
-                    "observed_revenue" => r.field(&mut revenue, key, Reader::f64),
-                    _ => r.skip(),
-                })?;
-                MarketEvent::DataCollected {
-                    round: r.required(round, "round")?,
-                    observed_revenue: r.required(revenue, "observed_revenue")?,
-                }
-            }
-            "StatisticsDelivered" => {
-                let mut round = None;
-                r.object(&mut |r, key| match key {
-                    "round" => r.field(&mut round, key, read_round),
-                    _ => r.skip(),
-                })?;
-                MarketEvent::StatisticsDelivered {
-                    round: r.required(round, "round")?,
-                }
-            }
-            "PaymentsSettled" => {
-                let (mut round, mut consumer, mut sellers) = (None, None, None);
-                r.object(&mut |r, key| match key {
-                    "round" => r.field(&mut round, key, read_round),
-                    "consumer_payment" => r.field(&mut consumer, key, Reader::f64),
-                    "seller_payments" => r.field(&mut sellers, key, Reader::f64s),
-                    _ => r.skip(),
-                })?;
-                MarketEvent::PaymentsSettled {
-                    round: r.required(round, "round")?,
-                    consumer_payment: r.required(consumer, "consumer_payment")?,
-                    seller_payments: r.required(sellers, "seller_payments")?,
-                }
-            }
-            "JobCompleted" => {
-                let mut rounds = None;
-                r.object(&mut |r, key| match key {
-                    "rounds" => r.field(&mut rounds, key, Reader::usize),
-                    _ => r.skip(),
-                })?;
-                MarketEvent::JobCompleted {
-                    rounds: r.required(rounds, "rounds")?,
-                }
-            }
-            other => return Err(r.unknown_variant(other, "MarketEvent")),
-        };
-        r.end_variant()?;
-        Ok(event)
+record! {
+    SettlementRow { round, consumer, sellers }
+}
+
+record! {
+    SegmentEntry { seq, file, first_round, rounds, events, digest, state_after }
+}
+
+record! {
+    CheckpointRef { generation, file, rounds, events, digest, segments_folded = 0 }
+}
+
+record! {
+    Checkpoint {
+        format, generation, segments_folded, events, rounds, completed,
+        consumer_total, seller_total, bytes_digest, state, settlements, digest,
+    }
+}
+
+tagged! {
+    IndexLine {
+        Header as "header" { journal, version },
+        Checkpoint(CheckpointRef) as "checkpoint",
+        Segment(Box<SegmentEntry>) as "segment",
     }
 }
 
@@ -261,18 +114,15 @@ impl Codec for Phase {
 impl Codec for ProtocolState {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(b"{\"published\":");
-        push_bool(out, self.published);
+        self.published.encode(out);
         out.extend_from_slice(b",\"completed\":");
-        push_bool(out, self.completed);
+        self.completed.encode(out);
         out.extend_from_slice(b",\"current_round\":");
-        push_round(out, self.current_round);
+        self.current_round.encode(out);
         out.extend_from_slice(b",\"phase\":");
         self.phase.encode(out);
         out.extend_from_slice(b",\"selection_len\":");
-        match self.selection_len {
-            Some(k) => push_usize(out, k),
-            None => out.extend_from_slice(b"null"),
-        }
+        self.selection_len.encode(out);
         out.extend_from_slice(b",\"strategy\":");
         match self.strategy {
             Some((service_price, collection_price)) => {
@@ -281,13 +131,13 @@ impl Codec for ProtocolState {
                 out.push(b',');
                 push_f64(out, collection_price);
                 out.push(b',');
-                push_f64s(out, &self.taus);
+                self.taus.encode(out);
                 out.push(b']');
             }
             None => out.extend_from_slice(b"null"),
         }
         out.extend_from_slice(b",\"settled_rounds\":");
-        push_usize(out, self.settled_rounds);
+        self.settled_rounds.encode(out);
         out.push(b'}');
     }
 
@@ -295,17 +145,17 @@ impl Codec for ProtocolState {
         let (mut published, mut completed, mut current_round, mut phase) = (None, None, None, None);
         let (mut selection_len, mut strategy, mut settled_rounds) = (None, None, None);
         r.object(&mut |r, key| match key {
-            "published" => r.field(&mut published, key, Reader::bool),
-            "completed" => r.field(&mut completed, key, Reader::bool),
-            "current_round" => r.field(&mut current_round, key, read_round),
+            "published" => r.field(&mut published, key, Codec::decode),
+            "completed" => r.field(&mut completed, key, Codec::decode),
+            "current_round" => r.field(&mut current_round, key, Codec::decode),
             "phase" => r.field(&mut phase, key, Phase::decode),
-            "selection_len" => r.field(&mut selection_len, key, |r| r.nullable(Reader::usize)),
+            "selection_len" => r.field(&mut selection_len, key, Codec::decode),
             "strategy" => r.field(&mut strategy, key, |r| r.nullable(read_strategy)),
-            "settled_rounds" => r.field(&mut settled_rounds, key, Reader::usize),
+            "settled_rounds" => r.field(&mut settled_rounds, key, Codec::decode),
             _ => r.skip(),
         })?;
         let phase = r.required(phase, "phase")?;
-        let selection_len = selection_len.flatten();
+        let selection_len: Option<usize> = r.required(selection_len, "selection_len")?;
         let (strategy, taus) = match strategy.flatten() {
             Some((service_price, collection_price, taus)) => {
                 (Some((service_price, collection_price)), taus)
@@ -344,7 +194,7 @@ fn read_strategy(r: &mut Reader<'_>) -> Result<(f64, f64, Vec<f64>), DecodeError
         match len {
             1 => items.0 = Some(r.f64()?),
             2 => items.1 = Some(r.f64()?),
-            3 => items.2 = Some(r.f64s()?),
+            3 => items.2 = Some(Codec::decode(r)?),
             _ => return Err(r.error("invalid length, expected a tuple of size 3")),
         }
         Ok(())
@@ -359,246 +209,6 @@ fn read_strategy(r: &mut Reader<'_>) -> Result<(f64, f64, Vec<f64>), DecodeError
     }
 }
 
-impl Codec for SettlementRow {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"{\"round\":");
-        push_round(out, self.round);
-        out.extend_from_slice(b",\"consumer\":");
-        push_f64(out, self.consumer);
-        out.extend_from_slice(b",\"sellers\":");
-        push_f64s(out, &self.sellers);
-        out.push(b'}');
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let (mut round, mut consumer, mut sellers) = (None, None, None);
-        r.object(&mut |r, key| match key {
-            "round" => r.field(&mut round, key, read_round),
-            "consumer" => r.field(&mut consumer, key, Reader::f64),
-            "sellers" => r.field(&mut sellers, key, Reader::f64s),
-            _ => r.skip(),
-        })?;
-        Ok(SettlementRow {
-            round: r.required(round, "round")?,
-            consumer: r.required(consumer, "consumer")?,
-            sellers: r.required(sellers, "sellers")?,
-        })
-    }
-}
-
-impl Codec for SegmentEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"{\"seq\":");
-        push_u64(out, self.seq);
-        out.extend_from_slice(b",\"file\":");
-        push_str(out, &self.file);
-        out.extend_from_slice(b",\"first_round\":");
-        match self.first_round {
-            Some(round) => push_usize(out, round),
-            None => out.extend_from_slice(b"null"),
-        }
-        out.extend_from_slice(b",\"rounds\":");
-        push_usize(out, self.rounds);
-        out.extend_from_slice(b",\"events\":");
-        push_u64(out, self.events);
-        out.extend_from_slice(b",\"digest\":");
-        push_u64(out, self.digest);
-        out.extend_from_slice(b",\"state_after\":");
-        self.state_after.encode(out);
-        out.push(b'}');
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let (mut seq, mut file, mut first_round, mut rounds) = (None, None, None, None);
-        let (mut events, mut digest, mut state_after) = (None, None, None);
-        r.object(&mut |r, key| match key {
-            "seq" => r.field(&mut seq, key, Reader::u64),
-            "file" => r.field(&mut file, key, |r| r.string().map(|s| s.into_owned())),
-            "first_round" => r.field(&mut first_round, key, |r| r.nullable(Reader::usize)),
-            "rounds" => r.field(&mut rounds, key, Reader::usize),
-            "events" => r.field(&mut events, key, Reader::u64),
-            "digest" => r.field(&mut digest, key, Reader::u64),
-            "state_after" => r.field(&mut state_after, key, ProtocolState::decode),
-            _ => r.skip(),
-        })?;
-        Ok(SegmentEntry {
-            seq: r.required(seq, "seq")?,
-            file: r.required(file, "file")?,
-            first_round: first_round.flatten(),
-            rounds: r.required(rounds, "rounds")?,
-            events: r.required(events, "events")?,
-            digest: r.required(digest, "digest")?,
-            state_after: r.required(state_after, "state_after")?,
-        })
-    }
-}
-
-impl Codec for CheckpointRef {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"{\"generation\":");
-        push_u64(out, self.generation);
-        out.extend_from_slice(b",\"file\":");
-        push_str(out, &self.file);
-        out.extend_from_slice(b",\"rounds\":");
-        push_usize(out, self.rounds);
-        out.extend_from_slice(b",\"events\":");
-        push_u64(out, self.events);
-        out.extend_from_slice(b",\"digest\":");
-        push_u64(out, self.digest);
-        out.extend_from_slice(b",\"segments_folded\":");
-        push_u64(out, self.segments_folded);
-        out.push(b'}');
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let (mut generation, mut file, mut rounds) = (None, None, None);
-        let (mut events, mut digest, mut segments_folded) = (None, None, None);
-        r.object(&mut |r, key| match key {
-            "generation" => r.field(&mut generation, key, Reader::u64),
-            "file" => r.field(&mut file, key, |r| r.string().map(|s| s.into_owned())),
-            "rounds" => r.field(&mut rounds, key, Reader::usize),
-            "events" => r.field(&mut events, key, Reader::u64),
-            "digest" => r.field(&mut digest, key, Reader::u64),
-            "segments_folded" => r.field(&mut segments_folded, key, Reader::u64),
-            _ => r.skip(),
-        })?;
-        Ok(CheckpointRef {
-            generation: r.required(generation, "generation")?,
-            file: r.required(file, "file")?,
-            rounds: r.required(rounds, "rounds")?,
-            events: r.required(events, "events")?,
-            digest: r.required(digest, "digest")?,
-            segments_folded: segments_folded.unwrap_or(0),
-        })
-    }
-}
-
-/// Appends the index header line's JSON (no newline).
-pub(crate) fn encode_index_header(out: &mut Vec<u8>, journal: &str, version: u32) {
-    tagged(out, b"header", |out| {
-        out.extend_from_slice(b"{\"journal\":");
-        push_str(out, journal);
-        out.extend_from_slice(b",\"version\":");
-        push_u64(out, u64::from(version));
-        out.push(b'}');
-    });
-}
-
-/// Appends an index checkpoint line's JSON (no newline).
-pub(crate) fn encode_index_checkpoint(out: &mut Vec<u8>, ckpt: &CheckpointRef) {
-    tagged(out, b"checkpoint", |out| ckpt.encode(out));
-}
-
-/// Appends an index segment line's JSON (no newline).
-pub(crate) fn encode_index_segment(out: &mut Vec<u8>, entry: &SegmentEntry) {
-    tagged(out, b"segment", |out| entry.encode(out));
-}
-
-impl Codec for IndexLine {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            IndexLine::Header { journal, version } => encode_index_header(out, journal, *version),
-            IndexLine::Checkpoint(ckpt) => encode_index_checkpoint(out, ckpt),
-            IndexLine::Segment(entry) => encode_index_segment(out, entry),
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let name = r.begin_variant()?;
-        let line = match &*name {
-            "header" => {
-                let (mut journal, mut version) = (None, None);
-                r.object(&mut |r, key| match key {
-                    "journal" => r.field(&mut journal, key, |r| r.string().map(|s| s.into_owned())),
-                    "version" => r.field(&mut version, key, Reader::u32),
-                    _ => r.skip(),
-                })?;
-                IndexLine::Header {
-                    journal: r.required(journal, "journal")?,
-                    version: r.required(version, "version")?,
-                }
-            }
-            "checkpoint" => IndexLine::Checkpoint(CheckpointRef::decode(r)?),
-            "segment" => IndexLine::Segment(Box::new(SegmentEntry::decode(r)?)),
-            other => return Err(r.unknown_variant(other, "IndexLine")),
-        };
-        r.end_variant()?;
-        Ok(line)
-    }
-}
-
-impl Codec for Checkpoint {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"{\"format\":");
-        push_u64(out, u64::from(self.format));
-        out.extend_from_slice(b",\"generation\":");
-        push_u64(out, self.generation);
-        out.extend_from_slice(b",\"segments_folded\":");
-        push_u64(out, self.segments_folded);
-        out.extend_from_slice(b",\"events\":");
-        push_u64(out, self.events);
-        out.extend_from_slice(b",\"rounds\":");
-        push_usize(out, self.rounds);
-        out.extend_from_slice(b",\"completed\":");
-        push_bool(out, self.completed);
-        out.extend_from_slice(b",\"consumer_total\":");
-        push_f64(out, self.consumer_total);
-        out.extend_from_slice(b",\"seller_total\":");
-        push_f64(out, self.seller_total);
-        out.extend_from_slice(b",\"bytes_digest\":");
-        push_u64(out, self.bytes_digest);
-        out.extend_from_slice(b",\"state\":");
-        self.state.encode(out);
-        out.extend_from_slice(b",\"settlements\":[");
-        for (i, row) in self.settlements.iter().enumerate() {
-            if i > 0 {
-                out.push(b',');
-            }
-            row.encode(out);
-        }
-        out.extend_from_slice(b"],\"digest\":");
-        push_u64(out, self.digest);
-        out.push(b'}');
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let (mut format, mut generation, mut segments_folded, mut events) =
-            (None, None, None, None);
-        let (mut rounds, mut completed, mut consumer_total, mut seller_total) =
-            (None, None, None, None);
-        let (mut bytes_digest, mut state, mut settlements, mut digest) = (None, None, None, None);
-        r.object(&mut |r, key| match key {
-            "format" => r.field(&mut format, key, Reader::u32),
-            "generation" => r.field(&mut generation, key, Reader::u64),
-            "segments_folded" => r.field(&mut segments_folded, key, Reader::u64),
-            "events" => r.field(&mut events, key, Reader::u64),
-            "rounds" => r.field(&mut rounds, key, Reader::usize),
-            "completed" => r.field(&mut completed, key, Reader::bool),
-            "consumer_total" => r.field(&mut consumer_total, key, Reader::f64),
-            "seller_total" => r.field(&mut seller_total, key, Reader::f64),
-            "bytes_digest" => r.field(&mut bytes_digest, key, Reader::u64),
-            "state" => r.field(&mut state, key, ProtocolState::decode),
-            "settlements" => r.field(&mut settlements, key, |r| r.vec(SettlementRow::decode)),
-            "digest" => r.field(&mut digest, key, Reader::u64),
-            _ => r.skip(),
-        })?;
-        Ok(Checkpoint {
-            format: r.required(format, "format")?,
-            generation: r.required(generation, "generation")?,
-            segments_folded: r.required(segments_folded, "segments_folded")?,
-            events: r.required(events, "events")?,
-            rounds: r.required(rounds, "rounds")?,
-            completed: r.required(completed, "completed")?,
-            consumer_total: r.required(consumer_total, "consumer_total")?,
-            seller_total: r.required(seller_total, "seller_total")?,
-            bytes_digest: r.required(bytes_digest, "bytes_digest")?,
-            state: r.required(state, "state")?,
-            settlements: r.required(settlements, "settlements")?,
-            digest: r.required(digest, "digest")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,7 +217,7 @@ mod tests {
     use cdt_obs::Session;
     use cdt_types::check::{check, check_all};
     use cdt_types::json::{self, to_string};
-    use cdt_types::SimRng;
+    use cdt_types::{JobSpec, Round, SellerId, SimRng};
     use std::fmt;
 
     fn finite(rng: &mut SimRng) -> f64 {

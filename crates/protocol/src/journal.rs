@@ -38,14 +38,13 @@
 //! boundaries, so the concatenation of all sealed segments is
 //! byte-identical to the single-file journal of the same run.
 
-use crate::codec;
 use crate::event::MarketEvent;
 use crate::segment::{self, SegmentEntry};
 use crate::state::{ProtocolError, ProtocolState};
 use cdt_core::RoundOutcome;
 use cdt_obs::span::now_ns;
 use cdt_obs::{LatencyHistogram, Session, SpanBuffer, SpanRecord};
-use cdt_types::json::Codec as _;
+use cdt_types::json::{self, Codec as _};
 use cdt_types::SellerId;
 use std::fmt;
 use std::fs::File;
@@ -438,7 +437,7 @@ impl JournalSink {
             digest: rot.segment_digest,
             state_after: self.state.clone(),
         };
-        codec::encode_index_segment(&mut rot.index_text, &entry);
+        json::push_tagged(&mut rot.index_text, "segment", &entry);
         rot.index_text.push(b'\n');
         segment::write_atomic(&segment::index_path(&self.final_path), &rot.index_text)?;
         rot.sealed += 1;
@@ -613,6 +612,7 @@ impl RoundBuffers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec;
     use crate::log::EventLog;
     use crate::segment::{load_journal, recover_journal};
     use cdt_core::{CmabHs, Scenario};

@@ -38,7 +38,6 @@
 //! checkpoint is rejected exactly like a tampered event in a single-file
 //! journal.
 
-use crate::codec;
 use crate::diff::SettlementRow;
 use crate::recover::{JournalRecovery, Replay};
 use crate::state::ProtocolState;
@@ -386,8 +385,12 @@ pub(crate) enum IndexLine {
 
 /// The index's first line, newline-terminated.
 pub(crate) fn index_header_line() -> Vec<u8> {
+    let header = IndexLine::Header {
+        journal: INDEX_JOURNAL_KIND.to_owned(),
+        version: SEGMENT_FORMAT_VERSION,
+    };
     let mut out = Vec::new();
-    codec::encode_index_header(&mut out, INDEX_JOURNAL_KIND, SEGMENT_FORMAT_VERSION);
+    header.encode(&mut out);
     out.push(b'\n');
     out
 }
@@ -418,11 +421,11 @@ impl JournalIndex {
     fn to_json_lines(&self) -> Vec<u8> {
         let mut out = index_header_line();
         if let Some(ckpt) = &self.checkpoint {
-            codec::encode_index_checkpoint(&mut out, ckpt);
+            json::push_tagged(&mut out, "checkpoint", ckpt);
             out.push(b'\n');
         }
         for entry in &self.segments {
-            codec::encode_index_segment(&mut out, entry);
+            json::push_tagged(&mut out, "segment", entry);
             out.push(b'\n');
         }
         out

@@ -3,9 +3,16 @@
 //! no intermediate value tree.
 //!
 //! A type takes part by implementing [`Codec`]: `encode` appends its
-//! compact JSON through the `push_*` writers, and `decode` reads it with a
-//! [`Reader`]. The journal's files (`cdt-protocol`), the observability
-//! trace lines (`cdt-obs`) and [`JobSpec`](crate::JobSpec) have layouts.
+//! compact JSON, and `decode` reads it with a [`Reader`]. Most layouts are
+//! declared, not written: [`record!`], [`tagged!`] and [`tag_first!`] take
+//! one list of the type's fields and generate both halves, each field
+//! written and read through its own type's `Codec` (the integers, `f64`,
+//! `bool`, `String`, `Vec`, `Option`, `Box`, [`Round`](crate::Round) and
+//! [`SellerId`](crate::SellerId) have one). The journal's files
+//! (`cdt-protocol`) and the observability trace lines (`cdt-obs`) are
+//! declared so; a layout a field list cannot say is written by hand
+//! through the `push_*` writers and the [`Reader`], as
+//! [`JobSpec`](crate::JobSpec)'s is.
 //!
 //! Writing is compact JSON: strings escaped as serde_json escaped them,
 //! and floats in shortest round-trip form (Ryū, in the private `ryu`
@@ -13,11 +20,16 @@
 //!
 //! Reading accepts any JSON text of the same value: whitespace anywhere,
 //! fields in any order, and unknown keys (skipped, nested at most 128
-//! deep). Layouts reject a missing or repeated key through
-//! [`Reader::required`] and [`Reader::field`]. Integers are exact over
-//! `u64`; floats must be finite numbers (`null` and `1e400` are errors).
+//! deep). Layouts reject a repeated key ([`Reader::field`]) and a missing
+//! one ([`Reader::required`]), unless its type reads an absent key
+//! ([`Codec::absent`]: `None` for an `Option`) or the layout gives it a
+//! default. Integers are exact over `u64`; floats must be finite numbers
+//! (`null` and `1e400` are errors).
 
+mod layout;
 mod ryu;
+
+pub use crate::{record, tag_first, tagged};
 
 use crate::CdtError;
 use std::borrow::Cow;
@@ -53,6 +65,12 @@ pub trait Codec: Sized {
     /// # Errors
     /// Returns the first syntax or layout error.
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+
+    /// The value an absent key reads as, if the type has one. `None` by
+    /// default, so a missing key is an error; an `Option` reads as `None`.
+    fn absent() -> Option<Self> {
+        None
+    }
 }
 
 /// The JSON text of `value`.
@@ -94,18 +112,6 @@ pub fn push_f64(out: &mut Vec<u8>, v: f64) {
     ryu::push_f64(out, v);
 }
 
-/// Appends `[a,b,…]`.
-pub fn push_f64s(out: &mut Vec<u8>, values: &[f64]) {
-    out.push(b'[');
-    for (i, &v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        push_f64(out, v);
-    }
-    out.push(b']');
-}
-
 /// Appends `true` or `false`.
 pub fn push_bool(out: &mut Vec<u8>, v: bool) {
     out.extend_from_slice(if v { b"true" } else { b"false" });
@@ -143,6 +149,16 @@ pub fn push_str(out: &mut Vec<u8>, s: &str) {
     }
     out.extend_from_slice(&bytes[start..]);
     out.push(b'"');
+}
+
+/// Appends `{"tag":value}`: one externally tagged value, for a caller that
+/// holds the value but not the enum.
+pub fn push_tagged<T: Codec>(out: &mut Vec<u8>, tag: &str, value: &T) {
+    out.extend_from_slice(b"{\"");
+    out.extend_from_slice(tag.as_bytes());
+    out.extend_from_slice(b"\":");
+    value.encode(out);
+    out.push(b'}');
 }
 
 /// A cursor over one JSON text. Every read skips leading whitespace and
@@ -347,6 +363,7 @@ impl<'a> Reader<'a> {
 
     /// Scans one number token; returns it and whether it is an integer
     /// (no fraction, no exponent).
+    #[inline]
     fn number(&mut self) -> Result<(&'a str, bool), DecodeError> {
         let start = match self.peek() {
             Some(b'-' | b'0'..=b'9') => self.pos,
@@ -420,17 +437,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a finite number (`null` and out-of-range numbers are errors).
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, DecodeError> {
         let (token, _) = self.number()?;
         match token.parse::<f64>() {
             Ok(v) if v.is_finite() => Ok(v),
             _ => Err(self.error("number out of range")),
         }
-    }
-
-    /// Reads an array of finite numbers.
-    pub fn f64s(&mut self) -> Result<Vec<f64>, DecodeError> {
-        self.vec(Self::f64)
     }
 
     /// Reads a string, borrowing it from the input when it has no escapes.
@@ -553,8 +566,28 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    /// The value of a filled `slot`, or the missing-field error.
-    pub fn required<T>(&self, slot: Option<T>, key: &str) -> Result<T, DecodeError> {
-        slot.ok_or_else(|| self.error(format_args!("missing field `{key}`")))
+    /// The value of a filled `slot`, else the value of an absent key
+    /// ([`Codec::absent`]), else the missing-field error.
+    pub fn required<T: Codec>(&self, slot: Option<T>, key: &str) -> Result<T, DecodeError> {
+        match slot {
+            Some(value) => Ok(value),
+            None => T::absent().ok_or_else(|| self.error(format_args!("missing field `{key}`"))),
+        }
+    }
+
+    /// The `key` tag of the object here, read ahead on a copy of the
+    /// reader (the tag may sit anywhere in the object); `None` when the
+    /// object has no such key.
+    pub fn read_tag(&self, key: &str) -> Result<Option<Cow<'a, str>>, DecodeError> {
+        let mut ahead = self.clone();
+        let mut tag = None;
+        ahead.object(&mut |r, k| {
+            if k == key {
+                r.field(&mut tag, k, Reader::string)
+            } else {
+                r.skip()
+            }
+        })?;
+        Ok(tag)
     }
 }

@@ -1,6 +1,6 @@
 //! Observability contract tests.
 //!
-//! Three guarantees are pinned here:
+//! Four guarantees are pinned here:
 //!
 //! 1. **Passivity** — recording every event (in memory or through an
 //!    observability session) leaves `RunResult` / `ReplicatedRun`
@@ -13,6 +13,8 @@
 //!    since it was written.
 //! 3. **Timing sanity** — per-phase nanosecond laps nest inside the
 //!    measured wall clock of the run that produced them.
+//! 4. **Robustness** — the `cdt obs` readers never panic on a damaged
+//!    trace.
 
 use cdt_core::Scenario;
 use cdt_obs::{EventRecord, ObsConfig, RecordingObserver, Session, TraceLine};
@@ -286,4 +288,146 @@ fn prometheus_dump_covers_rounds_phases_and_pool() {
         dump.contains("le=\"+Inf\""),
         "histograms must end with an +Inf bucket"
     );
+}
+
+/// One edit of a trace, for the never-panic property below.
+#[derive(Debug)]
+enum TraceEdit {
+    Flip {
+        at: usize,
+        mask: u8,
+    },
+    Truncate {
+        at: usize,
+    },
+    Insert {
+        at: usize,
+        bytes: Vec<u8>,
+    },
+    DuplicateLine(usize),
+    SwapLines(usize, usize),
+    DeleteLine(usize),
+    /// Every integer `"key":N` member set to this value.
+    Count(&'static str, u64),
+}
+
+/// The duration and count members of the trace layouts.
+const TRACE_COUNTS: [&str; 15] = [
+    "selection_ns",
+    "solve_ns",
+    "observe_ns",
+    "account_ns",
+    "start_ns",
+    "dur_ns",
+    "t_ns",
+    "observed_ns",
+    "threshold_ns",
+    "round",
+    "samples",
+    "trace",
+    "span",
+    "parent",
+    "worker",
+];
+
+/// `bytes` with `edit` applied.
+fn edit_trace(mut bytes: Vec<u8>, edit: &TraceEdit) -> Vec<u8> {
+    let mut lines: Vec<Vec<u8>> = bytes
+        .split_inclusive(|&b| b == b'\n')
+        .map(<[u8]>::to_vec)
+        .collect();
+    let line = |i: usize| i % lines.len().max(1);
+    match edit {
+        TraceEdit::Flip { at, mask } => {
+            let at = at % bytes.len();
+            bytes[at] ^= mask;
+        }
+        TraceEdit::Truncate { at } => bytes.truncate(at % bytes.len()),
+        TraceEdit::Insert { at, bytes: extra } => {
+            let at = at % (bytes.len() + 1);
+            bytes.splice(at..at, extra.iter().copied());
+        }
+        TraceEdit::DuplicateLine(i) => {
+            let i = line(*i);
+            lines.insert(i, lines[i].clone());
+            bytes = lines.concat();
+        }
+        TraceEdit::SwapLines(a, b) => {
+            let (a, b) = (line(*a), line(*b));
+            lines.swap(a, b);
+            bytes = lines.concat();
+        }
+        TraceEdit::DeleteLine(i) => {
+            lines.remove(line(*i));
+            bytes = lines.concat();
+        }
+        TraceEdit::Count(key, value) => {
+            let text = String::from_utf8(bytes).unwrap();
+            let member = format!("\"{key}\":");
+            let mut out = String::new();
+            let mut rest = text.as_str();
+            while let Some(i) = rest.find(&member) {
+                let (head, tail) = rest.split_at(i + member.len());
+                out.push_str(head);
+                let digits = tail.bytes().take_while(u8::is_ascii_digit).count();
+                if digits > 0 {
+                    out.push_str(&value.to_string());
+                }
+                rest = &tail[digits..];
+            }
+            out.push_str(rest);
+            bytes = out.into_bytes();
+        }
+    }
+    bytes
+}
+
+/// "Trace readers never panic": one edit of a committed trace (the golden
+/// trace, or the traced `cdt run` of the CLI goldens), then every reader
+/// `cdt obs` runs over it: `summarize`, and `flame` and `critical-path`
+/// over its spans. A reader skips what it cannot read, but none may panic
+/// (the debug build checks every addition). Besides 400 seeded byte and
+/// line edits, each duration and count is set to 0 and to `u64::MAX`.
+#[test]
+fn trace_readers_never_panic_on_a_damaged_trace() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+    let traces = [golden_trace(), fixtures.join("cli/obs-run/t.jsonl")]
+        .map(|path| std::fs::read(path).unwrap());
+    let forged = (0..traces.len()).flat_map(|trace| {
+        TRACE_COUNTS
+            .iter()
+            .flat_map(move |&key| [0, u64::MAX].map(|value| (trace, TraceEdit::Count(key, value))))
+    });
+    let seeded = (0..400).map(|seed| {
+        let mut rng = SimRng::new(seed);
+        let mut at = || rng.below(1 << 16) as usize;
+        let (kind, trace, a, b) = (at() % 6, at() % traces.len(), at(), at());
+        let edit = match kind {
+            0 => TraceEdit::Flip {
+                at: a,
+                mask: 1 << (b % 8),
+            },
+            1 => TraceEdit::Truncate { at: a },
+            2 => TraceEdit::Insert {
+                at: a,
+                bytes: b.to_le_bytes()[..1 + b % 4].to_vec(),
+            },
+            3 => TraceEdit::DuplicateLine(a),
+            4 => TraceEdit::SwapLines(a, b),
+            _ => TraceEdit::DeleteLine(a),
+        };
+        (trace, edit)
+    });
+    let path = temp_path("never_panic");
+    cdt_types::check::check_all(forged.chain(seeded), |(trace, edit)| {
+        let bytes = edit_trace(traces[*trace].clone(), edit);
+        std::fs::write(&path, &bytes).unwrap();
+        // Malformed lines are skipped: only bytes that are not UTF-8 fail.
+        let summary = cdt_obs::summarize_trace(&path);
+        assert_eq!(summary.is_ok(), std::str::from_utf8(&bytes).is_ok());
+        let spans = cdt_obs::SpanSet::from_jsonl(&String::from_utf8_lossy(&bytes));
+        let _ = cdt_obs::render_flame(&spans);
+        let _ = cdt_obs::render_critical_path(&spans);
+    });
+    std::fs::remove_file(&path).ok();
 }
