@@ -33,19 +33,23 @@ case "$last" in
         ;;
 esac
 
-echo "==> debug cdt: count-bucketed UCB selection against the threshold kernel"
-# A debug CmabUcbPolicy re-selects every count-bucketed round with the
-# threshold kernel over all M indices and panics on any difference. Two
-# M >> K shapes that keep the buckets for the whole run.
+echo "==> debug cdt: count-bucketed and fused UCB selection against the threshold kernel"
+# A debug CmabUcbPolicy re-selects every count-bucketed and every fused
+# round with the threshold kernel over all M indices and panics on any
+# difference. Two M >> K shapes keep the buckets for the whole run; at the
+# sweep_k K = 60 cell shape the buckets drop at the first selection, and
+# the fused bound then ranks ~180 candidates a round.
 cargo build -q --offline --locked -p cdt-cli --bin cdt
 "$target_dir/debug/cdt" run --m 10000 --k 10 --l 10 --n 500 > /dev/null
 "$target_dir/debug/cdt" run --m 3000 --k 5 --l 3 --n 2000 > /dev/null
+"$target_dir/debug/cdt" run --m 300 --k 60 --l 10 --n 2000 > /dev/null
 
 echo "==> debug cdt: Table II rows of observations stay in [0, 1]"
 # At the Table II shape UCB converges onto the sellers whose mean is near
 # 1, so about half of their truncated-Gaussian draws are rejected; the
 # debug estimator asserts that every observation the row fill kept lies
-# in [0, 1].
+# in [0, 1]. The same run checks 19 998 fused selections against the
+# threshold kernel (every round after the second).
 "$target_dir/debug/cdt" run --m 300 --k 10 --l 10 --n 20000 > /dev/null
 
 echo "==> registry guard (no rand, proptest, criterion, serde or serde_json)"

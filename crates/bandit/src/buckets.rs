@@ -16,18 +16,18 @@
 //! means the two scores are equal. Scores between them are then equal too,
 //! so the arm lies in the tie run of the `k`-th score. Two different means
 //! can round to one score (under `b = 3.5`, the means `0.5` and
-//! `0.5 + 2⁻⁵³` both score `4.0`), and `rank` in [`crate::topk`] then
-//! orders them by id, against mean order: that is the case the tie run
-//! covers.
-//! [`rank_candidates`] ranks the candidates exactly as the threshold kernel
-//! ranks its own, so both return the same ids in the same order.
+//! `0.5 + 2⁻⁵³` both score `4.0`), and the ranking key of [`crate::topk`]
+//! then orders them by id, against mean order: that is the case the tie
+//! run covers.
+//! [`rank_candidates`] ranks the candidates' keys exactly as the threshold
+//! kernel ranks its own, so both return the same ids in the same order.
 //!
 //! The set pays off only while the bucket count `G` is small against `M`.
 //! Once `G · k · DROP_RATIO > M` the set is dropped for good and the caller
-//! selects with the threshold kernel from then on.
+//! selects with the fused bound of `crate::fused` from then on.
 
 use crate::estimator::QualityEstimator;
-use crate::topk::rank_candidates;
+use crate::topk::{descending, rank_candidates, rank_key};
 use cdt_types::SellerId;
 use std::collections::BTreeSet;
 
@@ -35,9 +35,12 @@ use std::collections::BTreeSet;
 type Key = (u64, u64, usize);
 
 /// The set is dropped once `G · k · DROP_RATIO > M`, which bounds a
-/// bucketed round at about `M / 4` scored arms plus one set seek per
-/// bucket, against the threshold kernel's two passes over all `M` scores.
-const DROP_RATIO: usize = 4;
+/// bucketed round at about `M / 16` scored arms plus one set seek per
+/// bucket, against the fused bound's three streaming passes over all `M`
+/// arms. Re-measured against the fused bound (EXPERIMENTS.md, "Fused UCB
+/// selection"): near the drop point 16 selected as fast as 4 and 8 or
+/// faster, and 32 was slower at `M = 3000`, `K = 5`.
+const DROP_RATIO: usize = 16;
 
 /// Count-bucketed selection state of one policy.
 #[derive(Debug, Clone, Default)]
@@ -85,18 +88,17 @@ impl CountBuckets {
     /// Writes the `k` best arms by the Eq. 19 index with exploration
     /// weight `weight` into `out`, best first, in the order of
     /// [`top_k_by_score_into`](crate::topk::top_k_by_score_into), and
-    /// returns `true`. Each candidate's score lands in `scores` at its id.
+    /// returns `true`. `keys` is the candidate key buffer.
     ///
     /// Returns `false`, leaving `out` alone, when the caller must select
-    /// with the threshold kernel instead: `Σn ≤ 1`, `k` is 0 or above `M`,
-    /// or the set has been (or is now) dropped.
+    /// another way: `Σn ≤ 1`, `k` is 0 or above `M`, or the set has been
+    /// (or is now) dropped.
     pub(crate) fn select_into(
         &mut self,
         estimator: &QualityEstimator,
         weight: f64,
         k: usize,
-        scores: &mut Vec<f64>,
-        candidates: &mut Vec<usize>,
+        keys: &mut Vec<u128>,
         out: &mut Vec<SellerId>,
     ) -> bool {
         if matches!(self.state, State::Dropped) {
@@ -121,8 +123,7 @@ impl CountBuckets {
         set.rekey(counts, means);
         // `w · ln Σn`, hoisted as in `ucb_indices_into`.
         let w_ln_total = weight * (total as f64).ln();
-        scores.resize(m, 0.0);
-        let scored = set.candidates(means, w_ln_total, k, max_buckets, scores, candidates);
+        let scored = set.candidates(means, w_ln_total, k, max_buckets, keys);
         #[cfg(test)]
         {
             self.scored = scored.unwrap_or(0);
@@ -131,7 +132,7 @@ impl CountBuckets {
             self.state = State::Dropped;
             return false;
         }
-        rank_candidates(scores, k, candidates, out);
+        rank_candidates(keys, k, out);
         true
     }
 }
@@ -170,21 +171,19 @@ impl BucketSet {
         }
     }
 
-    /// Pushes onto `candidates` (cleared first) the first `k` arms of each
-    /// count bucket plus each later arm whose score ties the bucket's
-    /// `k`-th, writing their scores into `scores`. Returns how many arms
-    /// were scored, or `None` as soon as the walk meets more than
-    /// `max_buckets` buckets.
+    /// Pushes onto `keys` (cleared first) the ranking keys of the first `k`
+    /// arms of each count bucket plus each later arm whose score ties the
+    /// bucket's `k`-th. Returns how many arms were scored, or `None` as
+    /// soon as the walk meets more than `max_buckets` buckets.
     fn candidates(
         &self,
         means: &[f64],
         w_ln_total: f64,
         k: usize,
         max_buckets: usize,
-        scores: &mut [f64],
-        candidates: &mut Vec<usize>,
+        keys: &mut Vec<u128>,
     ) -> Option<usize> {
-        candidates.clear();
+        keys.clear();
         let (mut buckets, mut scored) = (0, 0);
         let mut from = 0;
         loop {
@@ -212,29 +211,18 @@ impl BucketSet {
                 if place + 1 == k {
                     cut = score;
                 }
-                scores[id] = score;
-                candidates.push(id);
+                keys.push(rank_key(score, id));
             }
             from = count + 1;
         }
     }
 }
 
+/// The set key of arm `i`. [`descending`] orders every finite mean as `<`
+/// does (with `-0.0` after `+0.0`, which score the same), so scores never
+/// rise along a bucket.
 fn key(counts: &[u64], means: &[f64], i: usize) -> Key {
     (counts[i], descending(means[i]), i)
-}
-
-/// Maps a mean to a key that sorts larger means first: the reverse of the
-/// IEEE total order. It orders every finite mean as `<` does (with
-/// `-0.0` after `+0.0`, which score the same), so scores never rise along
-/// a bucket.
-fn descending(mean: f64) -> u64 {
-    let bits = mean.to_bits();
-    if bits >> 63 == 0 {
-        !bits & !(1 << 63)
-    } else {
-        bits
-    }
 }
 
 #[cfg(test)]
@@ -247,18 +235,10 @@ mod tests {
     /// The kernel on a set built from `counts` and `means`, never dropped.
     fn bucketed_top_k(counts: &[u64], means: &[f64], w_ln_total: f64, k: usize) -> Vec<SellerId> {
         let set = BucketSet::new(counts, means);
-        let mut scores = vec![0.0; counts.len()];
-        let (mut candidates, mut out) = (Vec::new(), Vec::new());
-        set.candidates(
-            means,
-            w_ln_total,
-            k,
-            usize::MAX,
-            &mut scores,
-            &mut candidates,
-        )
-        .expect("no bucket limit");
-        rank_candidates(&scores, k, &mut candidates, &mut out);
+        let (mut keys, mut out) = (Vec::new(), Vec::new());
+        set.candidates(means, w_ln_total, k, usize::MAX, &mut keys)
+            .expect("no bucket limit");
+        rank_candidates(&mut keys, k, &mut out);
         out
     }
 

@@ -31,6 +31,19 @@ impl QualityEstimator {
         }
     }
 
+    /// An estimator in the given state, for kernels tested on counts and
+    /// means that no observation sequence reaches cheaply.
+    #[cfg(test)]
+    pub(crate) fn from_parts(counts: Vec<u64>, means: Vec<f64>) -> Self {
+        assert_eq!(counts.len(), means.len());
+        let total_count = counts.iter().sum();
+        Self {
+            counts,
+            means,
+            total_count,
+        }
+    }
+
     /// Number of sellers `M`.
     #[must_use]
     pub fn num_sellers(&self) -> usize {

@@ -11,9 +11,10 @@
 //!   seller covers all `L` PoIs);
 //! - [`index`]: the extended UCB index of Eq. 19,
 //!   `q̂_i = q̄_i + sqrt((K+1)·ln(Σ_j n_j) / n_i)`;
-//! - [`topk`]: deterministic top-K selection: one ranking routine for two
-//!   candidate generators, a threshold pass over every score and, for
-//!   CMAB-HS, count buckets that score `O(G · K)` arms;
+//! - [`topk`]: deterministic top-K selection: one integer-key ranking
+//!   routine for three candidate generators, a threshold pass over every
+//!   score and, for CMAB-HS, count buckets that score `O(G · K)` arms and
+//!   a fused bound that scores a few times `K` arms exactly;
 //! - [`policy`]: the [`SelectionPolicy`] abstraction plus all policies used
 //!   in the paper's evaluation (CMAB-HS UCB, ε-first, random, optimal) and
 //!   two extensions (ε-greedy, Thompson sampling, classical CUCB);
@@ -25,6 +26,7 @@
 
 mod buckets;
 pub mod estimator;
+mod fused;
 pub mod index;
 pub mod policies;
 pub mod policy;

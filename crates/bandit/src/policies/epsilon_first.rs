@@ -16,8 +16,8 @@ pub struct EpsilonFirstPolicy {
     k: usize,
     epsilon: f64,
     horizon: usize,
-    /// Reused candidate buffer for top-K selection.
-    topk_scratch: Vec<usize>,
+    /// Reused candidate key buffer for top-K selection.
+    topk_scratch: Vec<u128>,
 }
 
 impl EpsilonFirstPolicy {

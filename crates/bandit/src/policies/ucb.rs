@@ -1,7 +1,23 @@
 //! The CMAB-HS selection policy (Algorithm 1, seller-selection half).
+//!
+//! Step 7 ranks all `M` sellers by the Eq. 19 index every round. The
+//! policy picks the first of three exact candidate generators that serves
+//! the round, and all three rank through `topk::rank_candidates`, so they
+//! return the same ids in the same order:
+//!
+//! - the count buckets (`buckets`), while the counts take few distinct
+//!   values against `M`: they score `O(G · K)` arms for `G` counts;
+//! - the fused bound (`fused`), once the buckets have dropped: one
+//!   multiply-add per arm from a cached `1/√n`, then the exact index for
+//!   the few times `K` arms the bound keeps;
+//! - the threshold kernel over every exact index
+//!   ([`top_k_by_score_into`]), at `Σn ≤ 1` and for weights or means
+//!   outside the fused bound's range. Debug builds re-select every round
+//!   of the other two with it and assert equality.
 
 use crate::buckets::CountBuckets;
 use crate::estimator::QualityEstimator;
+use crate::fused::FusedUcb;
 use crate::index::{ucb_indices, ucb_indices_into, UcbConfig};
 use crate::policy::SelectionPolicy;
 use crate::topk::top_k_by_score_into;
@@ -15,10 +31,9 @@ use cdt_types::{Round, SellerId, SimRng};
 /// - **round t ≥ 1** (steps 7–10): select the top-`K` sellers by the UCB
 ///   index `q̂_i = q̄_i + sqrt(w · ln(Σ_j n_j) / n_i)` with `w = K + 1`.
 ///
-/// While the sellers' counts take few distinct values against `M`, the
-/// top `K` comes from count buckets that score `O(G · K)` arms for `G`
-/// distinct counts ([`crate::topk`]); otherwise every index is computed and
-/// the threshold kernel selects. Both return the same ids in the same order.
+/// The top `K` comes from count buckets while the sellers' counts take few
+/// distinct values against `M`, and from the fused bound after them (see
+/// the module docs); both return the threshold kernel's ids in its order.
 #[derive(Debug, Clone)]
 pub struct CmabUcbPolicy {
     estimator: QualityEstimator,
@@ -28,13 +43,16 @@ pub struct CmabUcbPolicy {
     /// UCB cold start; infinite indices then force coverage over the first
     /// `⌈M/K⌉` rounds instead of one `M`-seller round).
     full_initial_sweep: bool,
-    /// Reused UCB-index buffer (`select_into` hot path).
+    /// Reused score buffer: the fused bound's approximations, or every
+    /// UCB index for the threshold kernel.
     scores: Vec<f64>,
-    /// Reused candidate buffer for top-K selection.
-    topk_scratch: Vec<usize>,
+    /// Reused candidate key buffer of every generator.
+    keys: Vec<u128>,
     /// Count-bucketed top-K state, built at the first selection after the
     /// initial sweep.
     buckets: CountBuckets,
+    /// The fused bound's per-arm cache, refreshed in `observe`.
+    fused: FusedUcb,
 }
 
 impl CmabUcbPolicy {
@@ -47,8 +65,9 @@ impl CmabUcbPolicy {
             k,
             full_initial_sweep: true,
             scores: Vec::new(),
-            topk_scratch: Vec::new(),
+            keys: Vec::new(),
             buckets: CountBuckets::default(),
+            fused: FusedUcb::new(m),
         }
     }
 
@@ -90,34 +109,43 @@ impl SelectionPolicy for CmabUcbPolicy {
             out.extend((0..self.estimator.num_sellers()).map(SellerId));
             return;
         }
-        if !self.buckets.select_into(
-            &self.estimator,
-            self.config.exploration_weight,
-            self.k,
+        let (estimator, weight, k) = (&self.estimator, self.config.exploration_weight, self.k);
+        let generator = if self
+            .buckets
+            .select_into(estimator, weight, k, &mut self.keys, out)
+        {
+            "count-bucketed"
+        } else if self.fused.select_into(
+            estimator,
+            weight,
+            k,
             &mut self.scores,
-            &mut self.topk_scratch,
+            &mut self.keys,
             out,
         ) {
-            ucb_indices_into(&self.estimator, &self.config, &mut self.scores);
-            top_k_by_score_into(&self.scores, self.k, &mut self.topk_scratch, out);
+            "fused"
+        } else {
+            ucb_indices_into(estimator, &self.config, &mut self.scores);
+            top_k_by_score_into(&self.scores, k, &mut self.keys, out);
             return;
-        }
+        };
         if cfg!(debug_assertions) {
             // Differential check: the threshold kernel over every index.
-            let (mut scores, mut scratch, mut reference) = (Vec::new(), Vec::new(), Vec::new());
-            ucb_indices_into(&self.estimator, &self.config, &mut scores);
-            top_k_by_score_into(&scores, self.k, &mut scratch, &mut reference);
+            let (mut scores, mut keys, mut reference) = (Vec::new(), Vec::new(), Vec::new());
+            ucb_indices_into(estimator, &self.config, &mut scores);
+            top_k_by_score_into(&scores, k, &mut keys, &mut reference);
             assert_eq!(
                 *out, reference,
-                "count-bucketed selection diverged from the threshold kernel"
+                "{generator} selection diverged from the threshold kernel"
             );
         }
     }
 
     fn observe(&mut self, _round: Round, observations: &ObservationMatrix) {
-        self.buckets
-            .note_observed(&self.estimator, observations.sellers());
+        let sellers = observations.sellers();
+        self.buckets.note_observed(&self.estimator, sellers);
         self.estimator.update_round(observations);
+        self.fused.note_observed(&self.estimator, sellers);
     }
 
     fn game_quality(&self, id: SellerId) -> f64 {
@@ -326,11 +354,10 @@ mod tests {
 
     #[test]
     fn many_buckets_drop_the_set_and_nothing_grows_after() {
-        // Table II shape: the counts spread over more than M / (4K) = 7
-        // values (after ~30 rounds at two values: the bonus gap between
-        // counts L and 2L exceeds the spread of the means), the set is
-        // dropped for good, and the threshold kernel's buffers stay as they
-        // were.
+        // Table II shape: the counts spread over more than M / (16K) = 1
+        // value (at round 2), the set is dropped for good, the fused bound
+        // selects every later round, and no buffer grows: the scores, the
+        // keys, and the fused bound's 1/√n cache and candidate ids.
         let (m, k, l) = (300, 10, 10);
         let qs = qualities(m, 31);
         let mut p = CmabUcbPolicy::new(m, k);
@@ -344,17 +371,21 @@ mod tests {
         }
         let mut run = |p: &mut CmabUcbPolicy, rounds| {
             for _ in 0..rounds {
+                p.fused.last_kept = 0;
                 let sel = p.select(Round(t), &mut rng);
+                assert!(p.fused.last_kept >= k, "round {t} was not fused");
                 assert_eq!(sel, top_k_by_full_sort(&p.indices(), k), "round {t}");
                 observe_noisy(p, Round(t), &sel, &qs, l, &mut env);
                 t += 1;
             }
         };
         run(&mut p, 100);
-        let capacities = (p.scores.capacity(), p.topk_scratch.capacity());
+        let capacities =
+            |p: &CmabUcbPolicy| (p.scores.capacity(), p.keys.capacity(), p.fused.capacities());
+        let before = capacities(&p);
         run(&mut p, 5000);
         assert!(p.buckets.is_dropped());
-        assert_eq!((p.scores.capacity(), p.topk_scratch.capacity()), capacities);
+        assert_eq!(capacities(&p), before);
     }
 
     #[test]

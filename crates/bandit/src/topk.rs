@@ -3,10 +3,15 @@
 //! Step 7 of Algorithm 1 sorts sellers by UCB value and greedily takes the
 //! top `K`. Ties are broken by the lower seller id so that runs are
 //! reproducible regardless of the underlying sort's stability. One ranking
-//! routine, `rank_candidates`, orders the selection for two candidate
+//! routine, `rank_candidates`, orders the selection for three candidate
 //! generators: the threshold pass of [`top_k_by_score_into`], which every
-//! policy can use, and the count buckets of `buckets::CountBuckets`, which
-//! CMAB-HS uses while `M ≫ K`.
+//! policy can use, and two that serve CMAB-HS alone, the count buckets of
+//! `buckets::CountBuckets` while `M ≫ K` and the fused Eq. 19 bound of
+//! `fused::FusedUcb` after them. A generator hands the ranking one
+//! integer key per candidate, `rank_key`: the score's order bits,
+//! descending, then the id. Comparing two keys is one `u128` comparison,
+//! and the keys order candidates exactly as the float order with its id
+//! tie-break does.
 
 use cdt_types::SellerId;
 
@@ -26,33 +31,30 @@ pub fn top_k_by_score(scores: &[f64], k: usize) -> Vec<SellerId> {
 }
 
 /// Allocation-free top-K: writes the `k` best seller ids into `out`, best
-/// first, reusing `scratch` as the candidate buffer.
+/// first, reusing `scratch` as the candidate key buffer.
 ///
-/// The order is `rank`'s: score descending, `NaN` as `−∞`, ties toward
-/// the smaller id. The kernel is exact but prunes before it ranks:
+/// The order is score descending, `NaN` as `−∞`, `−0.0` equal to `+0.0`,
+/// ties toward the smaller id. The kernel is exact but prunes before it
+/// ranks:
 ///
 /// 1. one pass computes the bound `τ`, the smallest of the maxima of `k`
 ///    contiguous blocks of `scores`. Every block holds an arm scoring
 ///    `≥ τ`, so at least `k` arms do, and so does every top-`k` arm;
 /// 2. a second pass keeps the arms scoring `≥ τ` as candidates, or every
 ///    arm when `τ = −∞` (a block holding only `NaN`/`−∞`);
-/// 3. `rank_candidates` ranks the candidates only.
+/// 3. `rank_candidates` ranks the candidates' keys only.
 ///
 /// Spread-out scores leave a few times `k` candidates (≈ 29 of 10⁴ UCB
 /// indices at `K = 10`), so the cost is two streaming passes over the `M`
 /// scores plus ranking the candidates. Equal or all-`+∞` scores keep every
-/// arm and cost what ranking all `M` ids does. In traced benchmark runs on
-/// a 2-core Xeon VM, `bandit.select_ns_per_round` (UCB fill plus this
-/// kernel) fell from 211 µs to 34 µs on `stress_m10k` (`M = 10⁴`,
-/// `K = 10`) and from 3.9 µs to 2.3 µs on `paper_default` (`M = 300`),
-/// against ranking all `M` ids.
+/// arm and cost what ranking all `M` ids does.
 ///
 /// # Panics
 /// Panics if `k > scores.len()`.
 pub fn top_k_by_score_into(
     scores: &[f64],
     k: usize,
-    scratch: &mut Vec<usize>,
+    scratch: &mut Vec<u128>,
     out: &mut Vec<SellerId>,
 ) {
     assert!(
@@ -65,81 +67,118 @@ pub fn top_k_by_score_into(
         return;
     }
     let tau = threshold(scores, k);
+    let arms = scores.iter().enumerate();
     scratch.clear();
     if tau == f64::NEG_INFINITY {
-        scratch.extend(0..scores.len());
+        scratch.extend(arms.map(|(i, &s)| rank_key(s, i)));
     } else {
-        scratch.extend((0..scores.len()).filter(|&i| scores[i] >= tau));
+        scratch.extend(
+            arms.filter(|&(_, &s)| s >= tau)
+                .map(|(i, &s)| rank_key(s, i)),
+        );
     }
-    rank_candidates(scores, k, scratch, out);
+    rank_candidates(scratch, k, out);
 }
 
-/// Writes the `k` best of `candidates` into `out` (cleared first), best
-/// first, in [`rank`] order over `scores`; reorders `candidates`. Only the
-/// candidates' entries of `scores` are read. Both candidate generators
-/// rank through here, so they agree on ids and order whenever their
-/// candidates contain the top `k`.
+/// Writes the ids of the `k` smallest of `keys` into `out` (cleared first),
+/// smallest first; reorders `keys`. With keys from [`rank_key`] that is the
+/// `k` best candidates, best first. Every candidate generator ranks
+/// through here, so they agree on ids and order whenever their candidates
+/// contain the top `k`.
 ///
 /// # Panics
-/// Panics if `k > candidates.len()`.
-pub(crate) fn rank_candidates(
-    scores: &[f64],
-    k: usize,
-    candidates: &mut [usize],
-    out: &mut Vec<SellerId>,
-) {
+/// Panics if `k > keys.len()`.
+pub(crate) fn rank_candidates(keys: &mut [u128], k: usize, out: &mut Vec<SellerId>) {
     out.clear();
     if k == 0 {
         return;
     }
-    if k < candidates.len() {
-        candidates.select_nth_unstable_by(k - 1, |&x, &y| rank(scores, x, y));
+    if k < keys.len() {
+        keys.select_nth_unstable(k - 1);
     }
-    candidates[..k].sort_unstable_by(|&x, &y| rank(scores, x, y));
-    out.extend(candidates[..k].iter().map(|&i| SellerId(i)));
+    keys[..k].sort_unstable();
+    out.extend(keys[..k].iter().map(|&key| SellerId(key as u64 as usize)));
+}
+
+/// The ranking key of the candidate `id` scoring `score`: the normalized
+/// score's [`descending`] bits, then the id. Keys sort as the selection
+/// order does: larger score first (`NaN` as `−∞`, `−0.0` as `+0.0`), ties
+/// toward the smaller id. A strict total order over distinct ids, so
+/// partial selection and full sorting agree on the top-K exactly.
+pub(crate) fn rank_key(score: f64, id: usize) -> u128 {
+    (u128::from(descending(normalize(score))) << 64) | id as u128
+}
+
+/// Maps a float to 64 bits that sort larger values first: the reverse of
+/// the IEEE total order. It orders every non-`NaN` value as `<` does,
+/// except that `−0.0` sorts after `+0.0`.
+pub(crate) fn descending(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        !bits & !(1 << 63)
+    } else {
+        bits
+    }
 }
 
 /// The pruning bound of [`top_k_by_score_into`]: the smallest of the
 /// maxima of `k` contiguous, non-empty blocks of `scores`
 /// (`1 ≤ k ≤ scores.len()`). `NaN` is skipped, so a block of only
 /// `NaN`/`−∞` has maximum `−∞`.
-fn threshold(scores: &[f64], k: usize) -> f64 {
+pub(crate) fn threshold(scores: &[f64], k: usize) -> f64 {
     let m = scores.len();
     (0..k)
-        .map(|b| {
-            scores[b * m / k..(b + 1) * m / k]
-                .iter()
-                .fold(f64::NEG_INFINITY, |max, &s| max.max(s))
-        })
+        .map(|b| block_max(&scores[b * m / k..(b + 1) * m / k]))
         .fold(f64::INFINITY, f64::min)
 }
 
-/// The selection order: larger (normalized) score first, ties toward the
-/// smaller id. A strict total order, so partial selection and full sorting
-/// agree on the top-K exactly.
-fn rank(scores: &[f64], x: usize, y: usize) -> std::cmp::Ordering {
-    let sx = normalize(scores[x]);
-    let sy = normalize(scores[y]);
-    sy.partial_cmp(&sx)
-        .expect("normalized scores are comparable")
-        .then(x.cmp(&y))
+/// The largest non-`NaN` score of `block`, or `−∞`. `s > max` is false for
+/// a `NaN` `s`, so `NaN` is skipped. Four running maxima, not one, so that
+/// no comparison waits on the one before; the select compiles to packed
+/// `max` instructions.
+fn block_max(block: &[f64]) -> f64 {
+    let greater = |max: f64, s: f64| if s > max { s } else { max };
+    let chunks = block.chunks_exact(4);
+    let tail = chunks
+        .remainder()
+        .iter()
+        .fold(f64::NEG_INFINITY, |max, &s| greater(max, s));
+    let mut lanes = [f64::NEG_INFINITY; 4];
+    for chunk in chunks {
+        for (lane, &s) in lanes.iter_mut().zip(chunk) {
+            *lane = greater(*lane, s);
+        }
+    }
+    lanes.into_iter().fold(tail, greater)
 }
 
+/// `NaN` as `−∞` and `−0.0` as `+0.0` (`−0.0 + 0.0 = +0.0`), so equal
+/// scores share one key prefix.
 fn normalize(score: f64) -> f64 {
     if score.is_nan() {
         f64::NEG_INFINITY
     } else {
-        score
+        score + 0.0
     }
 }
 
-/// The test reference for the kernel: sorts every id in [`rank`] order and
-/// keeps the first `k`.
+/// The selection order as floats, the reference [`rank_key`] must match:
+/// larger (normalized) score first, ties toward the smaller id.
+#[cfg(test)]
+fn rank(sx: f64, x: usize, sy: f64, y: usize) -> std::cmp::Ordering {
+    normalize(sy)
+        .partial_cmp(&normalize(sx))
+        .expect("normalized scores are comparable")
+        .then(x.cmp(&y))
+}
+
+/// The test reference for every candidate generator: sorts every id in
+/// [`rank`] order and keeps the first `k`.
 #[cfg(test)]
 pub(crate) fn top_k_by_full_sort(scores: &[f64], k: usize) -> Vec<SellerId> {
     assert!(k <= scores.len());
     let mut ids: Vec<usize> = (0..scores.len()).collect();
-    ids.sort_unstable_by(|&x, &y| rank(scores, x, y));
+    ids.sort_unstable_by(|&x, &y| rank(scores[x], x, scores[y], y));
     ids.truncate(k);
     ids.into_iter().map(SellerId).collect()
 }
@@ -278,6 +317,78 @@ mod tests {
             [6, 1, 3, 4, 0, 5].map(SellerId).to_vec()
         );
         assert_eq!(top_k_by_score(&scores, 7)[6], SellerId(2));
+    }
+
+    /// The integer key orders every pair of (score, id) exactly as `rank`
+    /// does: seeded bit patterns (any sign, exponent and payload, so `NaN`s
+    /// and subnormals too), their one-ulp neighbours and an edge list,
+    /// with equal and unequal ids.
+    #[test]
+    fn integer_key_orders_exactly_as_rank() {
+        let tiny = f64::from_bits(1);
+        let edges = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff8_dead_beef_0001),
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE.next_down(),
+            -f64::MIN_POSITIVE.next_down(),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::MAX.next_down(),
+            1.0,
+            1.0f64.next_up(),
+            1.0f64.next_down(),
+            -1.0,
+            0.5,
+        ];
+        let agree = |x: f64, i: usize, y: f64, j: usize| {
+            assert_eq!(
+                rank_key(x, i).cmp(&rank_key(y, j)),
+                rank(x, i, y, j),
+                "({x:e} = {:#x}, {i}) vs ({y:e} = {:#x}, {j})",
+                x.to_bits(),
+                y.to_bits()
+            );
+        };
+        for &x in &edges {
+            for &y in &edges {
+                for (i, j) in [(0, 0), (0, 1), (1, 0), (7, usize::MAX)] {
+                    agree(x, i, y, j);
+                }
+            }
+        }
+        let gen = |rng: &mut SimRng| {
+            let pick = |rng: &mut SimRng| {
+                if rng.bernoulli(0.25) {
+                    edges[rng.below(edges.len() as u64) as usize]
+                } else {
+                    f64::from_bits(rng.next_u64())
+                }
+            };
+            let x = pick(rng);
+            let y = match rng.below(3) {
+                0 => f64::from_bits(x.to_bits().wrapping_add(1)),
+                1 => f64::from_bits(x.to_bits().wrapping_sub(1)),
+                _ => pick(rng),
+            };
+            let i = rng.below(4) as usize;
+            let j = if rng.bernoulli(0.5) {
+                i
+            } else {
+                rng.next_u64() as usize
+            };
+            (x, i, y, j)
+        };
+        check(4096, gen, |&(x, i, y, j)| agree(x, i, y, j));
     }
 
     /// 1–39 scores uniform on `range`.
