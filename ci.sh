@@ -36,20 +36,25 @@ esac
 echo "==> debug cdt: count-bucketed and fused UCB selection against the threshold kernel"
 # A debug CmabUcbPolicy re-selects every count-bucketed and every fused
 # round with the threshold kernel over all M indices and panics on any
-# difference. Two M >> K shapes keep the buckets for the whole run; at the
-# sweep_k K = 60 cell shape the buckets drop at the first selection, and
-# the fused bound then ranks ~180 candidates a round.
+# difference. Two M >> K shapes keep the buckets for the whole run. The
+# M = 2000, K = 10 run stays on the buckets for its first ~2 600 rounds,
+# while the counts sweep through the arms about 13 times, so buckets are
+# created, refilled, spilled and emptied (the --n 500 run never empties
+# one); the fused bound selects its other rounds. At the sweep_k K = 60
+# cell shape the buckets drop at the first selection, and the fused bound
+# then ranks ~180 candidates a round.
 cargo build -q --offline --locked -p cdt-cli --bin cdt
 "$target_dir/debug/cdt" run --m 10000 --k 10 --l 10 --n 500 > /dev/null
 "$target_dir/debug/cdt" run --m 3000 --k 5 --l 3 --n 2000 > /dev/null
+"$target_dir/debug/cdt" run --m 2000 --k 10 --l 10 --n 5000 > /dev/null
 "$target_dir/debug/cdt" run --m 300 --k 60 --l 10 --n 2000 > /dev/null
 
 echo "==> debug cdt: Table II rows of observations stay in [0, 1]"
 # At the Table II shape UCB converges onto the sellers whose mean is near
 # 1, so about half of their truncated-Gaussian draws are rejected; the
 # debug estimator asserts that every observation the row fill kept lies
-# in [0, 1]. The same run checks 19 998 fused selections against the
-# threshold kernel (every round after the second).
+# in [0, 1]. The same run checks every selection after round 0 against
+# the threshold kernel: count-bucketed through round 63, fused after.
 "$target_dir/debug/cdt" run --m 300 --k 10 --l 10 --n 20000 > /dev/null
 
 echo "==> registry guard (no rand, proptest, criterion, serde or serde_json)"
@@ -71,15 +76,17 @@ if grep -n '^source = ' Cargo.lock; then
     exit 1
 fi
 
-echo "==> no process-global state (the only statics: tables, span ids, clock, scopes)"
+echo "==> no process-global state (the only statics: tables, span ids, clock, scopes, allocation count)"
 # Each command's thread count and observability session live in the one
 # RunConfig it builds, so no test needs a lock to keep another apart. The
 # statics left are the ziggurat tables, the span id counters and clock,
-# and the thread-local scope slots (the health module's worker slot
-# among them).
+# the thread-local scope slots (the health module's worker slot among
+# them), and the counting allocator of tests/integration_alloc.rs with its
+# count (that binary holds one test).
 statics="$(grep -rhoE '^\s*(pub(\([a-z]+\))? )?static (mut )?[A-Za-z0-9_]+:' \
     --include='*.rs' crates tests | sed -E 's/.*static (mut )?([A-Za-z0-9_]+):/\2/' | sort)"
-expected="$(printf '%s\n' EPOCH NEXT_SPAN NEXT_TRACE ROUND_SCOPE SCOPE TABLES WORKER | sort)"
+expected="$(printf '%s\n' ALLOCATIONS COUNTING EPOCH NEXT_SPAN NEXT_TRACE ROUND_SCOPE SCOPE TABLES WORKER \
+    | sort)"
 if [ "$statics" != "$expected" ]; then
     echo "ERROR: the static items under crates/ and tests/ changed:" >&2
     diff <(echo "$expected") <(echo "$statics") >&2 || true

@@ -5,8 +5,8 @@
 //! (Eqs. 17–18), so few distinct counts exist when `M ≫ K`. Arms with equal
 //! counts share one bit-identical bonus `b`, and `m ↦ fl(m + b)` is
 //! monotone, so inside a count bucket the scores are non-increasing in mean
-//! order. [`CountBuckets`] keeps every arm in one ordered set keyed by
-//! (count, mean descending, id) and scores only the first `k` arms of each
+//! order. [`CountBuckets`] keeps one bucket per count, each ordered by
+//! (mean descending, id), and scores only the first `k` arms of each
 //! bucket, plus every later arm whose score ties the `k`-th one.
 //!
 //! **Why that is exact.** Take an arm of the global top `k`. Fewer than `k`
@@ -22,6 +22,38 @@
 //! [`rank_candidates`] ranks the candidates' keys exactly as the threshold
 //! kernel ranks its own, so both return the same ids in the same order.
 //!
+//! **Why the walk visits each bucket in that order.** A bucket holds one
+//! `u128` key per arm, `descending(mean) << 64 | id`, so `u128` order is
+//! (mean descending, id) order. Its `head` holds its first keys in that
+//! order, sorted with the best at the end; its `rest` holds the others in
+//! no order, and every `rest` key ranks after every head key. So the head
+//! is exactly the bucket's prefix, and the walk reads it from the best
+//! end. Every operation keeps that invariant:
+//!
+//! - a key enters the head only if it ranks before the head's worst key
+//!   or `rest` is empty, and otherwise `rest`, where it ranks after every
+//!   head key;
+//! - a spill moves the head's worst keys to `rest`, and they rank after
+//!   the keys that stay;
+//! - when the walk needs a key past the head, a refill moves the best keys
+//!   of `rest`, sorted, to the head's worst end. They rank after every head
+//!   key and before every key left in `rest`, so the head is again the
+//!   bucket's prefix, longer than the walk has read.
+//!
+//! So the walk meets the same arms in the same order as a walk over one
+//! ordered set of (count, mean descending, id) would, and scores the same
+//! candidates.
+//!
+//! **Why the layout fits the traffic.** Each round the `K` selected arms
+//! leave their buckets. They were candidates, so they sit among the last
+//! keys of a head, where a short scan finds them and removing them moves
+//! few keys. They enter other buckets at places set by their new means;
+//! most rank past the head's worst key, which one comparison shows, and
+//! are pushed onto `rest`. So a re-key touches a few keys, where a search
+//! tree over all `M` arms paid two tree updates. The set is built by
+//! grouping the keys by count into each bucket's `rest`, with no sort; the
+//! first walk fills each head.
+//!
 //! The set pays off only while the bucket count `G` is small against `M`.
 //! Once `G · k · DROP_RATIO > M` the set is dropped for good and the caller
 //! selects with the fused bound of `crate::fused` from then on.
@@ -29,20 +61,29 @@
 use crate::estimator::QualityEstimator;
 use crate::topk::{descending, rank_candidates, rank_key};
 use cdt_types::SellerId;
-use std::collections::BTreeSet;
-
-/// A set key: (count, mean in descending order, id).
-type Key = (u64, u64, usize);
 
 /// The set is dropped once `G · k · DROP_RATIO > M`, which bounds a
-/// bucketed round at about `M / 16` scored arms plus one set seek per
-/// bucket, against the fused bound's three streaming passes over all `M`
-/// arms. Re-measured against the fused bound (EXPERIMENTS.md, "Fused UCB
-/// selection"): near the drop point 16 selected as fast as 4 and 8 or
-/// faster, and 32 was slower at `M = 3000`, `K = 5`.
-const DROP_RATIO: usize = 16;
+/// bucketed round at about `M / 8` scored arms, against the fused bound's
+/// three streaming passes over all `M` arms. Re-measured against the fused
+/// bound once re-keying stopped paying for a search tree (EXPERIMENTS.md,
+/// "Count buckets without the B-tree"): 8 ran as fast as 16 or faster on
+/// every shape tried, and a third faster at `M = 3000`, `K = 5`, where the
+/// set now never drops. 4 was faster still at `M = 2000`, `K = 10` but
+/// slower at the Table II shape, and 2 was slower wherever it differed.
+const DROP_RATIO: usize = 8;
 
-/// Count-bucketed selection state of one policy.
+/// The smallest head target: a refill moves at least this many keys.
+const MIN_HEAD: usize = 64;
+
+/// How many keys at a head's best end a removal compares before it
+/// searches the whole head. An arm leaves its bucket because it was
+/// selected, so it was a candidate and usually sits there.
+const SCAN: usize = 32;
+
+/// Count-bucketed selection state of one policy: unbuilt until the first
+/// selection with `Σn > 1`, then one bucket per count, each a sorted head
+/// and an unordered rest (see the module docs), until the counts take more
+/// than `M / (k · DROP_RATIO)` values, and dropped for good after that.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CountBuckets {
     state: State,
@@ -58,7 +99,7 @@ enum State {
     #[default]
     Unbuilt,
     Active(BucketSet),
-    /// Too many buckets: the threshold kernel selects from now on.
+    /// Too many buckets: the fused bound selects from now on.
     Dropped,
 }
 
@@ -75,13 +116,24 @@ impl CountBuckets {
         matches!(self.state, State::Active(_))
     }
 
+    /// How often each path of the live set has run since it was built.
+    #[cfg(test)]
+    pub(crate) fn paths(&self) -> Paths {
+        match &self.state {
+            State::Active(set) => set.paths,
+            _ => Paths::default(),
+        }
+    }
+
     /// Records where `sellers` stand before their counts and means change,
     /// so the next selection can re-key them.
     pub(crate) fn note_observed(&mut self, estimator: &QualityEstimator, sellers: &[SellerId]) {
         if let State::Active(set) = &mut self.state {
             let (counts, means) = (estimator.counts(), estimator.means());
-            set.moved
-                .extend(sellers.iter().map(|id| key(counts, means, id.index())));
+            set.moved.extend(sellers.iter().map(|id| {
+                let i = id.index();
+                (counts[i], key(means, i))
+            }));
         }
     }
 
@@ -101,21 +153,32 @@ impl CountBuckets {
         keys: &mut Vec<u128>,
         out: &mut Vec<SellerId>,
     ) -> bool {
-        if matches!(self.state, State::Dropped) {
+        let m = estimator.num_sellers();
+        if k == 0 || k > m {
             return false;
         }
+        self.select_within(estimator, weight, k, m / (k * DROP_RATIO), keys, out)
+    }
+
+    /// [`CountBuckets::select_into`] with the set dropped once it holds
+    /// more than `max_buckets` buckets (`1 ≤ k ≤ M`).
+    fn select_within(
+        &mut self,
+        estimator: &QualityEstimator,
+        weight: f64,
+        k: usize,
+        max_buckets: usize,
+        keys: &mut Vec<u128>,
+        out: &mut Vec<SellerId>,
+    ) -> bool {
         let (counts, means) = (estimator.counts(), estimator.means());
-        let (m, total) = (counts.len(), estimator.total_count());
-        if total <= 1 || k == 0 || k > m {
+        let total = estimator.total_count();
+        if total <= 1 || matches!(self.state, State::Dropped) {
             return false;
         }
-        let max_buckets = m / (k * DROP_RATIO);
         if matches!(self.state, State::Unbuilt) {
-            self.state = if max_buckets == 0 {
-                State::Dropped
-            } else {
-                State::Active(BucketSet::new(counts, means))
-            };
+            self.state =
+                BucketSet::new(counts, means, max_buckets).map_or(State::Dropped, State::Active);
         }
         let State::Active(set) = &mut self.state else {
             return false;
@@ -137,26 +200,102 @@ impl CountBuckets {
     }
 }
 
-/// Every arm in one ordered set, plus the arms that moved since the last
-/// selection.
+/// How often each path of a [`BucketSet`] ran.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Paths {
+    /// Refills of a head from its `rest`.
+    pub(crate) refills: usize,
+    /// Keys those refills moved.
+    pub(crate) refilled: usize,
+    /// Heads that outgrew twice their target and spilled into `rest`.
+    pub(crate) spills: usize,
+    /// Keys removed from a `rest` rather than a head.
+    pub(crate) rest_removals: usize,
+    /// Buckets created by a re-key.
+    pub(crate) created: usize,
+    /// Buckets deleted because they emptied.
+    pub(crate) emptied: usize,
+}
+
+/// Every arm in one bucket per count, plus the arms that moved since the
+/// last selection.
 #[derive(Debug, Clone)]
 struct BucketSet {
-    /// Every arm, ordered by (count, mean descending, id).
-    arms: BTreeSet<Key>,
-    /// The keys, as they stand in `arms`, of the arms observed since the
-    /// last selection.
-    moved: Vec<Key>,
+    /// One bucket per count, in ascending count order; none is empty.
+    buckets: Vec<Bucket>,
+    /// The count and key, as they stand in `buckets`, of each arm observed
+    /// since the last selection.
+    moved: Vec<(u64, u128)>,
+    #[cfg(test)]
+    paths: Paths,
+}
+
+/// The arms of one count, in two parts (see the module docs).
+#[derive(Debug, Clone)]
+struct Bucket {
+    count: u64,
+    /// The bucket's first keys in set order, sorted with the best (the
+    /// smallest) at the end.
+    head: Vec<u128>,
+    /// The bucket's other keys, in no order; each ranks after every key of
+    /// `head`.
+    rest: Vec<u128>,
+}
+
+impl Bucket {
+    /// The head size a refill aims for and a spill returns to: a quarter of
+    /// the bucket, and at least [`MIN_HEAD`] keys.
+    fn target(&self) -> usize {
+        ((self.head.len() + self.rest.len()) / 4).max(MIN_HEAD)
+    }
 }
 
 impl BucketSet {
-    fn new(counts: &[u64], means: &[f64]) -> Self {
-        let mut arms = BTreeSet::new();
-        for i in 0..counts.len() {
-            arms.insert(key(counts, means, i));
-        }
-        Self {
-            arms,
+    /// Groups every arm's key by count into its bucket's `rest`, or returns
+    /// `None` once the arms hold more than `max_buckets` counts.
+    fn new(counts: &[u64], means: &[f64], max_buckets: usize) -> Option<Self> {
+        let mut set = Self {
+            buckets: Vec::new(),
             moved: Vec::new(),
+            #[cfg(test)]
+            paths: Paths::default(),
+        };
+        for (i, &count) in counts.iter().enumerate() {
+            let b = set.bucket(count);
+            if set.buckets.len() > max_buckets {
+                return None;
+            }
+            set.buckets[b].rest.push(key(means, i));
+        }
+        // Count what the selections do, not the build.
+        #[cfg(test)]
+        {
+            set.paths = Paths::default();
+        }
+        Some(set)
+    }
+
+    /// The index of the bucket of `count`, created empty if there is none.
+    fn bucket(&mut self, count: u64) -> usize {
+        match self
+            .buckets
+            .binary_search_by_key(&count, |bucket| bucket.count)
+        {
+            Ok(b) => b,
+            Err(b) => {
+                let bucket = Bucket {
+                    count,
+                    head: Vec::new(),
+                    rest: Vec::new(),
+                };
+                self.buckets.insert(b, bucket);
+                #[cfg(test)]
+                {
+                    self.paths.created += 1;
+                }
+                b
+            }
         }
     }
 
@@ -164,46 +303,142 @@ impl BucketSet {
     /// the set was noted again by a later observation and has already
     /// moved (observations may repeat between selections).
     fn rekey(&mut self, counts: &[u64], means: &[f64]) {
-        for old in self.moved.drain(..) {
-            if self.arms.remove(&old) {
-                self.arms.insert(key(counts, means, old.2));
+        for at in 0..self.moved.len() {
+            let (count, old) = self.moved[at];
+            if self.remove(count, old) {
+                let i = id(old);
+                self.insert(counts[i], key(means, i));
             }
+        }
+        self.moved.clear();
+    }
+
+    /// Removes `key` from the bucket of `count`, and the bucket too if that
+    /// empties it. Returns whether the key was there.
+    fn remove(&mut self, count: u64, key: u128) -> bool {
+        let Ok(b) = self
+            .buckets
+            .binary_search_by_key(&count, |bucket| bucket.count)
+        else {
+            return false;
+        };
+        let bucket = &mut self.buckets[b];
+        let head = &bucket.head;
+        let tail = head.len().saturating_sub(SCAN);
+        let found = match head[tail..].iter().rposition(|&other| other == key) {
+            Some(at) => Ok(tail + at),
+            // The head is sorted descending, so a larger key comes first.
+            None => head.binary_search_by(|probe| key.cmp(probe)),
+        };
+        match found {
+            Ok(at) => {
+                bucket.head.remove(at);
+            }
+            // The key ranks before the head's worst, so no `rest` key is it.
+            Err(at) if at > 0 => return false,
+            Err(_) => {
+                let Some(at) = bucket.rest.iter().position(|&other| other == key) else {
+                    return false;
+                };
+                bucket.rest.swap_remove(at);
+                #[cfg(test)]
+                {
+                    self.paths.rest_removals += 1;
+                }
+            }
+        }
+        if bucket.head.is_empty() && bucket.rest.is_empty() {
+            self.buckets.remove(b);
+            #[cfg(test)]
+            {
+                self.paths.emptied += 1;
+            }
+        }
+        true
+    }
+
+    /// Inserts `key` into the bucket of `count`: into the head if it ranks
+    /// before the head's worst key or `rest` is empty, else onto `rest`. A
+    /// head that grows past twice its target spills its worst keys into
+    /// `rest` until it is back at the target.
+    fn insert(&mut self, count: u64, key: u128) {
+        let b = self.bucket(count);
+        let bucket = &mut self.buckets[b];
+        if !bucket.rest.is_empty() && bucket.head.first().is_none_or(|&worst| worst < key) {
+            bucket.rest.push(key);
+            return;
+        }
+        let at = bucket.head.partition_point(|&other| other > key);
+        bucket.head.insert(at, key);
+        let target = bucket.target();
+        if bucket.head.len() > 2 * target {
+            let spill = bucket.head.len() - target;
+            bucket.rest.extend(bucket.head.drain(..spill));
+            #[cfg(test)]
+            {
+                self.paths.spills += 1;
+            }
+        }
+    }
+
+    /// Moves the best `max(target, |head|)` keys of bucket `b`'s `rest` (or
+    /// all of them), sorted, to its head's worst end. A head that a walk
+    /// reads to its end therefore at least doubles, so a bucket whose every
+    /// score ties refills a logarithmic number of times, not once per
+    /// target.
+    fn refill(&mut self, b: usize) {
+        let bucket = &mut self.buckets[b];
+        let take = bucket
+            .target()
+            .max(bucket.head.len())
+            .min(bucket.rest.len());
+        let keep = bucket.rest.len() - take;
+        if keep > 0 {
+            // In descending order the `take` smallest keys come last.
+            bucket.rest.select_nth_unstable_by(keep, |x, y| y.cmp(x));
+        }
+        bucket.head.splice(..0, bucket.rest.drain(keep..));
+        bucket.head[..take].sort_unstable_by(|x, y| y.cmp(x));
+        #[cfg(test)]
+        {
+            self.paths.refills += 1;
+            self.paths.refilled += take;
         }
     }
 
     /// Pushes onto `keys` (cleared first) the ranking keys of the first `k`
     /// arms of each count bucket plus each later arm whose score ties the
-    /// bucket's `k`-th. Returns how many arms were scored, or `None` as
-    /// soon as the walk meets more than `max_buckets` buckets.
+    /// bucket's `k`-th. Returns how many arms were scored, or `None` if the
+    /// set holds more than `max_buckets` buckets.
     fn candidates(
-        &self,
+        &mut self,
         means: &[f64],
         w_ln_total: f64,
         k: usize,
         max_buckets: usize,
         keys: &mut Vec<u128>,
     ) -> Option<usize> {
+        if self.buckets.len() > max_buckets {
+            return None;
+        }
         keys.clear();
-        let (mut buckets, mut scored) = (0, 0);
-        let mut from = 0;
-        loop {
-            let mut arms = self.arms.range((from, 0, 0)..).peekable();
-            let Some(&&(count, _, _)) = arms.peek() else {
-                return Some(scored);
-            };
-            buckets += 1;
-            if buckets > max_buckets {
-                return None;
-            }
+        let mut scored = 0;
+        for b in 0..self.buckets.len() {
             // The expression of `ucb_indices_into`, so the scores match its
             // bits; a count of 0 gives +∞ and a bucket-wide tie.
-            let bonus = (w_ln_total / count as f64).sqrt();
+            let bonus = (w_ln_total / self.buckets[b].count as f64).sqrt();
             let mut cut = f64::NAN;
-            for (place, &(n, _, id)) in arms.enumerate() {
-                if n != count {
-                    break;
+            for place in 0.. {
+                let bucket = &self.buckets[b];
+                if place == bucket.head.len() {
+                    if bucket.rest.is_empty() {
+                        break;
+                    }
+                    self.refill(b);
                 }
-                let score = means[id] + bonus;
+                let head = &self.buckets[b].head;
+                let i = id(head[head.len() - 1 - place]);
+                let score = means[i] + bonus;
                 scored += 1;
                 if place >= k && score != cut {
                     break;
@@ -211,18 +446,24 @@ impl BucketSet {
                 if place + 1 == k {
                     cut = score;
                 }
-                keys.push(rank_key(score, id));
+                keys.push(rank_key(score, i));
             }
-            from = count + 1;
         }
+        Some(scored)
     }
 }
 
-/// The set key of arm `i`. [`descending`] orders every finite mean as `<`
-/// does (with `-0.0` after `+0.0`, which score the same), so scores never
-/// rise along a bucket.
-fn key(counts: &[u64], means: &[f64], i: usize) -> Key {
-    (counts[i], descending(means[i]), i)
+/// The key of arm `i` in its bucket: its mean's [`descending`] bits, then
+/// its id. [`descending`] orders every finite mean as `<` does (with `-0.0`
+/// after `+0.0`, which score the same), so scores never rise along a
+/// bucket.
+fn key(means: &[f64], i: usize) -> u128 {
+    (u128::from(descending(means[i])) << 64) | i as u128
+}
+
+/// The arm a bucket key belongs to.
+fn id(key: u128) -> usize {
+    key as u64 as usize
 }
 
 #[cfg(test)]
@@ -234,7 +475,7 @@ mod tests {
 
     /// The kernel on a set built from `counts` and `means`, never dropped.
     fn bucketed_top_k(counts: &[u64], means: &[f64], w_ln_total: f64, k: usize) -> Vec<SellerId> {
-        let set = BucketSet::new(counts, means);
+        let mut set = BucketSet::new(counts, means, usize::MAX).expect("no bucket limit");
         let (mut keys, mut out) = (Vec::new(), Vec::new());
         set.candidates(means, w_ln_total, k, usize::MAX, &mut keys)
             .expect("no bucket limit");
@@ -346,8 +587,155 @@ mod tests {
         assert_eq!(top_k_by_full_sort(&scores, 2), want);
         assert_eq!(bucketed_top_k(&counts, &means, w_ln_total, 2), want);
         // The bucket's first two arms alone (2, then 1) would pick arm 1.
-        let set = BucketSet::new(&counts, &means);
-        let first_two: Vec<usize> = set.arms.iter().take(2).map(|key| key.2).collect();
+        let mut set = BucketSet::new(&counts, &means, usize::MAX).expect("one bucket");
+        set.candidates(&means, w_ln_total, 2, 1, &mut Vec::new())
+            .expect("one bucket");
+        let head = &set.buckets[0].head;
+        let first_two: Vec<usize> = head.iter().rev().take(2).map(|&key| id(key)).collect();
         assert_eq!(first_two, [2, 1]);
+    }
+
+    /// One sequence case: `M`, `K`, the counts an arm can take (0, an
+    /// unexplored arm whose score is +∞, in some), the exploration weight,
+    /// the number of steps and the seed of the steps' generator.
+    #[derive(Debug)]
+    struct Sequence {
+        m: usize,
+        k: usize,
+        values: Vec<u64>,
+        weight: f64,
+        steps: usize,
+        seed: u64,
+    }
+
+    fn arb_sequence(rng: &mut SimRng) -> Sequence {
+        let m = 1 + rng.below(400) as usize;
+        let k = match rng.below(4) {
+            0 => 1,
+            1 => m,
+            _ => 1 + rng.below(m as u64) as usize,
+        };
+        // Few values, so buckets are large enough to refill and spill, and
+        // small ones empty and reappear.
+        let mut values: Vec<u64> = (0..1 + rng.below(5)).map(|_| 1 + rng.below(40)).collect();
+        if rng.bernoulli(0.3) {
+            values.push(0);
+        }
+        Sequence {
+            m,
+            k,
+            values,
+            weight: rng.uniform(0.5..20.0),
+            steps: 50 + rng.below(251) as usize,
+            seed: rng.next_u64(),
+        }
+    }
+
+    /// A new mean for an arm: uniform, or another arm's mean, exactly or
+    /// one ulp away, so that different means often round to one score.
+    fn arb_mean(rng: &mut SimRng, means: &[f64]) -> f64 {
+        if means.is_empty() || rng.bernoulli(0.5) {
+            return rng.uniform(0.0..1.0);
+        }
+        let base = means[rng.below(means.len() as u64) as usize];
+        match rng.below(3) {
+            0 => base,
+            1 => base.next_up(),
+            _ => base.next_down().max(0.0),
+        }
+    }
+
+    /// Sequences of observations and selections on one set, never dropped:
+    /// every selection equals the full sort's. The observations are of the
+    /// last selection, of arbitrary arms (removed from a `rest`), with one
+    /// arm twice in a matrix, and several between two selections.
+    #[test]
+    fn sequences_of_rekeys_match_the_full_sort() {
+        let mut seen = Paths::default();
+        let mut selections = 0;
+        check(160, arb_sequence, |case| {
+            let (m, k) = (case.m, case.k);
+            let mut rng = SimRng::new(case.seed);
+            let value =
+                |rng: &mut SimRng| case.values[rng.below(case.values.len() as u64) as usize];
+            let mut counts: Vec<u64> = (0..m).map(|_| value(&mut rng)).collect();
+            let mut means: Vec<f64> = Vec::with_capacity(m);
+            for _ in 0..m {
+                let mean = arb_mean(&mut rng, &means);
+                means.push(mean);
+            }
+            let mut buckets = CountBuckets::default();
+            let (mut keys, mut out, mut last) = (Vec::new(), Vec::new(), Vec::new());
+            for step in 0..case.steps {
+                let estimator = QualityEstimator::from_parts(counts.clone(), means.clone());
+                if step == 0 || rng.bernoulli(0.4) {
+                    let total = estimator.total_count();
+                    let took = buckets.select_within(
+                        &estimator,
+                        case.weight,
+                        k,
+                        usize::MAX,
+                        &mut keys,
+                        &mut out,
+                    );
+                    assert_eq!(took, total > 1, "step {step}");
+                    if took {
+                        let w_ln_total = case.weight * (total as f64).ln();
+                        let want = top_k_by_full_sort(&full_scores(&counts, &means, w_ln_total), k);
+                        assert_eq!(out, want, "step {step}");
+                        last.clone_from(&out);
+                        selections += 1;
+                    }
+                    continue;
+                }
+                let arbitrary = |rng: &mut SimRng| SellerId(rng.below(m as u64) as usize);
+                let mut sellers: Vec<SellerId> = match rng.below(3) {
+                    0 if !last.is_empty() => last.clone(),
+                    1 if !last.is_empty() => {
+                        let twice = last[rng.below(last.len() as u64) as usize];
+                        let mut sellers = last.clone();
+                        sellers.push(twice);
+                        sellers
+                    }
+                    _ => (0..1 + rng.below(5)).map(|_| arbitrary(&mut rng)).collect(),
+                };
+                if rng.bernoulli(0.2) {
+                    sellers.push(arbitrary(&mut rng));
+                }
+                buckets.note_observed(&estimator, &sellers);
+                for id in &sellers {
+                    let i = id.index();
+                    counts[i] = value(&mut rng);
+                    means[i] = arb_mean(&mut rng, &means);
+                }
+            }
+            let paths = buckets.paths();
+            seen.refills += paths.refills;
+            seen.spills += paths.spills;
+            seen.rest_removals += paths.rest_removals;
+            seen.created += paths.created;
+            seen.emptied += paths.emptied;
+        });
+        assert!(selections > 5000, "only {selections} selections");
+        let Paths {
+            refills,
+            spills,
+            rest_removals,
+            created,
+            emptied,
+            ..
+        } = seen;
+        for (path, times) in [
+            ("refill", refills),
+            ("spill", spills),
+            ("removal from rest", rest_removals),
+            ("bucket created", created),
+            ("bucket emptied", emptied),
+        ] {
+            assert!(
+                times >= 100,
+                "the cases reached the {path} path {times} times"
+            );
+        }
     }
 }

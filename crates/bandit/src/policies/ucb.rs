@@ -53,6 +53,10 @@ pub struct CmabUcbPolicy {
     buckets: CountBuckets,
     /// The fused bound's per-arm cache, refreshed in `observe`.
     fused: FusedUcb,
+    /// The debug oracle's reused buffers: every exact index, its candidate
+    /// keys and its selection.
+    #[cfg(debug_assertions)]
+    oracle: (Vec<f64>, Vec<u128>, Vec<SellerId>),
 }
 
 impl CmabUcbPolicy {
@@ -68,6 +72,8 @@ impl CmabUcbPolicy {
             keys: Vec::new(),
             buckets: CountBuckets::default(),
             fused: FusedUcb::new(m),
+            #[cfg(debug_assertions)]
+            oracle: Default::default(),
         }
     }
 
@@ -110,32 +116,27 @@ impl SelectionPolicy for CmabUcbPolicy {
             return;
         }
         let (estimator, weight, k) = (&self.estimator, self.config.exploration_weight, self.k);
-        let generator = if self
+        let bucketed = self
             .buckets
-            .select_into(estimator, weight, k, &mut self.keys, out)
+            .select_into(estimator, weight, k, &mut self.keys, out);
+        if !bucketed
+            && !self
+                .fused
+                .select_into(estimator, weight, k, &mut self.scores, &mut self.keys, out)
         {
-            "count-bucketed"
-        } else if self.fused.select_into(
-            estimator,
-            weight,
-            k,
-            &mut self.scores,
-            &mut self.keys,
-            out,
-        ) {
-            "fused"
-        } else {
             ucb_indices_into(estimator, &self.config, &mut self.scores);
             top_k_by_score_into(&self.scores, k, &mut self.keys, out);
             return;
-        };
-        if cfg!(debug_assertions) {
+        }
+        #[cfg(debug_assertions)]
+        {
             // Differential check: the threshold kernel over every index.
-            let (mut scores, mut keys, mut reference) = (Vec::new(), Vec::new(), Vec::new());
-            ucb_indices_into(estimator, &self.config, &mut scores);
-            top_k_by_score_into(&scores, k, &mut keys, &mut reference);
+            let generator = if bucketed { "count-bucketed" } else { "fused" };
+            let (scores, keys, reference) = &mut self.oracle;
+            ucb_indices_into(estimator, &self.config, scores);
+            top_k_by_score_into(scores, k, keys, reference);
             assert_eq!(
-                *out, reference,
+                out, reference,
                 "{generator} selection diverged from the threshold kernel"
             );
         }
@@ -354,10 +355,11 @@ mod tests {
 
     #[test]
     fn many_buckets_drop_the_set_and_nothing_grows_after() {
-        // Table II shape: the counts spread over more than M / (16K) = 1
-        // value (at round 2), the set is dropped for good, the fused bound
-        // selects every later round, and no buffer grows: the scores, the
-        // keys, and the fused bound's 1/√n cache and candidate ids.
+        // Table II shape: the counts spread over more than M / (8K) = 3
+        // values (within 200 rounds), the set is dropped for good, the
+        // fused bound selects every later round, and no buffer grows: the
+        // scores, the keys, and the fused bound's 1/√n cache and candidate
+        // ids.
         let (m, k, l) = (300, 10, 10);
         let qs = qualities(m, 31);
         let mut p = CmabUcbPolicy::new(m, k);
@@ -386,6 +388,55 @@ mod tests {
         run(&mut p, 5000);
         assert!(p.buckets.is_dropped());
         assert_eq!(capacities(&p), before);
+    }
+
+    /// The distinct counts `G` and the summed tie runs: per count, how many
+    /// arms past the `k` best tie the `k`-th best index.
+    fn buckets_and_tie_runs(p: &CmabUcbPolicy, k: usize) -> (usize, usize) {
+        let counts = p.estimator.counts().iter().copied();
+        let mut arms: Vec<(u64, f64)> = counts.zip(p.indices()).collect();
+        arms.sort_by(|x, y| x.0.cmp(&y.0).then(y.1.total_cmp(&x.1)));
+        let (mut buckets, mut ties) = (0, 0);
+        for bucket in arms.chunk_by(|x, y| x.0 == y.0) {
+            buckets += 1;
+            if let Some(&(_, cut)) = bucket.get(k - 1) {
+                ties += bucket[k..].iter().take_while(|arm| arm.1 == cut).count();
+            }
+        }
+        (buckets, ties)
+    }
+
+    #[test]
+    fn a_long_bucketed_run_scores_its_bound_and_refills_rarely() {
+        // M = 1 000 K over 3 000 rounds: the counts sweep through the arms
+        // three times, so buckets fill, refill, spill and empty. The set
+        // never drops, each round scores at most k + 1 arms per count plus
+        // the tie runs, and heads refill at most once per 20 rounds (a
+        // refill costs a partial selection over the bucket's rest).
+        let (m, k, l, rounds) = (2000, 2, 10, 3000);
+        let qs = qualities(m, 51);
+        let mut p = CmabUcbPolicy::new(m, k);
+        let (mut rng, mut env) = (SimRng::new(16), SimRng::new(17));
+        for t in 0..=rounds {
+            let sel = p.select(Round(t), &mut rng);
+            if t > 0 {
+                assert!(p.buckets.is_active(), "round {t}: the set was dropped");
+                let (buckets, ties) = buckets_and_tie_runs(&p, k);
+                let scored = p.buckets.scored;
+                assert!(
+                    scored <= buckets * (k + 1) + ties,
+                    "round {t}: scored {scored} arms in {buckets} buckets with {ties} tied"
+                );
+            }
+            observe_noisy(&mut p, Round(t), &sel, &qs, l, &mut env);
+        }
+        let paths = p.buckets.paths();
+        assert!(
+            paths.refills * 20 <= rounds,
+            "{} refills moved {} keys in {rounds} rounds",
+            paths.refills,
+            paths.refilled
+        );
     }
 
     #[test]
