@@ -42,12 +42,25 @@ echo "==> debug cdt: count-bucketed and fused UCB selection against the threshol
 # created, refilled, spilled and emptied (the --n 500 run never empties
 # one); the fused bound selects its other rounds. At the sweep_k K = 60
 # cell shape the buckets drop at the first selection, and the fused bound
-# then ranks ~180 candidates a round.
+# then ranks ~180 candidates a round. The K = 60 run, and the Table II run
+# below, must also print what the release cdt prints: a debug build inlines
+# no #[inline] function, so equal bytes show that the release build's
+# inlined ziggurat accept step and row fill draw exactly what the
+# out-of-line calls draw.
+debug_matches_release() {
+    "$target_dir/debug/cdt" "$@" > /tmp/cdt_debug_run.txt
+    cdt "$@" > /tmp/cdt_release_run.txt
+    if ! cmp -s /tmp/cdt_debug_run.txt /tmp/cdt_release_run.txt; then
+        echo "ERROR: debug and release cdt $* printed different bytes" >&2
+        diff /tmp/cdt_debug_run.txt /tmp/cdt_release_run.txt | head -n 5 >&2 || true
+        exit 1
+    fi
+}
 cargo build -q --offline --locked -p cdt-cli --bin cdt
 "$target_dir/debug/cdt" run --m 10000 --k 10 --l 10 --n 500 > /dev/null
 "$target_dir/debug/cdt" run --m 3000 --k 5 --l 3 --n 2000 > /dev/null
 "$target_dir/debug/cdt" run --m 2000 --k 10 --l 10 --n 5000 > /dev/null
-"$target_dir/debug/cdt" run --m 300 --k 60 --l 10 --n 2000 > /dev/null
+debug_matches_release run --m 300 --k 60 --l 10 --n 2000
 
 echo "==> debug cdt: Table II rows of observations stay in [0, 1]"
 # At the Table II shape UCB converges onto the sellers whose mean is near
@@ -55,7 +68,7 @@ echo "==> debug cdt: Table II rows of observations stay in [0, 1]"
 # debug estimator asserts that every observation the row fill kept lies
 # in [0, 1]. The same run checks every selection after round 0 against
 # the threshold kernel: count-bucketed through round 63, fused after.
-"$target_dir/debug/cdt" run --m 300 --k 10 --l 10 --n 20000 > /dev/null
+debug_matches_release run --m 300 --k 10 --l 10 --n 20000
 
 echo "==> registry guard (no rand, proptest, criterion, serde or serde_json)"
 # cdt_types::SimRng is the one generator, cdt_types::check the one

@@ -227,6 +227,9 @@ struct BucketSet {
     /// The count and key, as they stand in `buckets`, of each arm observed
     /// since the last selection.
     moved: Vec<(u64, u128)>,
+    /// The cleared `head` and `rest` of the last bucket that emptied, kept
+    /// for the next new count so its bucket need not grow from nothing.
+    spare: (Vec<u128>, Vec<u128>),
     #[cfg(test)]
     paths: Paths,
 }
@@ -258,6 +261,7 @@ impl BucketSet {
         let mut set = Self {
             buckets: Vec::new(),
             moved: Vec::new(),
+            spare: (Vec::new(), Vec::new()),
             #[cfg(test)]
             paths: Paths::default(),
         };
@@ -276,7 +280,8 @@ impl BucketSet {
         Some(set)
     }
 
-    /// The index of the bucket of `count`, created empty if there is none.
+    /// The index of the bucket of `count`, created empty (on the spare
+    /// vectors) if there is none.
     fn bucket(&mut self, count: u64) -> usize {
         match self
             .buckets
@@ -284,11 +289,8 @@ impl BucketSet {
         {
             Ok(b) => b,
             Err(b) => {
-                let bucket = Bucket {
-                    count,
-                    head: Vec::new(),
-                    rest: Vec::new(),
-                };
+                let (head, rest) = std::mem::take(&mut self.spare);
+                let bucket = Bucket { count, head, rest };
                 self.buckets.insert(b, bucket);
                 #[cfg(test)]
                 {
@@ -314,7 +316,8 @@ impl BucketSet {
     }
 
     /// Removes `key` from the bucket of `count`, and the bucket too if that
-    /// empties it. Returns whether the key was there.
+    /// empties it, keeping its vectors as the spare. Returns whether the
+    /// key was there.
     fn remove(&mut self, count: u64, key: u128) -> bool {
         let Ok(b) = self
             .buckets
@@ -348,7 +351,8 @@ impl BucketSet {
             }
         }
         if bucket.head.is_empty() && bucket.rest.is_empty() {
-            self.buckets.remove(b);
+            let emptied = self.buckets.remove(b);
+            self.spare = (emptied.head, emptied.rest);
             #[cfg(test)]
             {
                 self.paths.emptied += 1;

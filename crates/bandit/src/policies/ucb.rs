@@ -325,18 +325,39 @@ mod tests {
         }
     }
 
+    /// Feeds `l` observations of `value` per seller in `sellers`.
+    fn observe_at(
+        policy: &mut CmabUcbPolicy,
+        round: Round,
+        sellers: &[SellerId],
+        l: usize,
+        value: f64,
+    ) {
+        let values = vec![value; sellers.len() * l];
+        policy.observe(
+            round,
+            &ObservationMatrix::from_flat(sellers.to_vec(), l, values),
+        );
+    }
+
     #[test]
     fn repeated_and_unselected_observations_keep_selection_exact() {
         // Observations the selection did not ask for: before any selection,
-        // twice for one selection, for arms it did not pick (one twice in
-        // one matrix), and several times between two selections.
+        // twice for one selection, and every third round three that move
+        // it, in two matrices: at 1.0 at every PoI, the best arm of the
+        // next selection that this one left out (twice in one matrix) and a
+        // random arm (usually one in its bucket's unsorted rest); at 0.0, a
+        // selected arm. By round 150 the walk reads the count-2 bucket past
+        // its first head, so a set that kept a rest arm's stale key selects
+        // it.
         let (m, k, l) = (2000, 3, 2);
         let qs = qualities(m, 21);
         let everyone: Vec<SellerId> = (0..m).map(SellerId).collect();
         let mut p = CmabUcbPolicy::new(m, k);
         let (mut rng, mut env) = (SimRng::new(7), SimRng::new(8));
         observe_noisy(&mut p, Round(0), &everyone, &qs, l, &mut env);
-        for t in 1..=120 {
+        let mut moved = 0;
+        for t in 1..=240 {
             let sel = p.select(Round(t), &mut rng);
             assert_eq!(sel, top_k_by_full_sort(&p.indices(), k), "round {t}");
             observe_noisy(&mut p, Round(t), &sel, &qs, l, &mut env);
@@ -344,12 +365,21 @@ mod tests {
                 observe_noisy(&mut p, Round(t), &sel, &qs, l, &mut env);
             }
             if t % 3 == 0 {
-                let a = SellerId(env.below(m as u64) as usize);
+                let next = top_k_by_full_sort(&p.indices(), k);
+                let a = *next
+                    .iter()
+                    .find(|id| !sel.contains(id))
+                    .expect("a next pick outside this selection");
                 let b = SellerId(env.below(m as u64) as usize);
-                observe_noisy(&mut p, Round(t), &[a, b, a], &qs, l, &mut env);
-                observe_noisy(&mut p, Round(t), &[b], &qs, l, &mut env);
+                observe_at(&mut p, Round(t), &[a, b, a], l, 1.0);
+                observe_at(&mut p, Round(t), &[sel[0]], l, 0.0);
+                moved += usize::from(top_k_by_full_sort(&p.indices(), k) != next);
             }
         }
+        assert!(
+            moved >= 20,
+            "the unasked observations moved the selection in {moved} rounds"
+        );
         assert!(p.buckets.is_active(), "the set was dropped");
     }
 

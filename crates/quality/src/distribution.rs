@@ -44,8 +44,9 @@ impl TruncatedGaussian {
         // which is 0.50 at σ = 0.1, 0.48 at σ = 0.5 and 0.34 at σ = 1. UCB
         // converges onto the sellers with μ near 1, so in a long run about
         // half of their draws are rejected.
+        let mut normals = rng.normals();
         loop {
-            let x = self.mu + self.sigma * rng.standard_normal();
+            let x = self.mu + self.sigma * normals.draw();
             if (0.0..=1.0).contains(&x) {
                 return x;
             }
@@ -62,10 +63,12 @@ impl TruncatedGaussian {
         // for μ near a bound. Each candidate is written to the next free
         // slot, and the acceptance bit moves past it: a rejected candidate
         // is overwritten by the next one. The same normals are drawn in
-        // the same order, and the same values kept.
+        // the same order, and the same values kept. One `normals` handle
+        // holds the generator's state in registers across the row.
+        let mut normals = rng.normals();
         let mut j = 0;
         while j < row.len() {
-            let x = self.mu + self.sigma * rng.standard_normal();
+            let x = self.mu + self.sigma * normals.draw();
             row[j] = x;
             j += usize::from((0.0..=1.0).contains(&x));
         }
