@@ -6,7 +6,7 @@ use cdt_game::{solve_equilibrium, verify_equilibrium, welfare_report};
 use cdt_obs::{ObsConfig, Session};
 use cdt_protocol::{JournalSink, MarketEvent};
 use cdt_quality::SellerProfile;
-use cdt_sim::experiments::{all_experiment_ids, game_curves, run_experiment, Scale};
+use cdt_sim::experiments::{all_experiment_ids, axis::Axis, game_curves, Experiments, Scale};
 use cdt_sim::{
     compare_policies, replicate, replication_table, run_cells, CellJob, PolicySpec, RunConfig,
     RunResult, Series,
@@ -179,6 +179,9 @@ const JOURNAL_FLAGS: &[&str] = &["journal", "journal-segment-rounds"];
 /// The replication and pool flags of `compare` and `sweep`.
 const POOL_FLAGS: &[&str] = &["reps", "threads"];
 
+/// The flags that name a file or directory the command writes.
+const OUTPUT_FLAGS: &[&str] = &["json", "journal", "obs-events", "metrics-out", "csv", "out"];
+
 /// The flags `cdt <command>` reads, one list per flag group.
 fn known_flags(command: &str) -> &'static [&'static [&'static str]] {
     match command {
@@ -276,8 +279,9 @@ pub fn dispatch(argv: &[String]) -> Result<(), Failure> {
     }
 }
 
-/// Runs `cdt <command>` on the flags in `args`: parses them, builds the
-/// command's one [`RunConfig`], runs `body`, and then closes the session
+/// Runs `cdt <command>` on the flags in `args`: parses them (two output
+/// flags may not name one path), builds the command's one [`RunConfig`],
+/// runs `body`, and then closes the session
 /// (flushes the trace, writes `--metrics-out`, prints `--obs-summary`),
 /// also when `body` fails.
 ///
@@ -295,6 +299,7 @@ where
     F: FnOnce(&FlagMap, &RunConfig) -> Result<(), Failure>,
 {
     let flags = command_flags(command, args)?;
+    distinct_outputs(&flags)?;
     let reads = |flag: &str| {
         known_flags(command)
             .iter()
@@ -323,6 +328,30 @@ where
     let finish = finish_session(&cfg.obs, metrics_out, flags.is_set("obs-summary"));
     result?;
     finish
+}
+
+/// Refuses two output flags that name one path (compared after
+/// [`std::path::absolute`], so `./a` is `a`), before any file is created:
+/// the later writer would replace or interleave with the earlier one.
+///
+/// # Errors
+/// Returns a message naming both flags and the path.
+fn distinct_outputs(flags: &FlagMap) -> Result<(), String> {
+    let mut seen: Vec<(&str, std::path::PathBuf)> = Vec::new();
+    for &flag in OUTPUT_FLAGS {
+        let Some(path) = flags.get(flag) else {
+            continue;
+        };
+        let path = std::path::absolute(path).unwrap_or_else(|_| path.into());
+        if let Some((other, _)) = seen.iter().find(|(_, p)| *p == path) {
+            return Err(format!(
+                "--{other} and --{flag} both name {}; give each output its own path",
+                path.display()
+            ));
+        }
+        seen.push((flag, path));
+    }
+    Ok(())
 }
 
 /// Starts the command's observability session if any of `--obs-events`,
@@ -1168,10 +1197,12 @@ pub fn compare(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
 /// # Errors
 /// Returns a message on flag or run failure.
 pub fn sweep(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
-    let axis = flags.get("axis").ok_or("--axis k|m|n is required")?;
-    if !matches!(axis, "k" | "m" | "n") {
-        return Err(format!("--axis must be k, m, or n, got `{axis}`").into());
-    }
+    let axis = match flags.get("axis").ok_or("--axis k|m|n is required")? {
+        "k" => Axis::K,
+        "m" => Axis::M,
+        "n" => Axis::N,
+        other => return Err(format!("--axis must be k, m, or n, got `{other}`").into()),
+    };
     let grid = flags
         .get("grid")
         .ok_or("--grid V1,V2,... is required")?
@@ -1190,11 +1221,7 @@ pub fn sweep(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
     // axis value replaces the corresponding fixed flag.
     let mut scenarios = Vec::with_capacity(grid.len() * reps);
     for (i, &g) in grid.iter().enumerate() {
-        let (gm, gk, gn) = match axis {
-            "k" => (m, g, n),
-            "m" => (g, k, n),
-            _ => (m, k, g),
-        };
+        let (gm, gk, gn) = axis.point((m, k, n), g);
         check_shape(gm, l)?;
         for rep in 0..reps {
             let mut rng = SimRng::new(mix_seed(mix_seed(seed, i as u64), rep as u64));
@@ -1220,7 +1247,7 @@ pub fn sweep(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
     }
     let results = run_cells(&jobs, &[], cfg).map_err(|e| e.to_string())?;
 
-    let axis_label = axis.to_uppercase();
+    let axis_label = axis.label();
     let x: Vec<f64> = grid.iter().map(|&g| g as f64).collect();
     let per = specs.len();
     let mean = |metric: &dyn Fn(&RunResult) -> f64, i: usize, j: usize| -> f64 {
@@ -1247,7 +1274,7 @@ pub fn sweep(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
         "{}",
         Series::tabulate(
             format!("sweep: total revenue vs {axis_label} (mean of {reps} reps)"),
-            &axis_label,
+            axis_label,
             &revenue
         )
     )?;
@@ -1256,7 +1283,7 @@ pub fn sweep(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
         "{}",
         Series::tabulate(
             format!("sweep: regret vs {axis_label} (mean of {reps} reps)"),
-            &axis_label,
+            axis_label,
             &regret
         )
     )?;
@@ -1307,23 +1334,27 @@ pub fn game(flags: &FlagMap) -> Result<(), Failure> {
     Ok(())
 }
 
-/// The `--exp ID[,ID…]` list, every id known; all experiments without it.
+/// The `--exp ID[,ID…]` list, every id known and none twice; all
+/// experiments without it.
 fn experiment_ids(flags: &FlagMap) -> Result<Vec<&'static str>, String> {
     let known = all_experiment_ids();
     let Some(list) = flags.get("exp") else {
         return Ok(known);
     };
-    list.split(',')
-        .map(|id| {
-            let id = id.trim();
-            known.iter().copied().find(|&k| k == id).ok_or_else(|| {
-                format!(
-                    "unknown experiment `{id}` for --exp (known: {})",
-                    known.join(", ")
-                )
-            })
-        })
-        .collect()
+    let mut ids = Vec::new();
+    for id in list.split(',').map(str::trim) {
+        let id = known.iter().copied().find(|&k| k == id).ok_or_else(|| {
+            format!(
+                "unknown experiment `{id}` for --exp (known: {})",
+                known.join(", ")
+            )
+        })?;
+        if ids.contains(&id) {
+            return Err(format!("experiment `{id}` given twice in --exp"));
+        }
+        ids.push(id);
+    }
+    Ok(ids)
 }
 
 /// `cdt repro` — regenerates the data series behind every table and
@@ -1331,8 +1362,9 @@ fn experiment_ids(flags: &FlagMap) -> Result<Vec<&'static str>, String> {
 /// text tables; `--csv DIR` also writes each table to `DIR/<id>_<i>.csv`.
 ///
 /// # Errors
-/// Returns a message naming an unknown `--exp` id (before any experiment
-/// runs), or on a flag, experiment or write failure.
+/// Returns a message naming an unknown or repeated `--exp` id, or a
+/// `--csv` directory that cannot be created (before anything is printed),
+/// or on a flag, experiment or write failure.
 pub fn repro(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
     let ids = experiment_ids(flags)?;
     let (scale, scale_name) = if flags.is_set("paper") {
@@ -1340,15 +1372,17 @@ pub fn repro(flags: &FlagMap, cfg: &RunConfig) -> Result<(), Failure> {
     } else {
         (Scale::Test, "test")
     };
-    writeln!(Out, "# CMAB-HS figure reproduction (scale: {scale_name})\n")?;
     let csv_dir = flags.get("csv");
     if let Some(dir) = csv_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
     }
+    writeln!(Out, "# CMAB-HS figure reproduction (scale: {scale_name})\n")?;
+    let mut experiments = Experiments::new(scale);
     for id in &ids {
         let started = std::time::Instant::now();
-        let tables =
-            run_experiment(id, scale, cfg).map_err(|e| format!("experiment {id} failed: {e}"))?;
+        let tables = experiments
+            .run(id, cfg)
+            .map_err(|e| format!("experiment {id} failed: {e}"))?;
         writeln!(
             Out,
             "=== {id} ({} table{}, {:.1?}) ===\n",

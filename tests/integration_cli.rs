@@ -117,6 +117,26 @@ fn repro_refuses_unknown_ids_and_retired_flags() {
         "an experiment ran: {}",
         stdout(&out)
     );
+    // A repeated id, and a --csv path that cannot be a directory, are
+    // refused before the header is printed.
+    let file = temp_path("repro_csv_is_a_file");
+    std::fs::write(&file, "").unwrap();
+    for (args, message) in [
+        (
+            &["repro", "--exp", "fig7,table2,fig7"][..],
+            "experiment `fig7` given twice in --exp",
+        ),
+        (
+            &["repro", "--exp", "table2", "--csv", file.to_str().unwrap()],
+            "cannot create",
+        ),
+    ] {
+        let out = cdt(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains(message), "{args:?}: {}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{args:?}: {}", stdout(&out));
+    }
+    std::fs::remove_file(file).ok();
     for (flag, args) in [
         ("--test", &["repro", "--test"][..]),
         ("--journal", &["repro", "--journal", "x.jsonl"][..]),
@@ -149,6 +169,89 @@ fn repro_prints_the_table_header_and_csv_paths() {
     assert!(std::fs::read_to_string(&csv)
         .unwrap()
         .starts_with("parameter,"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two output flags that name one path are refused before anything runs
+/// or any file is created, whichever flags they are and however the path
+/// is spelled.
+#[test]
+fn two_outputs_at_one_path_are_refused_before_any_file_is_created() {
+    let run = ["run", "--m", "6", "--k", "2", "--l", "2", "--n", "4"];
+    let outputs = ["--json", "--journal", "--obs-events", "--metrics-out"];
+    let mut cases: Vec<(Vec<&str>, [&str; 2])> = Vec::new();
+    for (i, &a) in outputs.iter().enumerate() {
+        for &b in &outputs[i + 1..] {
+            cases.push(([&run[..], &[a, "p.out", b, "p.out"]].concat(), [a, b]));
+        }
+    }
+    cases.push((
+        [&run[..], &["--json", "./p.out", "--metrics-out", "p.out"]].concat(),
+        ["--json", "--metrics-out"],
+    ));
+    cases.push((
+        vec![
+            "repro",
+            "--exp",
+            "table2",
+            "--csv",
+            "p",
+            "--obs-events",
+            "p",
+        ],
+        ["--obs-events", "--csv"],
+    ));
+    let dir = temp_path("one_path");
+    for (args, [a, b]) in cases {
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = cdt_in(&dir, &args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("{a} and {b} both name ")),
+            "{args:?}: {err}"
+        );
+        assert!(stdout(&out).is_empty(), "{args:?}: {}", stdout(&out));
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "{args:?} left a file"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `cdt repro` runs each axis sweep once: its second figure is a view of
+/// the first's result. The counters count every round and every pool job,
+/// so they hold on any machine.
+#[test]
+fn repro_runs_each_sweep_once() {
+    let dir = temp_path("sweep_once");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let counts = |exp: &[&str]| {
+        let out = cdt_in(
+            &dir,
+            &[&["repro", "--metrics-out", "m.prom"][..], exp].concat(),
+        );
+        assert!(out.status.success(), "{exp:?}: {}", stderr(&out));
+        let prom = std::fs::read_to_string(dir.join("m.prom")).unwrap();
+        let value = |name: &str| {
+            prom.lines()
+                .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+                .unwrap_or_else(|| panic!("{exp:?}: no {name}"))
+                .to_owned()
+        };
+        (
+            value("cdt_obs_rounds_total"),
+            value("cdt_obs_pool_job_ns_count"),
+        )
+    };
+    let pair = |rounds: &str, jobs: &str| (rounds.to_owned(), jobs.to_owned());
+    assert_eq!(counts(&[]), pair("12750", "64"));
+    assert_eq!(counts(&["--exp", "fig7"]), pair("3000", "15"));
+    assert_eq!(counts(&["--exp", "fig7,fig8"]), pair("3000", "15"));
     std::fs::remove_dir_all(&dir).ok();
 }
 

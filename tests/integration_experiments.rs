@@ -1,7 +1,7 @@
 //! Experiment-harness integration: every figure's experiment runs at test
 //! scale, produces well-formed tables, and exports to CSV.
 
-use cdt_sim::experiments::{all_experiment_ids, run_experiment, Scale};
+use cdt_sim::experiments::{all_experiment_ids, Experiments, Scale};
 use cdt_sim::report::Cell;
 use cdt_sim::RunConfig;
 
@@ -12,8 +12,10 @@ fn pool() -> RunConfig {
 
 #[test]
 fn every_experiment_runs_at_test_scale() {
+    let mut experiments = Experiments::new(Scale::Test);
     for id in all_experiment_ids() {
-        let tables = run_experiment(id, Scale::Test, &pool())
+        let tables = experiments
+            .run(id, &pool())
             .unwrap_or_else(|e| panic!("experiment {id} failed: {e}"));
         assert!(!tables.is_empty(), "{id} produced no tables");
         for t in &tables {
@@ -33,7 +35,7 @@ fn every_experiment_runs_at_test_scale() {
 
 #[test]
 fn experiments_export_csv() {
-    let tables = run_experiment("fig13", Scale::Test, &pool()).unwrap();
+    let tables = Experiments::new(Scale::Test).run("fig13", &pool()).unwrap();
     for t in &tables {
         let csv = t.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
@@ -65,15 +67,16 @@ fn figure_ids_map_to_expected_table_counts() {
         ("nonstat", 1),
         ("replicate", 1),
     ];
+    let mut experiments = Experiments::new(Scale::Test);
     for (id, n) in expect {
-        let tables = run_experiment(id, Scale::Test, &pool()).unwrap();
+        let tables = experiments.run(id, &pool()).unwrap();
         assert_eq!(tables.len(), n, "{id} table count");
     }
 }
 
 #[test]
 fn experiment_reruns_are_deterministic() {
-    let a = run_experiment("fig11", Scale::Test, &pool()).unwrap();
-    let b = run_experiment("fig11", Scale::Test, &pool()).unwrap();
-    assert_eq!(a, b);
+    // Two invocations: the second runs the K sweep afresh.
+    let run = || Experiments::new(Scale::Test).run("fig11", &pool()).unwrap();
+    assert_eq!(run(), run());
 }
